@@ -63,6 +63,20 @@ def _format_cell(value) -> str:
     return text
 
 
+def write_atomic(path, payload: bytes) -> None:
+    """Atomic write: temp file in the target directory, then rename."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 @dataclass
 class ResultTable:
     columns: List[str]
@@ -78,18 +92,7 @@ class ResultTable:
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     def write(self, path) -> None:
-        """Atomic write: temp file in the target directory, then rename."""
-        payload = self.to_csv_bytes()
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(path, self.to_csv_bytes())
 
     def column(self, name: str) -> list:
         i = self.columns.index(name)

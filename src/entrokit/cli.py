@@ -23,8 +23,13 @@ from . import randomfield as rf
 from .rng import STREAM_PARAM_GEN, stream
 
 
-def _emit(obj) -> None:
-    click.echo(json.dumps(obj, indent=2, sort_keys=True))
+def _emit(obj, path=None) -> None:
+    """Print obj as JSON; with a path, also write the same text there
+    atomically."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    click.echo(text)
+    if path:
+        chains.write_atomic(path, (text + "\n").encode("utf-8"))
 
 
 def _finish(ok: bool) -> None:
@@ -95,11 +100,7 @@ def hat(ctx, space_path, eps, out_path):
         "lipschitz_max": rep.lipschitz_max,
         "ok": rep.ok,
     }
-    _emit(manifest)
-    path = _resolve(ctx, "out", out_path)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+    _emit(manifest, _resolve(ctx, "out", out_path))
     _finish(rep.ok)
 
 
@@ -115,11 +116,7 @@ def gv(ctx, n, out_path):
     ok = (manifest["measured_min_distance"] >= code.min_distance
           and code.size >= code.target_size)
     manifest["ok"] = ok
-    _emit(manifest)
-    path = _resolve(ctx, "out", out_path)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+    _emit(manifest, _resolve(ctx, "out", out_path))
     _finish(ok)
 
 
@@ -146,11 +143,7 @@ def bump(ctx, dim, cells, grid_res, lam, out_path):
         "cell_profile_l1": rep.cell_profile_l1,
         "ok": rep.ok,
     }
-    _emit(manifest)
-    path = _resolve(ctx, "out", out_path)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+    _emit(manifest, _resolve(ctx, "out", out_path))
     _finish(rep.ok)
 
 
@@ -176,7 +169,9 @@ def embed_check(ctx, config_path):
                                             lipschitz=1.0)
     else:
         raise click.UsageError(f"unknown f kind {fspec['kind']!r}")
-    seed = _resolve(ctx, "seed", None) or cfg.get("seed", 0)
+    seed = _resolve(ctx, "seed", None)
+    if seed is None:
+        seed = cfg.get("seed", 0)
     report = rf.isometry_check(f, measure, cfg.get("p", 2),
                                cfg.get("samples", 100000), seed)
     _emit({

@@ -26,6 +26,7 @@ from .errors import SampleMismatch, SizeLimitExceeded
 
 EXACT_LIMIT = 20
 VALIDATION_ATOL = 1e-12
+TRIANGLE_BLOCK_ENTRIES = 1 << 20
 
 
 class FiniteMetricSpace:
@@ -45,8 +46,21 @@ class FiniteMetricSpace:
             raise ValueError("nonzero diagonal")
         if np.max(np.abs(self.dist - self.dist.T)) > VALIDATION_ATOL:
             raise ValueError("asymmetric distance matrix")
-        # triangle inequality, checked for every (i, j, k) via one matrix op per k
-        for k in range(n):
+        # triangle inequality for every (i, j, k), in blocks of k sized so
+        # that each block's slack array stays near TRIANGLE_BLOCK_ENTRIES
+        block = max(1, TRIANGLE_BLOCK_ENTRIES // max(1, n * n))
+        for lo in range(0, n, block):
+            ks = slice(lo, min(lo + block, n))
+            slack = self.dist[None, :, :] - (self.dist[:, ks].T[:, :, None]
+                                             + self.dist[ks, :][:, None, :])
+            if np.max(slack) > VALIDATION_ATOL:
+                self._raise_first_violation(lo)
+        self.dist.setflags(write=False)
+
+    def _raise_first_violation(self, start: int) -> None:
+        """Name the first k from start (and its worst (i, j)) that breaks
+        the triangle inequality."""
+        for k in range(start, self.n):
             slack = self.dist - (self.dist[:, k][:, None] + self.dist[k, :][None, :])
             if np.max(slack) > VALIDATION_ATOL:
                 i, j = np.unravel_index(np.argmax(slack), slack.shape)
@@ -54,7 +68,6 @@ class FiniteMetricSpace:
                     f"triangle inequality violated for ({i}, {j}, {k}): "
                     f"d={self.dist[i, j]} > {self.dist[i, k] + self.dist[k, j]}"
                 )
-        self.dist.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -156,6 +169,12 @@ def _resolve(space: FiniteMetricSpace, subset, ambient):
     return subset, ambient
 
 
+def _bitmasks(rows: np.ndarray) -> list:
+    """Each row of a boolean matrix with at most EXACT_LIMIT columns as an
+    int whose bit pos is set when column pos is."""
+    return (rows.astype(np.int64) @ (1 << np.arange(rows.shape[1], dtype=np.int64))).tolist()
+
+
 def _cover_candidates(space, subset, ambient, eps):
     """One bitmask over subset positions per ambient center, deduplicated.
 
@@ -167,13 +186,9 @@ def _cover_candidates(space, subset, ambient, eps):
     amb = np.asarray(ambient)
     covered = space.dist[np.ix_(amb, sub)] <= eps
     masks = {}
-    for row, center in zip(covered, amb):
-        bits = 0
-        for pos, c in enumerate(row):
-            if c:
-                bits |= 1 << pos
+    for bits, center in zip(_bitmasks(covered), amb.tolist()):
         if bits and bits not in masks:
-            masks[bits] = int(center)
+            masks[bits] = center
     items = sorted(masks.items(), key=lambda kv: (-bin(kv[0]).count("1"), kv[1]))
     kept = []
     for bits, center in items:
@@ -263,13 +278,7 @@ def exact_packing_number(space: FiniteMetricSpace, eps: float,
     k = len(subset)
     sub = np.asarray(subset)
     conflict = (space.dist[np.ix_(sub, sub)] < eps) & ~np.eye(k, dtype=bool)
-    adj = [0] * k
-    for i in range(k):
-        bits = 0
-        for j in range(k):
-            if conflict[i, j]:
-                bits |= 1 << j
-        adj[i] = bits
+    adj = _bitmasks(conflict)
 
     greedy = greedy_packing(space, eps, subset)
     best = [subset.index(m) for m in greedy.members]

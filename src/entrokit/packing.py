@@ -11,7 +11,9 @@ Three constructions:
 
 * Greedy sign codes: lexicographic scan of {+1, -1}^n keeping words at
   Hamming distance >= ceil(n/4) from everything kept so far reaches size
-  ceil(e^(n/8)); classical volume counting guarantees feasibility.
+  ceil(e^(n/8)); classical volume counting guarantees feasibility.  The
+  kept words form a linear lexicode, built from its GF(2) basis rather
+  than by scanning.
 
 * Bump families on [0,1]^d: the cube is split into N^d cells, each
   carrying a plateau bump with linear ramp (width lam/2 in the max-norm
@@ -22,6 +24,7 @@ Three constructions:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -29,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (BoundNotReached, EpsilonTooLarge, FamilyTooLarge,
-                     GridMisaligned, NoPacking)
+                     GridMisaligned, NoPacking, SizeLimitExceeded)
 from .metricspace import (EXACT_LIMIT, FiniteMetricSpace, SampledFunctional,
                           exact_packing_number, greedy_packing)
 from .rng import STREAM_HAT_PAIRS, stream
@@ -38,6 +41,8 @@ HAT_MAX_LOG2_MEMBERS = 16
 PAIRWISE_EXHAUSTIVE_LOG2 = 10
 PAIRWISE_SAMPLE = 1000
 QUADRATURE_TOL = 1e-9
+# coset-weight table entries (one byte each) a sign code may use
+LEXICODE_TABLE_LIMIT = 1 << 27
 
 
 # ---------------------------------------------------------------------
@@ -217,29 +222,77 @@ class SignCode:
         }
 
 
-def _greedy_sign_code(n: int, min_dist: int, target: int,
-                      chunk: int = 1 << 15) -> SignCode:
-    """Lexicographic greedy scan of {+1,-1}^n (all +1 first, +1 as 0-bit)."""
-    kept = [0]  # the all-(+1) word; vacuously at distance >= min_dist
-    total = 1 << n
-    start = 1
-    while len(kept) < target and start < total:
-        end = min(start + chunk, total)
-        cand = start + np.arange(end - start, dtype=np.uint64)
-        kept_arr = np.array(kept, dtype=np.uint64)
-        ok = (np.bitwise_count(cand[:, None] ^ kept_arr[None, :]) >= min_dist).all(axis=1)
-        while ok.any() and len(kept) < target:
-            pos = int(np.argmax(ok))
-            word = int(cand[pos])
-            kept.append(word)
-            ok[: pos + 1] = False
-            ok &= np.bitwise_count(cand ^ np.uint64(word)) >= min_dist
-        start = end
-    if len(kept) < target:
+def _xor_shifted(table: np.ndarray, j: int) -> np.ndarray:
+    """table[i ^ j] for every i of a table of length 2^f, in a fresh
+    array viewed with shape (2, ..., 2, 2^low).  The low index bits are
+    permuted by one gather per row of 2^low entries and the high bits by
+    reversed axes, so no index array as long as the table is built."""
+    bits = table.size.bit_length() - 1
+    low = min(bits, 8)
+    row = 1 << low
+    inner = np.take(table.reshape(-1, row), np.arange(row) ^ (j & (row - 1)), axis=1)
+    high = bits - low
+    flips = tuple(slice(None, None, -1) if j >> (bits - 1 - a) & 1 else slice(None)
+                  for a in range(high))
+    return inner.reshape((2,) * high + (row,))[flips]
+
+
+def _greedy_sign_code(n: int, min_dist: int, target: int) -> SignCode:
+    """The lexicographic greedy code of {+1,-1}^n (all +1 first, +1 as
+    0-bit), cut at target words, built from its GF(2) basis.
+
+    Greedy lexicodes are linear (Conway & Sloane, IEEE Trans. IT 32(3),
+    1986): the word kept at position 2^k is a basis word b_k with a new
+    leading bit, and the kept words are the span of b_0, b_1, ... in
+    binary-counting order.  b_k is the smallest word with leading bit
+    above those of the current span C whose coset x + C has minimum
+    weight >= min_dist; every word of that coset passes or fails the
+    greedy test together, so one representative per coset is checked.
+
+    The representatives of the cosets of C inside [0, 2^L) are the words
+    whose pivot bits (the leading bits of b_0, b_1, ...) are zero; the
+    j-th one deposits the bits of j on the free positions.  `weight[j]`
+    holds its coset's minimum weight.  Moving to leading bit L either
+    doubles the table (no basis word: weight of 2^L + rep_j is 1 +
+    weight[j]) or keeps its length and takes the minimum with the coset
+    shifted by the new basis word (rep_j ^ rep_j* is rep_(j ^ j*)).  Time
+    and memory grow like 2^(L - k) for the last basis word's leading bit
+    L and basis size k.
+    """
+    need = (target - 1).bit_length()
+    basis: list = []
+    free: list = []   # free bit positions, ascending
+    weight = np.zeros(1, dtype=np.uint8)
+    for lead in range(n):
+        if len(basis) == need:
+            break
+        j = int(np.argmax(weight >= min_dist - 1))
+        if weight[j] >= min_dist - 1:
+            rep = sum(1 << pos for t, pos in enumerate(free) if j >> t & 1)
+            basis.append((1 << lead) | rep)
+            shifted = _xor_shifted(weight, j)
+            shifted += np.uint8(1)
+            np.minimum(weight.reshape(shifted.shape), shifted,
+                       out=weight.reshape(shifted.shape))
+            continue
+        if weight.size >= LEXICODE_TABLE_LIMIT:
+            raise SizeLimitExceeded(
+                f"the lexicode of length {n} at distance {min_dist} needs a "
+                f"coset table above {LEXICODE_TABLE_LIMIT} entries at "
+                f"leading bit {lead}")
+        doubled = np.empty(2 * weight.size, dtype=np.uint8)
+        doubled[:weight.size] = weight
+        np.add(weight, np.uint8(1), out=doubled[weight.size:])
+        weight = doubled
+        free.append(lead)
+    if len(basis) < need:
         raise BoundNotReached(
-            f"greedy scan kept {len(kept)} < {target} words; "
-            "this contradicts the volume bound and signals a bug")
-    return SignCode(n, tuple(kept), min_dist, target)
+            f"the greedy code of length {n} has {1 << len(basis)} < {target} "
+            "words; this contradicts the volume bound and signals a bug")
+    ints = np.zeros(1, dtype=np.uint64)
+    for word in basis:
+        ints = np.concatenate([ints, ints ^ np.uint64(word)])
+    return SignCode(n, tuple(int(v) for v in ints[:target]), min_dist, target)
 
 
 def greedy_sign_code(length: int, min_distance: int,
@@ -261,7 +314,10 @@ def volume_bound_code(n: int) -> SignCode:
 
 def gilbert_varshamov(n: int) -> SignCode:
     """Greedy code of length n with Hamming distance >= ceil(n/4) and size
-    >= ceil(e^(n/8)).  Deterministic; the scan may be slow near n = 64."""
+    >= ceil(e^(n/8)).  Deterministic.  Work and memory grow like the
+    coset table, 2^(L - k) entries for the leading bit L of the last of k
+    basis words: 2^18 at n = 40, 2^27 at n = 53..55.  Longer codes need
+    more than LEXICODE_TABLE_LIMIT entries and raise SizeLimitExceeded."""
     if not 4 <= n <= 64:
         raise ValueError(f"n must lie in [4, 64], got {n}")
     return volume_bound_code(n)
@@ -289,6 +345,38 @@ class BumpFamilyReport:
                 and self.sup_max <= 1.0 + QUADRATURE_TOL
                 and self.lipschitz_max <= 1.0 + QUADRATURE_TOL
                 and self.min_pairwise_l1 >= self.pairwise_lower - QUADRATURE_TOL)
+
+
+def grid_lipschitz(values: np.ndarray) -> float:
+    """Max difference quotient |f(x) - f(y)| / |x - y|_inf over all pairs of
+    nodes of a uniform grid on [0,1]^d, from the (res+1)^d node values.
+
+    Under the max norm, the distance between grid nodes is the king-move
+    path metric, so a quotient over any pair is at most the largest
+    quotient along a king path between them: the 3^d - 1 king-neighbour
+    offsets (half of them, by symmetry) give the all-pairs maximum.  The
+    distances come from the float node coordinates k / res, as an
+    all-pairs scan would compute them.
+    """
+    values = np.asarray(values, dtype=float)
+    dim, res = values.ndim, values.shape[0] - 1
+    step = np.abs(np.diff(np.arange(res + 1) / res))
+    lo, hi = slice(0, res), slice(1, res + 1)
+    best = 0.0
+    for offset in itertools.product((-1, 0, 1), repeat=dim):
+        if offset <= (0,) * dim:
+            continue  # no move, or the mirror image of a later offset
+        here, there, dx = [], [], 0.0
+        for axis, o in enumerate(offset):
+            here.append(slice(None) if o == 0 else (lo if o > 0 else hi))
+            there.append(slice(None) if o == 0 else (hi if o > 0 else lo))
+            if o:
+                shape = [1] * dim
+                shape[axis] = res
+                dx = np.maximum(dx, step.reshape(shape))
+        df = np.abs(values[tuple(there)] - values[tuple(here)])
+        best = max(best, float(np.max(df / dx)))
+    return best
 
 
 class BumpFamily:
@@ -369,27 +457,9 @@ class BumpFamily:
         return float(np.max(np.abs(self.member_on_nodes(index))))
 
     def member_discrete_lipschitz(self, index: int) -> float:
-        """Max grid difference quotient w.r.t. the sup norm; all node pairs
-        for grid_res <= 64, axis-neighbor quotients otherwise."""
-        vals = self.member_on_nodes(index)
-        if self.grid_res <= 64:
-            pts = self._node_points()
-            flat = vals.ravel()
-            best = 0.0
-            for i in range(0, len(flat), 512):
-                block = slice(i, min(i + 512, len(flat)))
-                dx = np.max(np.abs(pts[block, None, :] - pts[None, :, :]), axis=-1)
-                df = np.abs(flat[block, None] - flat[None, :])
-                mask = dx > 0
-                if mask.any():
-                    best = max(best, float(np.max(df[mask] / dx[mask])))
-            return best
-        h = 1.0 / self.grid_res
-        best = 0.0
-        for axis in range(self.dim):
-            diff = np.abs(np.diff(vals, axis=axis)) / h
-            best = max(best, float(np.max(diff)))
-        return best
+        """Max grid difference quotient w.r.t. the sup norm over all node
+        pairs (see grid_lipschitz)."""
+        return grid_lipschitz(self.member_on_nodes(index))
 
     @property
     def pairwise_lower(self) -> float:

@@ -189,9 +189,27 @@ class GridFunction01:
         """
         m = self.res * refine
         mids = (np.arange(m) + 0.5) / m
-        mesh = np.meshgrid(*([mids] * self.dim), indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        return float(np.mean(np.abs(self(pts)) ** p))
+        # the midpoint mesh is a product grid, so __call__'s per-point
+        # cell index and weights are per-axis arrays; the corners and
+        # axes are combined in __call__'s order, value for value
+        t = np.clip(mids, 0.0, 1.0) * self.res
+        i0 = np.minimum(t.astype(int), self.res - 1)
+        frac = t - i0
+        factors = (1.0 - frac, frac)
+
+        def along(axis, arr):
+            shape = [1] * self.dim
+            shape[axis] = m
+            return arr.reshape(shape)
+
+        out = np.zeros((m,) * self.dim)
+        for corner in itertools.product((0, 1), repeat=self.dim):
+            w, corner_values = 1.0, self.values
+            for axis, bit in enumerate(corner):
+                w = w * along(axis, factors[bit])
+                corner_values = corner_values.take(i0 + bit, axis=axis)
+            out += w * corner_values
+        return float(np.mean(np.abs(out.ravel()) ** p))
 
 
 @dataclass

@@ -45,6 +45,27 @@ def test_gv_command(runner):
     assert out["words"][0] == "+" * 8
 
 
+def test_gv_command_length_forty(runner):
+    res = runner.invoke(main, ["gv", "--n", "40"])
+    assert res.exit_code == 0
+    out = json.loads(res.output)
+    assert len(out["words"]) == 149 and out["measured_min_distance"] >= 10
+
+
+@pytest.mark.parametrize("args", [
+    ["gv", "--n", "8"],
+    ["bump", "--d", "1", "--n", "4", "--grid", "16"],
+    ["hat", "--space", None, "--eps", str(1 / 6)],
+])
+def test_out_file_is_the_printed_manifest(runner, tmp_path, space_file, args):
+    args = [space_file if a is None else a for a in args]
+    out_path = tmp_path / "manifest.json"
+    res = runner.invoke(main, args + ["--out", str(out_path)])
+    assert res.exit_code == 0
+    assert out_path.read_text(encoding="utf-8") == res.output
+    assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+
+
 def test_hat_command(runner, tmp_path):
     path = tmp_path / "circle.json"
     path.write_text(json.dumps(ek.FiniteMetricSpace.circle(8).to_json()))
@@ -97,6 +118,23 @@ def test_embed_check_command(runner, tmp_path):
     assert res.exit_code == 0
     out = json.loads(res.output)
     assert out["consistent"] and abs(out["zscore"]) <= 3
+
+
+def test_embed_check_seed_zero_overrides_config(runner, tmp_path):
+    # --seed 0 is a seed like any other, not "no seed given"
+    cfg = {"kl": {"lambda": "j^-2a", "alpha": 1.0, "J": 16, "law": "gaussian"},
+           "f": {"kind": "coordinate", "grid_res": 16},
+           "p": 2, "samples": 2000}
+    reports = {}
+    for name, seed, override in (("cfg0", 0, []), ("cfg5", 5, []),
+                                 ("cli0", 5, ["--seed", "0"])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(cfg, seed=seed)))
+        res = runner.invoke(main, override + ["embed-check", "--config", str(path)])
+        assert res.exit_code == 0
+        reports[name] = json.loads(res.output)
+    assert reports["cfg0"] != reports["cfg5"]
+    assert reports["cli0"] == reports["cfg0"]
 
 
 def test_chain_uniform_writes_csv_and_exits_zero(runner, tmp_path):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,24 @@ def test_validation_rejects_bad_matrices():
                              [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
     with pytest.raises(ValueError, match="negative"):
         ek.FiniteMetricSpace([0, 1], [[0, -1.0], [-1.0, 0]])
+
+
+def test_triangle_violation_named_as_by_a_scan_over_k():
+    # 128 points check k in two blocks; the first violation is k = 101
+    n = 128
+    idx = np.arange(n, dtype=float)
+    dist = np.abs(idx[:, None] - idx[None, :])
+    dist[100, 120] = dist[120, 100] = 20.5
+    first = None
+    for k in range(n):
+        slack = dist - (dist[:, k][:, None] + dist[k, :][None, :])
+        if np.max(slack) > 1e-12:
+            i, j = np.unravel_index(np.argmax(slack), slack.shape)
+            first = f"violated for ({i}, {j}, {k})"
+            break
+    assert first == "violated for (100, 120, 101)"
+    with pytest.raises(ValueError, match=re.escape(first)):
+        ek.FiniteMetricSpace(list(range(n)), dist)
 
 
 def test_json_round_trip(tmp_path):

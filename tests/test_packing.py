@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import entrokit as ek
-from entrokit.packing import greedy_sign_code
+from entrokit import packing
+from entrokit.packing import greedy_sign_code, grid_lipschitz
 
 
 # -- hat families --------------------------------------------------------
@@ -122,6 +124,62 @@ def test_greedy_code_small_lengths():
     assert code.pairwise_min_hamming() >= 1
 
 
+def scan_sign_code(n, min_dist, target, chunk=1 << 15):
+    """Reference: scan {+1,-1}^n in lexicographic order and keep every word
+    at distance >= min_dist from all kept words, up to target words."""
+    kept = [0]
+    total = 1 << n
+    start = 1
+    while len(kept) < target and start < total:
+        end = min(start + chunk, total)
+        cand = start + np.arange(end - start, dtype=np.uint64)
+        kept_arr = np.array(kept, dtype=np.uint64)
+        ok = (np.bitwise_count(cand[:, None] ^ kept_arr[None, :]) >= min_dist).all(axis=1)
+        while ok.any() and len(kept) < target:
+            pos = int(np.argmax(ok))
+            word = int(cand[pos])
+            kept.append(word)
+            ok[: pos + 1] = False
+            ok &= np.bitwise_count(cand ^ np.uint64(word)) >= min_dist
+        start = end
+    return tuple(kept)
+
+
+@pytest.mark.parametrize("n", range(4, 33))
+def test_volume_bound_code_matches_scan(n):
+    code = packing.volume_bound_code(n)
+    assert code.ints == scan_sign_code(n, code.min_distance, code.target_size)
+
+
+@pytest.mark.parametrize("n,dist,target",
+                         [(10, 3, 40), (15, 5, 100), (20, 6, 300), (2, 1, 2)])
+def test_greedy_code_matches_scan(n, dist, target):
+    assert greedy_sign_code(n, dist, target).ints == scan_sign_code(n, dist, target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_greedy_code_matches_scan_property(data):
+    n = data.draw(st.integers(1, 14), label="n")
+    dist = data.draw(st.integers(1, n), label="dist")
+    target = data.draw(st.integers(1, 300), label="target")
+    expect = scan_sign_code(n, dist, target)
+    if len(expect) < target:
+        with pytest.raises(ek.BoundNotReached):
+            greedy_sign_code(n, dist, target)
+    else:
+        assert greedy_sign_code(n, dist, target).ints == expect
+
+
+def test_gv_coset_table_limit(monkeypatch):
+    # length 24 needs a coset table of 2^9 entries
+    monkeypatch.setattr(packing, "LEXICODE_TABLE_LIMIT", 1 << 8)
+    with pytest.raises(ek.SizeLimitExceeded):
+        ek.gilbert_varshamov(24)
+    monkeypatch.setattr(packing, "LEXICODE_TABLE_LIMIT", 1 << 9)
+    assert ek.gilbert_varshamov(24).ints == scan_sign_code(24, 6, 21)
+
+
 # -- bump families -----------------------------------------------------------
 
 
@@ -189,6 +247,38 @@ def test_bump_member_is_continuous_across_cells():
     fam = ek.build_bump_family(1, 2, 16, greedy_sign_code(2, 1, 2))
     boundary = fam.member_values(0, np.array([[0.0], [0.5], [1.0]]))
     assert np.max(np.abs(boundary)) == 0.0
+
+
+def all_pairs_lipschitz(fam, index):
+    """Reference: the max difference quotient over every pair of nodes."""
+    flat = fam.member_on_nodes(index).ravel()
+    axes = [np.arange(fam.grid_res + 1) / fam.grid_res] * fam.dim
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    best = 0.0
+    for i in range(0, len(flat), 512):
+        block = slice(i, min(i + 512, len(flat)))
+        dx = np.max(np.abs(pts[block, None, :] - pts[None, :, :]), axis=-1)
+        df = np.abs(flat[block, None] - flat[None, :])
+        mask = dx > 0
+        best = max(best, float(np.max(df[mask] / dx[mask])))
+    return best
+
+
+@pytest.mark.parametrize("dim,cells,grid",
+                         [(1, 2, 16), (1, 4, 32), (2, 2, 24), (2, 2, 48), (2, 3, 36)])
+def test_king_neighbour_lipschitz_equals_all_pairs(dim, cells, grid):
+    fam = ek.build_bump_family(dim, cells, grid,
+                               packing.volume_bound_code(cells**dim))
+    for index in range(fam.code.size):
+        assert fam.member_discrete_lipschitz(index) == all_pairs_lipschitz(fam, index)
+
+
+def test_grid_lipschitz_sees_diagonal_quotients():
+    # (x1 + x2) / 2 has sup-norm Lipschitz constant 1, reached only along
+    # diagonals; axis neighbours alone give 0.5
+    x = np.arange(81) / 80
+    values = (x[:, None] + x[None, :]) / 2
+    assert grid_lipschitz(values) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bump_grid_misalignment_rejected():

@@ -125,6 +125,22 @@ def test_grid_function_quadrature_exact_for_multilinear():
     assert f.quadrature_abs_pow(1, refine=1) == pytest.approx(0.5, abs=1e-14)
 
 
+# a mean over many points hides last-bit differences between the two
+# paths, so the one-cell grids (res 1) at refine 1 compare a single point
+@pytest.mark.parametrize("dim,res", [(1, 7), (2, 5), (3, 4), (2, 1), (3, 1)])
+def test_quadrature_equals_pointwise_evaluation(dim, res):
+    f = ek.GridFunction01(dim, np.random.default_rng(dim).standard_normal(
+        (res + 1,) * dim))
+    for p in (1, 1.5, 2):
+        for refine in (1, 8):
+            m = res * refine
+            mids = (np.arange(m) + 0.5) / m
+            mesh = np.meshgrid(*([mids] * dim), indexing="ij")
+            pts = np.stack([g.ravel() for g in mesh], axis=-1)
+            expect = float(np.mean(np.abs(f(pts)) ** p))
+            assert f.quadrature_abs_pow(p, refine=refine) == expect
+
+
 def test_embed_constant():
     m = gaussian_j2(8)
     emb = ek.embed(ek.GridFunction01.constant(0.7), m)
