@@ -32,6 +32,5 @@ from .quantizer import (BitBudget, LipBoundInputs, QuantCertificate,
                         QuantGrid, SweepRow, accuracy_bits_sweep,
                         bit_budget_asymptotic, bit_budget_sweep, calibrate_c,
                         certify_quantization, quantize, theoretical_lip_bound)
-from .chains import (ResultTable, load_config, run_bits_accuracy,
-                     run_expectation_chain, run_experiment,
-                     run_uniform_chain, validate_config)
+from .chains import (ResultTable, load_config, run_experiment,
+                     validate_config)

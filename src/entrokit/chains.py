@@ -243,29 +243,34 @@ BITS_SCHEMA = {
     },
 }
 
-_SCHEMAS = {
-    "uniform-chain": UNIFORM_SCHEMA,
-    "expectation-chain": EXPECTATION_SCHEMA,
-    "bits-accuracy": BITS_SCHEMA,
-}
+def _validator(schema: dict):
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _check(validator, cfg) -> dict:
+    error = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(error.message)
+    return cfg
 
 
 def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     kind = cfg.get("experiment")
-    if kind not in _SCHEMAS:
+    if not isinstance(kind, str) or kind not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {kind!r}")
-    try:
-        jsonschema.validate(cfg, _SCHEMAS[kind])
-    except jsonschema.ValidationError as err:
-        raise ConfigError(err.message) from err
-    return cfg
+    return _check(_EXPERIMENTS[kind][0], cfg)
+
+
+def read_config(path):
+    """The parsed JSON file, not yet validated."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_config(json.load(fh))
+    return validate_config(read_config(path))
 
 
 # ---------------------------------------------------------------------
@@ -307,8 +312,7 @@ def constant_input_space(levels: Sequence[float], resolution: int = 8):
 # ---------------------------------------------------------------------
 
 
-def run_uniform_chain(cfg: dict) -> ResultTable:
-    validate_config(cfg)
+def _run_uniform_chain(cfg: dict) -> ResultTable:
     seed = cfg["seed"]
     space = build_space(cfg["space"], seed)
     columns = ["eps", "n_cover_6eps", "h_k_6eps", "predicted", "certified",
@@ -344,8 +348,7 @@ def _expectation_dim(cfg: dict) -> int:
     raise ConfigError("expectation chain needs dim or dim_select")
 
 
-def run_expectation_chain(cfg: dict) -> ResultTable:
-    validate_config(cfg)
+def _run_expectation_chain(cfg: dict) -> ResultTable:
     seed = cfg["seed"]
     measure = rf.KLMeasure.from_config(cfg["kl"])
     p = float(cfg["p"])
@@ -400,8 +403,7 @@ def run_expectation_chain(cfg: dict) -> ResultTable:
     return ResultTable(columns, rows, meta)
 
 
-def run_bits_accuracy(cfg: dict) -> ResultTable:
-    validate_config(cfg)
+def _run_bits_accuracy(cfg: dict) -> ResultTable:
     seed = cfg["seed"]
     tspec = cfg["targets"]
     resolution = cfg.get("input_resolution", 8)
@@ -418,14 +420,12 @@ def run_bits_accuracy(cfg: dict) -> ResultTable:
             for s in range(fam.size)]
         n6 = ms.exact_covering_number(space, 6 * eps).count
         entropy_floor = pk.entropy_lower_bound_uniform(math.log2(n6))
-    elif tspec["kind"] == "singleton-constant":
+    else:  # singleton-constant
         value = tspec.get("value", 0.0)
         levels = [0.0, 1.0]
         _, inputs = constant_input_space(levels, resolution)
         ids = tuple(range(len(inputs)))
         targets = [ms.SampledFunctional(ids, np.full(len(inputs), value))]
-    else:
-        raise ConfigError(f"unknown target kind {tspec['kind']!r}")
 
     hypers = [fno_mod.FnoHyper.from_json(h) for h in cfg["hypers"]]
     grids = [qz.QuantGrid(g["m"], g["delta"]) for g in cfg["grids"]]
@@ -446,11 +446,15 @@ def run_bits_accuracy(cfg: dict) -> ResultTable:
     return ResultTable(columns, rows, meta)
 
 
+# experiment -> (validator, runner); each validator is built once, at import
+_EXPERIMENTS = {
+    "uniform-chain": (_validator(UNIFORM_SCHEMA), _run_uniform_chain),
+    "expectation-chain": (_validator(EXPECTATION_SCHEMA),
+                          _run_expectation_chain),
+    "bits-accuracy": (_validator(BITS_SCHEMA), _run_bits_accuracy),
+}
+
+
 def run_experiment(cfg: dict) -> ResultTable:
     validate_config(cfg)
-    runner = {
-        "uniform-chain": run_uniform_chain,
-        "expectation-chain": run_expectation_chain,
-        "bits-accuracy": run_bits_accuracy,
-    }[cfg["experiment"]]
-    return runner(cfg)
+    return _EXPERIMENTS[cfg["experiment"]][1](cfg)

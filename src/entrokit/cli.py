@@ -54,17 +54,6 @@ def _resolve(ctx, key, local):
     return local if local is not None else ctx.obj.get(key)
 
 
-def _load_table_config(ctx, config):
-    path = _resolve(ctx, "config", config)
-    if path is None:
-        raise click.UsageError("a config file is required (--config)")
-    cfg = chains.load_config(path)
-    seed = _resolve(ctx, "seed", None)
-    if seed is not None:
-        cfg = dict(cfg, seed=seed)
-    return cfg
-
-
 @main.command()
 @click.option("--space", "space_path", type=click.Path(exists=True), required=True)
 @click.option("--eps", type=float, required=True)
@@ -238,11 +227,17 @@ def quantize_cmd(ctx, hyper_path, delta, box, seed, n_inputs, probes, c_override
     _finish(cert.passed)
 
 
-def _run_table(ctx, config, out, runner_name):
-    cfg = _load_table_config(ctx, config)
-    if cfg["experiment"] != runner_name:
-        raise click.UsageError(
-            f"config is for {cfg['experiment']!r}, expected {runner_name!r}")
+def _run_table(ctx, config, out, experiment):
+    path = _resolve(ctx, "config", config)
+    if path is None:
+        raise click.UsageError("a config file is required (--config)")
+    cfg = chains.read_config(path)
+    kind = cfg.get("experiment") if isinstance(cfg, dict) else None
+    if kind != experiment:
+        raise click.UsageError(f"config is for {kind!r}, expected {experiment!r}")
+    seed = _resolve(ctx, "seed", None)
+    if seed is not None:
+        cfg = dict(cfg, seed=seed)
     table = chains.run_experiment(cfg)
     path = _resolve(ctx, "out", out)
     if path:

@@ -2,9 +2,11 @@
 
 import math
 
+import jsonschema
 import pytest
 
 import entrokit as ek
+from entrokit import chains
 from entrokit.chains import ResultTable, config_hash
 
 
@@ -60,11 +62,77 @@ def test_unknown_experiment_rejected():
         ek.validate_config({"schema_version": 1, "experiment": "nope", "seed": 0})
 
 
+def test_unhashable_experiment_rejected():
+    with pytest.raises(ek.ConfigError, match="unknown experiment"):
+        ek.validate_config({"schema_version": 1,
+                            "experiment": ["uniform-chain"]})
+
+
+SCHEMAS = {"uniform": chains.UNIFORM_SCHEMA,
+           "expectation": chains.EXPECTATION_SCHEMA,
+           "bits": chains.BITS_SCHEMA}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_schema_constants_pass_their_metaschema(name):
+    # the validators are built once at import without this check
+    schema = SCHEMAS[name]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+BAD_CONFIGS = {
+    "rogue-key": dict(UNIFORM_CFG, plot=True),
+    "missing-seed": {k: v for k, v in UNIFORM_CFG.items() if k != "seed"},
+    "ladder-type": dict(UNIFORM_CFG, eps_ladder=[1 / 6, "x"]),
+    # two errors at different depths, and one inside an anyOf branch: the
+    # message is the one best_match picks, not the first error found
+    "kl-law-and-cells": dict(EXPECT_CFG, cells=1,
+                             kl=dict(EXPECT_CFG["kl"], law="cauchy")),
+    "lambda-items": dict(EXPECT_CFG,
+                         kl=dict(EXPECT_CFG["kl"], **{"lambda": [1, "a"]})),
+    "hyper-depth": dict(BITS_CFG, hypers=[dict(BITS_CFG["hypers"][0], depth=0)]),
+    "empty-grids": dict(BITS_CFG, grids=[]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_config_error_message_matches_jsonschema_validate(name):
+    cfg = BAD_CONFIGS[name]
+    schema = {"uniform-chain": chains.UNIFORM_SCHEMA,
+              "expectation-chain": chains.EXPECTATION_SCHEMA,
+              "bits-accuracy": chains.BITS_SCHEMA}[cfg["experiment"]]
+    with pytest.raises(jsonschema.ValidationError) as oracle:
+        jsonschema.validate(cfg, schema)
+    with pytest.raises(ek.ConfigError) as err:
+        ek.validate_config(cfg)
+    assert str(err.value) == oracle.value.message
+
+
+def test_run_experiment_validates_once(monkeypatch):
+    calls = []
+    validate = chains.validate_config
+
+    def counting(cfg):
+        calls.append(cfg)
+        return validate(cfg)
+
+    monkeypatch.setattr(chains, "validate_config", counting)
+    ek.run_experiment(UNIFORM_CFG)
+    assert len(calls) == 1
+
+
+def test_run_experiment_is_the_only_runner_entry_point():
+    for name in ("run_uniform_chain", "run_expectation_chain",
+                 "run_bits_accuracy"):
+        assert not hasattr(ek, name)
+        assert not hasattr(chains, name)
+
+
 def test_dim_and_dim_select_exclusive():
     bad = dict(EXPECT_CFG, dim_select={"eps": 0.25, "c1": 2.0, "c2": 1.0,
                                        "alpha": 0.5})
     with pytest.raises(ek.ConfigError):
-        ek.run_expectation_chain(bad)
+        ek.run_experiment(bad)
 
 
 # -- table formatting -------------------------------------------------------
@@ -102,7 +170,7 @@ def test_config_hash_stable_under_key_order():
 
 
 def test_uniform_chain_circle_reference():
-    t = ek.run_uniform_chain(UNIFORM_CFG)
+    t = ek.run_experiment(UNIFORM_CFG)
     assert t.all_passed
     row = dict(zip(t.columns, t.rows[0]))
     assert row["n_cover_6eps"] == 3
@@ -114,15 +182,15 @@ def test_uniform_chain_circle_reference():
 def test_uniform_chain_degenerate_row_skipped():
     cfg = dict(UNIFORM_CFG, space={"kind": "line", "n": 3, "spacing": 0.5},
                eps_ladder=[0.2, 0.05])
-    t = ek.run_uniform_chain(cfg)
+    t = ek.run_experiment(cfg)
     status = t.column("status")
     assert status[0] == "skipped" and status[1] == "ok"
     assert t.all_passed  # skipped rows do not fail the run
 
 
 def test_uniform_chain_byte_identical():
-    a = ek.run_uniform_chain(UNIFORM_CFG).to_csv_bytes()
-    b = ek.run_uniform_chain(UNIFORM_CFG).to_csv_bytes()
+    a = ek.run_experiment(UNIFORM_CFG).to_csv_bytes()
+    b = ek.run_experiment(UNIFORM_CFG).to_csv_bytes()
     assert a == b
 
 
@@ -130,7 +198,7 @@ def test_uniform_chain_byte_identical():
 
 
 def test_expectation_chain_reference():
-    t = ek.run_expectation_chain(EXPECT_CFG)
+    t = ek.run_experiment(EXPECT_CFG)
     assert t.all_passed
     assert t.metadata["code_size_ok"]
     row = dict(zip(t.columns, t.rows[0]))
@@ -145,14 +213,14 @@ def test_expectation_chain_dim_select():
     cfg = dict(EXPECT_CFG, p=2, grid_res=24,
                dim_select={"eps": 0.25, "c1": 2.0, "c2": 1.0, "alpha": 0.5})
     del cfg["dim"]
-    t = ek.run_expectation_chain(cfg)
+    t = ek.run_experiment(cfg)
     assert t.column("dim")[0] == 2
     assert t.all_passed
 
 
 def test_expectation_chain_byte_identical():
-    a = ek.run_expectation_chain(EXPECT_CFG).to_csv_bytes()
-    b = ek.run_expectation_chain(EXPECT_CFG).to_csv_bytes()
+    a = ek.run_experiment(EXPECT_CFG).to_csv_bytes()
+    b = ek.run_experiment(EXPECT_CFG).to_csv_bytes()
     assert a == b
 
 
@@ -160,7 +228,7 @@ def test_expectation_chain_byte_identical():
 
 
 def test_bits_accuracy_hat_targets():
-    t = ek.run_bits_accuracy(BITS_CFG)
+    t = ek.run_experiment(BITS_CFG)
     assert t.columns == ["bits", "minimax_err", "hyper_id", "grid_id", "seed",
                          "entropy_floor"]
     errs = t.column("minimax_err")
@@ -174,14 +242,14 @@ def test_bits_accuracy_hat_targets():
 def test_bits_accuracy_singleton_target():
     cfg = dict(BITS_CFG, targets={"kind": "singleton-constant", "value": 0.0},
                grids=[{"m": 1.0, "delta": 1.0}])
-    t = ek.run_bits_accuracy(cfg)
+    t = ek.run_experiment(cfg)
     assert t.columns == ["bits", "minimax_err", "hyper_id", "grid_id", "seed"]
     assert t.rows[0][1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bits_accuracy_deterministic():
-    a = ek.run_bits_accuracy(BITS_CFG).to_csv_bytes()
-    b = ek.run_bits_accuracy(BITS_CFG).to_csv_bytes()
+    a = ek.run_experiment(BITS_CFG).to_csv_bytes()
+    b = ek.run_experiment(BITS_CFG).to_csv_bytes()
     assert a == b
 
 
