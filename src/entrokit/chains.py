@@ -43,6 +43,8 @@ from .errors import ConfigError, NoPacking
 from .rng import STREAM_CHAIN_PAIRS, STREAM_SPACE_GEN, stream
 
 SCHEMA_VERSION = 1
+# the chains derive seed + t and seed + hi as uint64 Philox keys
+SEED_MAX = 2**63 - 1
 
 
 # ---------------------------------------------------------------------
@@ -118,6 +120,8 @@ def config_hash(cfg: dict) -> str:
 # config schemas
 # ---------------------------------------------------------------------
 
+_SEED_SCHEMA = {"type": "integer", "minimum": 0, "maximum": SEED_MAX}
+
 _SPACE_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -130,6 +134,13 @@ _SPACE_SCHEMA = {
         "dim": {"type": "integer", "minimum": 1, "maximum": 3},
         "path": {"type": "string"},
     },
+    "allOf": [
+        {"if": {"required": ["kind"], "properties": {"kind": {"const": "file"}}},
+         "then": {"required": ["path"]}},
+        {"if": {"required": ["kind"],
+                "properties": {"kind": {"enum": ["circle", "line", "random"]}}},
+         "then": {"required": ["n"]}},
+    ],
 }
 
 _KL_SCHEMA = {
@@ -137,12 +148,17 @@ _KL_SCHEMA = {
     "additionalProperties": False,
     "required": ["lambda", "law"],
     "properties": {
-        "lambda": {"anyOf": [{"type": "string"},
-                             {"type": "array", "items": {"type": "number"}}]},
+        "lambda": {"anyOf": [{"const": "j^-2a"},
+                             {"type": "array", "minItems": 1,
+                              "items": {"type": "number",
+                                        "exclusiveMinimum": 0}}]},
         "alpha": {"type": "number", "exclusiveMinimum": 0},
         "J": {"type": "integer", "minimum": 1},
         "law": {"enum": ["gaussian", "uniform"]},
     },
+    "if": {"required": ["lambda"],
+           "properties": {"lambda": {"const": "j^-2a"}}},
+    "then": {"required": ["alpha", "J"]},
 }
 
 _HYPER_SCHEMA = {
@@ -178,7 +194,7 @@ UNIFORM_SCHEMA = {
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
         "experiment": {"const": "uniform-chain"},
-        "seed": {"type": "integer"},
+        "seed": _SEED_SCHEMA,
         "space": _SPACE_SCHEMA,
         "eps_ladder": {"type": "array", "minItems": 1,
                        "items": {"type": "number", "exclusiveMinimum": 0}},
@@ -193,7 +209,7 @@ EXPECTATION_SCHEMA = {
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
         "experiment": {"const": "expectation-chain"},
-        "seed": {"type": "integer"},
+        "seed": _SEED_SCHEMA,
         "kl": _KL_SCHEMA,
         "p": {"type": "number", "minimum": 1},
         "dim": {"type": "integer", "minimum": 1, "maximum": 3},
@@ -213,6 +229,10 @@ EXPECTATION_SCHEMA = {
         "mc_samples": {"type": "integer", "minimum": 100},
         "max_pairs": {"type": "integer", "minimum": 1},
     },
+    # dim or dim_select, not both
+    "if": {"required": ["dim_select"]},
+    "then": {"not": {"required": ["dim"]}},
+    "else": {"required": ["dim"]},
 }
 
 BITS_SCHEMA = {
@@ -223,7 +243,7 @@ BITS_SCHEMA = {
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
         "experiment": {"const": "bits-accuracy"},
-        "seed": {"type": "integer"},
+        "seed": _SEED_SCHEMA,
         "targets": {
             "type": "object",
             "additionalProperties": False,
@@ -242,6 +262,29 @@ BITS_SCHEMA = {
         "max_random": {"type": "integer", "minimum": 1},
     },
 }
+
+EMBED_CHECK_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["kl"],
+    "properties": {
+        "kl": _KL_SCHEMA,
+        "f": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["kind"],
+            "properties": {
+                "kind": {"enum": ["constant", "coordinate"]},
+                "value": {"type": "number"},
+                "grid_res": {"type": "integer", "minimum": 1},
+            },
+        },
+        "p": {"type": "number", "minimum": 1},
+        "samples": {"type": "integer", "minimum": 100},
+        "seed": _SEED_SCHEMA,
+    },
+}
+
 
 def _validator(schema: dict):
     return jsonschema.validators.validator_for(schema)(schema)
@@ -266,11 +309,18 @@ def validate_config(cfg: dict) -> dict:
 def read_config(path):
     """The parsed JSON file, not yet validated."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError(f"{path}: not valid JSON: {err}") from err
 
 
 def load_config(path) -> dict:
     return validate_config(read_config(path))
+
+
+def load_embed_check_config(path) -> dict:
+    return _check(_EMBED_CHECK_VALIDATOR, read_config(path))
 
 
 # ---------------------------------------------------------------------
@@ -337,15 +387,11 @@ def _run_uniform_chain(cfg: dict) -> ResultTable:
 
 
 def _expectation_dim(cfg: dict) -> int:
-    if "dim" in cfg and "dim_select" in cfg:
-        raise ConfigError("give either dim or dim_select, not both")
     if "dim" in cfg:
         return cfg["dim"]
-    if "dim_select" in cfg:
-        sel = cfg["dim_select"]
-        return pk.select_embedding_dimension(sel["eps"], sel["c1"], sel["c2"],
-                                             sel["alpha"])
-    raise ConfigError("expectation chain needs dim or dim_select")
+    sel = cfg["dim_select"]
+    return pk.select_embedding_dimension(sel["eps"], sel["c1"], sel["c2"],
+                                         sel["alpha"])
 
 
 def _run_expectation_chain(cfg: dict) -> ResultTable:
@@ -446,7 +492,8 @@ def _run_bits_accuracy(cfg: dict) -> ResultTable:
     return ResultTable(columns, rows, meta)
 
 
-# experiment -> (validator, runner); each validator is built once, at import
+# validators are built once, at import; experiment -> (validator, runner)
+_EMBED_CHECK_VALIDATOR = _validator(EMBED_CHECK_SCHEMA)
 _EXPERIMENTS = {
     "uniform-chain": (_validator(UNIFORM_SCHEMA), _run_uniform_chain),
     "expectation-chain": (_validator(EXPECTATION_SCHEMA),

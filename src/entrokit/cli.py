@@ -38,7 +38,8 @@ def _finish(ok: bool) -> None:
 
 @click.group()
 @click.version_option(__version__)
-@click.option("--seed", type=int, default=None, help="Root seed override.")
+@click.option("--seed", type=click.IntRange(0, chains.SEED_MAX), default=None,
+              help="Root seed override.")
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Default config file for subcommands that accept one.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
@@ -143,21 +144,17 @@ def bump(ctx, dim, cells, grid_res, lam, out_path):
 def embed_check(ctx, config_path):
     """Isometry report for an embedded grid function (JSON config).
 
-    Config keys: kl (measure block), f ("constant"|"coordinate" with
-    optional value/grid_res), p, samples, seed.
+    Config keys (chains.EMBED_CHECK_SCHEMA): kl (measure block), f
+    ("constant"|"coordinate" with optional value/grid_res), p, samples, seed.
     """
-    with open(config_path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = chains.load_embed_check_config(config_path)
     measure = rf.KLMeasure.from_config(cfg["kl"])
     fspec = cfg.get("f", {"kind": "coordinate"})
-    res = fspec.get("grid_res", 16)
     if fspec["kind"] == "constant":
         f = rf.GridFunction01.constant(fspec.get("value", 1.0))
-    elif fspec["kind"] == "coordinate":
-        f = rf.GridFunction01.from_callable(lambda x: x[:, 0], 1, res,
-                                            lipschitz=1.0)
     else:
-        raise click.UsageError(f"unknown f kind {fspec['kind']!r}")
+        f = rf.GridFunction01.from_callable(
+            lambda x: x[:, 0], 1, fspec.get("grid_res", 16), lipschitz=1.0)
     seed = _resolve(ctx, "seed", None)
     if seed is None:
         seed = cfg.get("seed", 0)
@@ -192,7 +189,7 @@ def fno_eval(hyper_path, params_path, input_path):
 @click.option("--delta", type=float, required=True)
 @click.option("--m", "--M", "box", type=float, required=True,
               help="Parameter range M.")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(0, chains.SEED_MAX), default=None)
 @click.option("--n-inputs", type=int, default=64, show_default=True)
 @click.option("--probes", type=int, default=128, show_default=True)
 @click.option("--c", "c_override", type=float, default=None,

@@ -70,7 +70,8 @@ def test_unhashable_experiment_rejected():
 
 SCHEMAS = {"uniform": chains.UNIFORM_SCHEMA,
            "expectation": chains.EXPECTATION_SCHEMA,
-           "bits": chains.BITS_SCHEMA}
+           "bits": chains.BITS_SCHEMA,
+           "embed-check": chains.EMBED_CHECK_SCHEMA}
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
@@ -133,6 +134,71 @@ def test_dim_and_dim_select_exclusive():
                                        "alpha": 0.5})
     with pytest.raises(ek.ConfigError):
         ek.run_experiment(bad)
+
+
+def test_schema_requires_dim_or_dim_select():
+    both = dict(EXPECT_CFG, dim_select={"eps": 0.25, "c1": 2.0, "c2": 1.0,
+                                        "alpha": 0.5})
+    neither = {k: v for k, v in EXPECT_CFG.items() if k != "dim"}
+    for bad in (both, neither):
+        with pytest.raises(ek.ConfigError):
+            ek.validate_config(bad)
+
+
+# every key a runner reads with [] is required by its schema
+SCHEMA_GAPS = {
+    "circle-without-n": dict(UNIFORM_CFG, space={"kind": "circle"}),
+    "line-without-n": dict(UNIFORM_CFG, space={"kind": "line", "spacing": 0.5}),
+    "random-without-n": dict(UNIFORM_CFG, space={"kind": "random", "dim": 2}),
+    "file-without-path": dict(UNIFORM_CFG, space={"kind": "file"}),
+    "unknown-lambda-rule": dict(EXPECT_CFG, kl=dict(EXPECT_CFG["kl"],
+                                                    **{"lambda": "foo"})),
+    "rule-without-alpha": dict(EXPECT_CFG, kl={"lambda": "j^-2a", "J": 64,
+                                               "law": "gaussian"}),
+    "rule-without-J": dict(EXPECT_CFG, kl={"lambda": "j^-2a", "alpha": 1.0,
+                                           "law": "gaussian"}),
+    "no-eigenvalues": dict(EXPECT_CFG, kl={"lambda": [], "law": "gaussian"}),
+    "zero-eigenvalue": dict(EXPECT_CFG, kl={"lambda": [1.0, 0.0],
+                                            "law": "gaussian"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_GAPS))
+def test_keys_the_runners_read_are_required(name):
+    with pytest.raises(ek.ConfigError):
+        ek.run_experiment(SCHEMA_GAPS[name])
+
+
+def test_explicit_eigenvalues_need_no_rule_keys():
+    cfg = dict(EXPECT_CFG, kl={"lambda": [1.0, 0.25, 0.0625],
+                               "law": "gaussian"}, mc_samples=500)
+    assert ek.run_experiment(cfg).rows
+
+
+@pytest.mark.parametrize("cfg", [UNIFORM_CFG, EXPECT_CFG, BITS_CFG],
+                         ids=lambda c: c["experiment"])
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1])
+def test_seeds_outside_the_philox_range_are_config_errors(cfg, seed):
+    with pytest.raises(ek.ConfigError):
+        ek.run_experiment(dict(cfg, seed=seed))
+
+
+def test_largest_seed_runs():
+    # chains derive seed + t; below 2^63 that stays a uint64 Philox key
+    cfg = dict(EXPECT_CFG, dim=2, cells=4, grid_res=24, mc_samples=100,
+               max_pairs=2, seed=chains.SEED_MAX)
+    assert chains.SEED_MAX == 2**63 - 1
+    assert len(ek.run_experiment(cfg).rows) == 2
+    cfg = dict(UNIFORM_CFG, space={"kind": "random", "n": 5},
+               seed=chains.SEED_MAX)
+    assert ek.run_experiment(cfg).rows
+
+
+def test_malformed_json_is_a_config_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"schema_version": 1,')
+    with pytest.raises(ek.ConfigError):
+        ek.load_config(path)
 
 
 # -- table formatting -------------------------------------------------------

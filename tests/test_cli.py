@@ -1,6 +1,7 @@
 """CLI surface: subcommands, JSON/CSV outputs, exit codes."""
 
 import json
+import pathlib
 
 import pytest
 from click.testing import CliRunner
@@ -135,6 +136,65 @@ def test_embed_check_seed_zero_overrides_config(runner, tmp_path):
         reports[name] = json.loads(res.output)
     assert reports["cfg0"] != reports["cfg5"]
     assert reports["cli0"] == reports["cfg0"]
+
+
+EMBED_CFG = {"kl": {"lambda": "j^-2a", "alpha": 1.0, "J": 16, "law": "gaussian"},
+             "f": {"kind": "coordinate", "grid_res": 16},
+             "p": 2, "samples": 2000, "seed": 5}
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(EMBED_CFG, rogue=1),
+    {k: v for k, v in EMBED_CFG.items() if k != "kl"},
+    dict(EMBED_CFG, f={"kind": "sine"}),
+    dict(EMBED_CFG, f={"grid_res": 16}),
+    dict(EMBED_CFG, kl=dict(EMBED_CFG["kl"], extra=1)),
+    dict(EMBED_CFG, samples=10),
+    dict(EMBED_CFG, p=0.5),
+    dict(EMBED_CFG, seed=-1),
+], ids=["rogue-key", "no-kl", "f-kind", "f-without-kind", "kl-rogue-key",
+        "few-samples", "p-below-one", "negative-seed"])
+def test_embed_check_config_is_validated(runner, tmp_path, cfg):
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps(cfg))
+    res = runner.invoke(main, ["embed-check", "--config", str(path)])
+    assert isinstance(res.exception, ek.ConfigError)
+
+
+def test_embed_check_config_needs_no_schema_version(tmp_path):
+    shipped = ek.chains.load_embed_check_config(
+        pathlib.Path(__file__).resolve().parent.parent / "configs"
+        / "embed-check.json")
+    assert "schema_version" not in shipped
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps(dict(EMBED_CFG, f={"kind": "constant",
+                                                  "value": 2.0})))
+    assert ek.chains.load_embed_check_config(path)["f"]["value"] == 2.0
+
+
+@pytest.mark.parametrize("command", ["chain-uniform", "embed-check"])
+def test_malformed_json_config_is_a_config_error(runner, tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_text('{"schema_version": 1, "experiment": ')
+    res = runner.invoke(main, [command, "--config", str(path)])
+    assert isinstance(res.exception, ek.ConfigError)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**63)])
+@pytest.mark.parametrize("where", ["global", "quantize"])
+def test_seed_range_is_enforced_by_the_cli(runner, tmp_path, seed, where):
+    hyper = ek.FnoHyper(1, 1, 1, 1, 1, 1)
+    (tmp_path / "hyper.json").write_text(json.dumps(hyper.to_json()))
+    args = ["quantize", "--hyper", str(tmp_path / "hyper.json"),
+            "--delta", "0.01", "--m", "1.0", "--n-inputs", "2",
+            "--probes", "100"]
+    if where == "global":
+        args = ["--seed", seed] + args
+    else:
+        args = args + ["--seed", seed]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert "--seed" in res.output
 
 
 def test_chain_uniform_writes_csv_and_exits_zero(runner, tmp_path):
