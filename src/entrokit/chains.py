@@ -122,6 +122,18 @@ def config_hash(cfg: dict) -> str:
 
 _SEED_SCHEMA = {"type": "integer", "minimum": 0, "maximum": SEED_MAX}
 
+
+def _kind_rule(kind: str, keys: list, required: Sequence[str] = ()) -> dict:
+    """When "kind" is `kind`, allow only `keys` beside it and require
+    `required`: a key of another kind is an error, not ignored."""
+    then = {"propertyNames": {"enum": ["kind"] + keys}}
+    if required:
+        then["required"] = list(required)
+    return {"if": {"required": ["kind"],
+                   "properties": {"kind": {"const": kind}}},
+            "then": then}
+
+
 _SPACE_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -135,11 +147,10 @@ _SPACE_SCHEMA = {
         "path": {"type": "string"},
     },
     "allOf": [
-        {"if": {"required": ["kind"], "properties": {"kind": {"const": "file"}}},
-         "then": {"required": ["path"]}},
-        {"if": {"required": ["kind"],
-                "properties": {"kind": {"enum": ["circle", "line", "random"]}}},
-         "then": {"required": ["n"]}},
+        _kind_rule("circle", ["n", "circumference"], ["n"]),
+        _kind_rule("line", ["n", "spacing"], ["n"]),
+        _kind_rule("random", ["n", "dim"], ["n"]),
+        _kind_rule("file", ["path"], ["path"]),
     ],
 }
 
@@ -159,6 +170,7 @@ _KL_SCHEMA = {
     "if": {"required": ["lambda"],
            "properties": {"lambda": {"const": "j^-2a"}}},
     "then": {"required": ["alpha", "J"]},
+    "else": {"propertyNames": {"enum": ["lambda", "law"]}},
 }
 
 _HYPER_SCHEMA = {
@@ -255,6 +267,8 @@ BITS_SCHEMA = {
                 "eps": {"type": "number", "exclusiveMinimum": 0},
                 "value": {"type": "number"},
             },
+            "allOf": [_kind_rule("hat-on-constants", ["levels", "eps"]),
+                      _kind_rule("singleton-constant", ["value"])],
         },
         "hypers": {"type": "array", "minItems": 1, "items": _HYPER_SCHEMA},
         "grids": {"type": "array", "minItems": 1, "items": _GRID_SCHEMA},
@@ -278,6 +292,8 @@ EMBED_CHECK_SCHEMA = {
                 "value": {"type": "number"},
                 "grid_res": {"type": "integer", "minimum": 1},
             },
+            "allOf": [_kind_rule("constant", ["value"]),
+                      _kind_rule("coordinate", ["grid_res"])],
         },
         "p": {"type": "number", "minimum": 1},
         "samples": {"type": "integer", "minimum": 100},
@@ -286,8 +302,16 @@ EMBED_CHECK_SCHEMA = {
 }
 
 
+def _integer(checker, instance) -> bool:
+    # not 8.0, which jsonschema counts as an integer: the runners pass
+    # these values to range() and to array shapes
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
 def _validator(schema: dict):
-    return jsonschema.validators.validator_for(schema)(schema)
+    cls = jsonschema.validators.validator_for(schema)
+    checker = cls.TYPE_CHECKER.redefine("integer", _integer)
+    return jsonschema.validators.extend(cls, type_checker=checker)(schema)
 
 
 def _check(validator, cfg) -> dict:
@@ -321,6 +345,19 @@ def load_config(path) -> dict:
 
 def load_embed_check_config(path) -> dict:
     return _check(_EMBED_CHECK_VALIDATOR, read_config(path))
+
+
+def _hyper(obj: dict) -> fno_mod.FnoHyper:
+    """The architecture of a schema-valid hyper object."""
+    try:
+        return fno_mod.FnoHyper.from_json(obj)
+    except ValueError as err:  # d_c below d_in or d_out
+        raise ConfigError(f"hyper {obj}: {err}") from err
+
+
+def load_hyper(path) -> fno_mod.FnoHyper:
+    """The architecture in a JSON hyper file, validated."""
+    return _hyper(_check(_HYPER_VALIDATOR, read_config(path)))
 
 
 # ---------------------------------------------------------------------
@@ -473,7 +510,7 @@ def _run_bits_accuracy(cfg: dict) -> ResultTable:
         ids = tuple(range(len(inputs)))
         targets = [ms.SampledFunctional(ids, np.full(len(inputs), value))]
 
-    hypers = [fno_mod.FnoHyper.from_json(h) for h in cfg["hypers"]]
+    hypers = [_hyper(h) for h in cfg["hypers"]]
     grids = [qz.QuantGrid(g["m"], g["delta"]) for g in cfg["grids"]]
     front = qz.accuracy_bits_sweep(targets, hypers, grids, inputs, seed,
                                    max_random=cfg.get("max_random", 1 << 12))
@@ -494,6 +531,7 @@ def _run_bits_accuracy(cfg: dict) -> ResultTable:
 
 # validators are built once, at import; experiment -> (validator, runner)
 _EMBED_CHECK_VALIDATOR = _validator(EMBED_CHECK_SCHEMA)
+_HYPER_VALIDATOR = _validator(_HYPER_SCHEMA)
 _EXPERIMENTS = {
     "uniform-chain": (_validator(UNIFORM_SCHEMA), _run_uniform_chain),
     "expectation-chain": (_validator(EXPECTATION_SCHEMA),

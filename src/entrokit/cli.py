@@ -36,6 +36,9 @@ def _finish(ok: bool) -> None:
     sys.exit(0 if ok else 1)
 
 
+_POSITIVE = click.FloatRange(min=0, min_open=True)
+
+
 @click.group()
 @click.version_option(__version__)
 @click.option("--seed", type=click.IntRange(0, chains.SEED_MAX), default=None,
@@ -95,7 +98,7 @@ def hat(ctx, space_path, eps, out_path):
 
 
 @main.command()
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(4, 64), required=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.pass_context
 def gv(ctx, n, out_path):
@@ -111,8 +114,9 @@ def gv(ctx, n, out_path):
 
 
 @main.command()
-@click.option("--d", "dim", type=int, required=True)
-@click.option("--n", "cells", type=int, required=True, help="Cells per axis.")
+@click.option("--d", "dim", type=click.IntRange(1, 3), required=True)
+@click.option("--n", "cells", type=click.IntRange(min=2), required=True,
+              help="Cells per axis.")
 @click.option("--grid", "grid_res", type=int, required=True)
 @click.option("--lam", type=float, default=None,
               help="Plateau parameter; defaults to 1/(1+d).")
@@ -177,7 +181,7 @@ def embed_check(ctx, config_path):
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
 def fno_eval(hyper_path, params_path, input_path):
     """Evaluate an output-averaged operator; print the scalar."""
-    hyper = fno_mod.load_hyper(hyper_path)
+    hyper = chains.load_hyper(hyper_path)
     params = fno_mod.load_params(hyper, params_path)
     with open(input_path, "r", encoding="utf-8") as fh:
         u = fno_mod.GridFunction.from_json(json.load(fh))
@@ -186,18 +190,24 @@ def fno_eval(hyper_path, params_path, input_path):
 
 @main.command("quantize")
 @click.option("--hyper", "hyper_path", type=click.Path(exists=True), required=True)
-@click.option("--delta", type=float, required=True)
-@click.option("--m", "--M", "box", type=float, required=True,
+@click.option("--delta", type=_POSITIVE, required=True,
+              help="Grid spacing, at most 2 M.")
+@click.option("--m", "--M", "box", type=_POSITIVE, required=True,
               help="Parameter range M.")
 @click.option("--seed", type=click.IntRange(0, chains.SEED_MAX), default=None)
-@click.option("--n-inputs", type=int, default=64, show_default=True)
-@click.option("--probes", type=int, default=128, show_default=True)
+@click.option("--n-inputs", type=click.IntRange(min=1), default=64,
+              show_default=True)
+@click.option("--probes", type=click.IntRange(min=100), default=128,
+              show_default=True)
 @click.option("--c", "c_override", type=float, default=None,
               help="Skip calibration and use this C in the bound.")
 @click.pass_context
 def quantize_cmd(ctx, hyper_path, delta, box, seed, n_inputs, probes, c_override):
     """End-to-end quantization certificate for a random parameter vector."""
-    hyper = fno_mod.load_hyper(hyper_path)
+    if delta > 2 * box:
+        raise click.BadParameter(f"{delta} is above 2 M = {2 * box}",
+                                 param_hint="--delta")
+    hyper = chains.load_hyper(hyper_path)
     seed = _resolve(ctx, "seed", seed)
     if seed is None:
         seed = 0

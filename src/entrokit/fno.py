@@ -4,23 +4,28 @@ The operator composes a linear lifting, hidden layers
 v -> act(W v + K v + b) with K a truncated Fourier multiplier, and a
 linear projection followed by the spatial mean, so outputs are scalars.
 
-Parameter layout.  The flat vector theta is ordered
-(projection, layer L, ..., layer 1, lifting); each hidden layer holds the
-pointwise matrix W (d_c x d_c), the multiplier block, and the bias.  With
-constant bias the total length equals the declared parameter dimension
+Parameter layout.  The flat vector theta stores, in this order, the
+projection Q (d_out x d_c), the hidden layers L, ..., 1, and the lifting
+P (d_c x d_in); each hidden layer stores the pointwise matrix W
+(d_c x d_c), the multiplier block ((2 kappa)^d x d_c x d_c) and the bias.
+With constant bias the total length equals the declared parameter
+dimension
 
     q = d_c d_in + L (d_c^2 + (2 kappa)^d d_c^2 + d_c) + d_c d_out,
 
-which is bracketed by q <= 5 (2 kappa)^d L d_c^2 <= 5 q.
+which is bracketed by q <= 5 (2 kappa)^d L d_c^2 <= 5 q.  `_storage`
+holds this order, once per architecture.
 
-Multiplier storage.  The multiplier is constrained to act as a
+Mode slots.  The multiplier is constrained to act as a
 conjugate-symmetric tensor so real inputs produce real outputs.  Per
-matrix entry the block carries (2 kappa)^d real slots: one real slot for
-the zero mode, an (re, im) pair for every canonical nonzero mode with
-|k|_inf < kappa (canonical = first nonzero coordinate positive; the
-opposite mode is the conjugate), and structurally inert trailing slots
-that pad the active (2 kappa - 1)^d values up to the declared count.
-Inert slots never influence the forward pass.
+matrix entry the block carries (2 kappa)^d real slots: slot 0 is the zero
+mode, slots 1 + 2t and 2 + 2t hold Re and Im of canonical mode t (the
+nonzero modes with |k|_inf < kappa whose first nonzero coordinate is
+positive, in lexicographic order; mode -k carries the conjugate), and the
+trailing slots that pad the active (2 kappa - 1)^d values up to the
+declared count are inert: they never influence the forward pass.
+`_slot_pairs` decodes the slots and `_mode_index` places the modes on a
+grid.
 
 Bias.  "constant" (the default) stores d_c reals added pointwise and is
 what the parameter-count formula assumes; "spectral" stores one
@@ -30,8 +35,9 @@ at the cost of a longer theta and of translation invariance.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -114,28 +120,58 @@ def param_count(hyper: FnoHyper) -> ParamCount:
     return pc
 
 
+@functools.lru_cache(maxsize=None)
+def _mode_index(dim: int, kappa: int, n: int) -> tuple:
+    """(modes, k, -k): the canonical modes as rows of an integer array, and
+    the grid indices of k and of -k on the n^d grid.
+
+    For n >= 2 kappa no two of these indices coincide.
+    """
+    axis = np.arange(-(kappa - 1), kappa)
+    modes = np.stack(np.meshgrid(*(axis,) * dim, indexing="ij"),
+                     axis=-1).reshape(-1, dim)
+    first_nonzero = modes[np.arange(len(modes)), np.argmax(modes != 0, axis=1)]
+    modes = modes[first_nonzero > 0]
+    table = (modes, tuple(modes.T % n), tuple(-modes.T % n))
+    for arr in (table[0],) + table[1] + table[2]:
+        arr.flags.writeable = False  # shared by every caller
+    return table
+
+
 def canonical_modes(dim: int, kappa: int) -> List[Tuple[int, ...]]:
     """Nonzero modes |k|_inf < kappa with positive first nonzero coordinate."""
-    axis = range(-(kappa - 1), kappa)
-    modes = []
-    for k in itertools.product(axis, repeat=dim):
-        nz = next((c for c in k if c != 0), 0)
-        if nz > 0:
-            modes.append(k)
-    return sorted(modes)
+    # the modes do not depend on the grid; 2 kappa is the coarsest grid
+    return [tuple(k) for k in _mode_index(dim, kappa, 2 * kappa)[0].tolist()]
 
 
-def _bias_len(hyper: FnoHyper) -> int:
-    if hyper.bias_mode == "constant":
-        return hyper.d_c
-    return hyper.n_mode_slots * hyper.d_c
+def _slot_pairs(block: np.ndarray, dim: int, kappa: int) -> tuple:
+    """Views of the Re and Im slots of the canonical modes, in mode order,
+    along the leading axis of a slot block."""
+    n_modes = ((2 * kappa - 1) ** dim - 1) // 2
+    return block[1:1 + 2 * n_modes:2], block[2:2 + 2 * n_modes:2]
+
+
+@functools.lru_cache(maxsize=None)
+def _storage(hyper: FnoHyper) -> tuple:
+    """(slice of theta, shape, leading axis holds mode slots) of each block,
+    in storage order."""
+    dc, nm = hyper.d_c, hyper.n_mode_slots
+    bias = ((nm, dc), True) if hyper.bias_mode == "spectral" else ((dc,), False)
+    layer = [((dc, dc), False), ((nm, dc, dc), True), bias]
+    blocks, pos = [], 0
+    for shape, slotted in ([((hyper.d_out, dc), False)] + layer * hyper.depth
+                           + [((dc, hyper.d_in), False)]):
+        size = math.prod(shape)
+        blocks.append((slice(pos, pos + size), shape, slotted))
+        pos += size
+    if hyper.bias_mode == "constant" and pos != param_count(hyper).q:
+        raise RuntimeError(f"layout length {pos} differs from the declared "
+                           f"parameter count of {hyper}")
+    return tuple(blocks)
 
 
 def layout_length(hyper: FnoHyper) -> int:
-    per_layer = (hyper.d_c**2 + hyper.n_mode_slots * hyper.d_c**2
-                 + _bias_len(hyper))
-    return (hyper.d_out * hyper.d_c + hyper.depth * per_layer
-            + hyper.d_c * hyper.d_in)
+    return _storage(hyper)[-1][0].stop
 
 
 class FnoParams:
@@ -148,49 +184,26 @@ class FnoParams:
         if self.theta.shape != (expected,):
             raise ValueError(
                 f"theta has length {self.theta.shape}, layout needs {expected}")
-        if hyper.bias_mode == "constant":
-            assert expected == param_count(hyper).q
 
     # -- structured access ----------------------------------------------
 
     def blocks(self):
         """(Q, layers, P) with layers in application order 1..L."""
-        h = self.hyper
-        dc, nm = h.d_c, h.n_mode_slots
-        t = self.theta
-        pos = 0
-
-        def take(count, shape):
-            nonlocal pos
-            block = t[pos:pos + count].reshape(shape)
-            pos += count
-            return block
-
-        q_mat = take(h.d_out * dc, (h.d_out, dc))
-        layers = []
-        for _ in range(h.depth):
-            w = take(dc * dc, (dc, dc))
-            mult = take(nm * dc * dc, (nm, dc, dc))
-            if h.bias_mode == "constant":
-                bias = take(dc, (dc,))
-            else:
-                bias = take(nm * dc, (nm, dc))
-            layers.append((w, mult, bias))
-        p_mat = take(dc * h.d_in, (dc, h.d_in))
-        assert pos == len(t)
-        layers.reverse()  # stored L..1, applied 1..L
-        return q_mat, layers, p_mat
+        views = [self.theta[sl].reshape(shape)
+                 for sl, shape, _ in _storage(self.hyper)]
+        layers = [tuple(views[i:i + 3]) for i in range(len(views) - 4, 0, -3)]
+        return views[0], layers, views[-1]
 
     @classmethod
     def pack(cls, hyper: FnoHyper, q_mat, layers, p_mat) -> "FnoParams":
         """Inverse of blocks(); layers given in application order 1..L."""
-        parts = [np.asarray(q_mat, dtype=float).reshape(-1)]
-        for w, mult, bias in reversed(list(layers)):
-            parts.append(np.asarray(w, dtype=float).reshape(-1))
-            parts.append(np.asarray(mult, dtype=float).reshape(-1))
-            parts.append(np.asarray(bias, dtype=float).reshape(-1))
-        parts.append(np.asarray(p_mat, dtype=float).reshape(-1))
-        return cls(hyper, np.concatenate(parts))
+        parts = [q_mat, *itertools.chain.from_iterable(reversed(list(layers))),
+                 p_mat]
+        # reshaping to the stored shape checks each block's size
+        storage = _storage(hyper)
+        return cls(hyper, np.concatenate([
+            np.asarray(part, dtype=float).reshape(shape).ravel()
+            for part, (_, shape, _) in zip(parts, storage, strict=True)]))
 
     @classmethod
     def zeros(cls, hyper: FnoHyper) -> "FnoParams":
@@ -207,20 +220,12 @@ class FnoParams:
 
 def active_mask(hyper: FnoHyper) -> np.ndarray:
     """Boolean mask of slots that influence the forward pass."""
-    n_active_slots = 1 + 2 * len(canonical_modes(hyper.dim, hyper.kappa))
-    slot_mask = np.zeros(hyper.n_mode_slots, dtype=bool)
-    slot_mask[:n_active_slots] = True
-    dc = hyper.d_c
-    parts = [np.ones(hyper.d_out * dc, dtype=bool)]
-    for _ in range(hyper.depth):
-        parts.append(np.ones(dc * dc, dtype=bool))
-        parts.append(np.repeat(slot_mask, dc * dc))
-        if hyper.bias_mode == "constant":
-            parts.append(np.ones(dc, dtype=bool))
-        else:
-            parts.append(np.repeat(slot_mask, dc))
-    parts.append(np.ones(dc * hyper.d_in, dtype=bool))
-    return np.concatenate(parts)
+    mask = np.ones(layout_length(hyper), dtype=bool)
+    for sl, shape, slotted in _storage(hyper):
+        if slotted:
+            # the (2 kappa - 1)^d active slots precede the inert ones
+            mask[sl].reshape(shape)[(2 * hyper.kappa - 1) ** hyper.dim:] = False
+    return mask
 
 
 # ---------------------------------------------------------------------
@@ -297,23 +302,20 @@ def bandlimited_sampler(dim: int, channels: int, max_mode: int,
 
     Coefficients are drawn once for modes |k|_inf < max_mode; calling the
     sampler evaluates the same continuum function on an n^d grid, so two
-    resolutions represent identical inputs.
+    resolutions represent identical inputs.  Below n = 2 max_mode the
+    modes would alias, and the sampler raises ResolutionTooLow.
     """
-    modes = [(0,) * dim] + canonical_modes(dim, max_mode)
-    coeffs = (rng.standard_normal((len(modes), channels))
-              + 1j * rng.standard_normal((len(modes), channels)))
+    n_modes = 1 + len(canonical_modes(dim, max_mode))
+    coeffs = (rng.standard_normal((n_modes, channels))
+              + 1j * rng.standard_normal((n_modes, channels)))
     coeffs[0] = coeffs[0].real  # zero mode must be real
 
     def at_resolution(n: int) -> GridFunction:
-        grid_coeff = np.zeros((n,) * dim + (channels,), dtype=complex)
-        for (k, c) in zip(modes, coeffs):
-            idx = tuple(ki % n for ki in k)
-            grid_coeff[idx] = c
-            if any(k):
-                grid_coeff[tuple(-ki % n for ki in k)] = np.conj(c)
-        vals = np.real(np.fft.ifftn(grid_coeff, axes=tuple(range(dim)),
-                                    norm="forward"))
-        return GridFunction(dim, vals)
+        if n < 2 * max_mode:
+            raise ResolutionTooLow(
+                f"resolution {n} < 2 max_mode = {2 * max_mode}")
+        return GridFunction(dim, _synthesize(coeffs[0], coeffs[1:], dim,
+                                             max_mode, n))
 
     return at_resolution
 
@@ -323,32 +325,35 @@ def bandlimited_sampler(dim: int, channels: int, max_mode: int,
 # ---------------------------------------------------------------------
 
 
+def _synthesize(zero: np.ndarray, coeffs: np.ndarray, dim: int, kappa: int,
+                n: int) -> np.ndarray:
+    """Real field on the n^d grid (n >= 2 kappa) with Fourier coefficient
+    `zero` at mode 0, coeffs[t] at canonical mode t and its conjugate at the
+    opposite mode."""
+    grid = np.zeros((n,) * dim + zero.shape, dtype=complex)
+    grid[(0,) * dim] = zero
+    if kappa > 1:
+        _, pos, neg = _mode_index(dim, kappa, n)
+        grid[pos] = coeffs
+        grid[neg] = np.conj(coeffs)
+    return np.real(np.fft.ifftn(grid, axes=tuple(range(dim)), norm="forward"))
+
+
 def _apply_multiplier(vhat: np.ndarray, mult: np.ndarray,
-                      modes: List[Tuple[int, ...]], dim: int) -> np.ndarray:
+                      kappa: int) -> np.ndarray:
     """y_hat(k) = M_k v_hat(k) on active modes, conjugate pair mirrored."""
-    n = vhat.shape[0]
+    dim = vhat.ndim - 1
     out = np.zeros_like(vhat)
     zero = (0,) * dim
     out[zero] = vhat[zero] @ mult[0].T
-    for t, k in enumerate(modes):
-        mk = mult[1 + 2 * t] + 1j * mult[2 + 2 * t]
-        idx = tuple(ki % n for ki in k)
-        nidx = tuple(-ki % n for ki in k)
-        out[idx] = vhat[idx] @ mk.T
-        out[nidx] = vhat[nidx] @ np.conj(mk).T
+    if kappa > 1:
+        _, pos, neg = _mode_index(dim, kappa, vhat.shape[0])
+        re, im = _slot_pairs(mult, dim, kappa)
+        m_t = (re + 1j * im).transpose(0, 2, 1)
+        # a stack of vector-matrix products; einsum would sum in another order
+        out[pos] = (vhat[pos][:, None, :] @ m_t)[:, 0, :]
+        out[neg] = (vhat[neg][:, None, :] @ np.conj(m_t))[:, 0, :]
     return out
-
-
-def _bias_field(bias: np.ndarray, modes, dim: int, n: int) -> np.ndarray:
-    """Synthesize the spectral bias function on the n^d grid."""
-    dc = bias.shape[-1]
-    coeff = np.zeros((n,) * dim + (dc,), dtype=complex)
-    coeff[(0,) * dim] = bias[0]
-    for t, k in enumerate(modes):
-        c = bias[1 + 2 * t] + 1j * bias[2 + 2 * t]
-        coeff[tuple(ki % n for ki in k)] = c
-        coeff[tuple(-ki % n for ki in k)] = np.conj(c)
-    return np.real(np.fft.ifftn(coeff, axes=tuple(range(dim)), norm="forward"))
 
 
 def forward(params: FnoParams, u: GridFunction) -> float:
@@ -364,20 +369,19 @@ def forward(params: FnoParams, u: GridFunction) -> float:
         raise ResolutionTooLow(
             f"resolution {u.resolution} < 2 kappa = {2 * h.kappa}")
     act = ACTIVATIONS[h.activation][0]
-    modes = canonical_modes(h.dim, h.kappa)
     axes = tuple(range(h.dim))
     q_mat, layers, p_mat = params.blocks()
 
     v = u.values @ p_mat.T
     for w_mat, mult, bias in layers:
         vhat = np.fft.fftn(v, axes=axes, norm="forward")
-        conv = np.real(np.fft.ifftn(_apply_multiplier(vhat, mult, modes, h.dim),
+        conv = np.real(np.fft.ifftn(_apply_multiplier(vhat, mult, h.kappa),
                                     axes=axes, norm="forward"))
-        if h.bias_mode == "constant":
-            b = bias
-        else:
-            b = _bias_field(bias, modes, h.dim, u.resolution)
-        v = act(v @ w_mat.T + conv + b)
+        if h.bias_mode == "spectral":
+            re, im = _slot_pairs(bias, h.dim, h.kappa)
+            bias = _synthesize(bias[0], re + 1j * im, h.dim, h.kappa,
+                               u.resolution)
+        v = act(v @ w_mat.T + conv + bias)
     return float(np.mean(v @ q_mat.T))
 
 
@@ -422,38 +426,25 @@ def zero_pad_embed(small: FnoParams, target: FnoHyper) -> FnoParams:
     if target.d_c < s.d_c or target.kappa < s.kappa:
         raise TargetTooSmall("target must dominate d_c and kappa")
 
-    small_modes = canonical_modes(s.dim, s.kappa)
-    target_slot = {k: 1 + 2 * t
-                   for t, k in enumerate(canonical_modes(target.dim, target.kappa))}
-    dcs, dct = s.d_c, target.d_c
-
-    q_s, layers_s, p_s = small.blocks()
-    q_t = np.zeros((target.d_out, dct))
-    q_t[:, :dcs] = q_s
-    p_t = np.zeros((dct, target.d_in))
-    p_t[:dcs, :] = p_s
-    layers_t = []
-    for w_s, mult_s, bias_s in layers_s:
-        w_t = np.zeros((dct, dct))
-        w_t[:dcs, :dcs] = w_s
-        mult_t = np.zeros((target.n_mode_slots, dct, dct))
-        mult_t[0, :dcs, :dcs] = mult_s[0]
-        for t, k in enumerate(small_modes):
-            base = target_slot[k]
-            mult_t[base, :dcs, :dcs] = mult_s[1 + 2 * t]
-            mult_t[base + 1, :dcs, :dcs] = mult_s[2 + 2 * t]
-        if s.bias_mode == "constant":
-            bias_t = np.zeros(dct)
-            bias_t[:dcs] = bias_s
-        else:
-            bias_t = np.zeros((target.n_mode_slots, dct))
-            bias_t[0, :dcs] = bias_s[0]
-            for t, k in enumerate(small_modes):
-                base = target_slot[k]
-                bias_t[base, :dcs] = bias_s[1 + 2 * t]
-                bias_t[base + 1, :dcs] = bias_s[2 + 2 * t]
-        layers_t.append((w_t, mult_t, bias_t))
-    return FnoParams.pack(target, q_t, layers_t, p_t)
+    # target mode number of each canonical mode of the small architecture
+    target_t = {k: t for t, k
+                in enumerate(canonical_modes(target.dim, target.kappa))}
+    moved = np.array([target_t[k] for k in canonical_modes(s.dim, s.kappa)],
+                     dtype=np.intp)
+    theta = np.zeros(layout_length(target))
+    for (sl_s, shape_s, slotted), (sl_t, shape_t, _) in zip(_storage(s),
+                                                           _storage(target)):
+        src = small.theta[sl_s].reshape(shape_s)
+        dst = theta[sl_t].reshape(shape_t)
+        if not slotted:
+            dst[tuple(map(slice, shape_s))] = src
+            continue
+        inner = tuple(map(slice, shape_s[1:]))
+        dst[(0,) + inner] = src[0]
+        for to, frm in zip(_slot_pairs(dst, target.dim, target.kappa),
+                           _slot_pairs(src, s.dim, s.kappa)):
+            to[(moved,) + inner] = frm
+    return FnoParams(target, theta)
 
 
 # ---------------------------------------------------------------------
@@ -500,7 +491,3 @@ def load_params(hyper: FnoHyper, path) -> FnoParams:
         theta = np.frombuffer(fh.read(), dtype="<f8")
     return FnoParams(hyper, theta)
 
-
-def load_hyper(path) -> FnoHyper:
-    with open(path, "r", encoding="utf-8") as fh:
-        return FnoHyper.from_json(json.load(fh))

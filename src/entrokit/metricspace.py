@@ -382,14 +382,16 @@ class LpSampleNorm:
     p: float
     weights: tuple
 
-    def __call__(self, delta: np.ndarray) -> float:
+    def __call__(self, delta: np.ndarray):
+        """Norm of delta along its last axis (a float for one vector)."""
         w = np.asarray(self.weights, dtype=float)
-        return float(np.sum(w * np.abs(delta) ** self.p) ** (1.0 / self.p))
+        return np.sum(w * np.abs(delta) ** self.p, axis=-1) ** (1.0 / self.p)
 
 
-def _norm_fn(norm) -> Callable[[np.ndarray], float]:
+def _norm_fn(norm) -> Callable[[np.ndarray], np.ndarray]:
+    """The norm as a function applied along the last axis."""
     if norm == "sup":
-        return lambda delta: float(np.max(np.abs(delta)))
+        return lambda delta: np.max(np.abs(delta), axis=-1)
     if isinstance(norm, LpSampleNorm):
         return norm
     raise ValueError(f"unknown norm {norm!r}")
@@ -407,8 +409,4 @@ def dictionary_minimax_error(targets: Sequence[SampledFunctional],
             raise SampleMismatch("functionals sampled on different sets")
     dist = _norm_fn(norm)
     dict_values = np.stack([g.values for g in dictionary])
-    worst = 0.0
-    for f in targets:
-        best = min(dist(f.values - row) for row in dict_values)
-        worst = max(worst, best)
-    return worst
+    return max(float(np.min(dist(f.values - dict_values))) for f in targets)

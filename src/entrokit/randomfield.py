@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DimensionExceedsTruncation
+from .errors import ConfigError, DimensionExceedsTruncation
 from .rng import (STREAM_KL_SAMPLE, STREAM_MC_NORM, STREAM_TRANSPORT, stream)
 
 _SQRT3 = math.sqrt(3.0)
@@ -89,7 +89,10 @@ class KLMeasure:
             ev = np.arange(1, j_max + 1, dtype=float) ** (-2.0 * alpha)
         else:
             ev = np.asarray(lam, dtype=float)
-        return cls(ev, law)
+        try:
+            return cls(ev, law)
+        except ValueError as err:  # e.g. an increasing explicit list
+            raise ConfigError(f"kl: {err}") from err
 
 
 def sample(measure: KLMeasure, seed: int, count: int,

@@ -159,6 +159,63 @@ def test_keys_the_runners_read_are_required(name):
         ek.run_experiment(SCHEMA_GAPS[name])
 
 
+# inputs the schemas once accepted and the runners then crashed on with a
+# plain TypeError or ValueError
+UNTYPED_CRASHES = {
+    "integral-float-n": dict(UNIFORM_CFG, space={"kind": "circle", "n": 8.0}),
+    "integral-float-cells": dict(EXPECT_CFG, cells=2.0),
+    "increasing-lambda": dict(EXPECT_CFG, kl={"lambda": [0.25, 1.0],
+                                              "law": "gaussian"}),
+    "d_c-below-d_in": dict(BITS_CFG, hypers=[dict(BITS_CFG["hypers"][0],
+                                                  d_in=2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNTYPED_CRASHES))
+def test_accepted_inputs_that_crashed_are_config_errors(name):
+    with pytest.raises(ek.ConfigError):
+        ek.run_experiment(UNTYPED_CRASHES[name])
+
+
+# (config, the key that belongs to another kind)
+OTHER_KIND_KEYS = {
+    "circle-spacing": (dict(UNIFORM_CFG, space={"kind": "circle", "n": 8,
+                                                "spacing": 2.0}), "spacing"),
+    "circle-dim": (dict(UNIFORM_CFG, space={"kind": "circle", "n": 8,
+                                            "dim": 2}), "dim"),
+    "line-circumference": (dict(UNIFORM_CFG, space={
+        "kind": "line", "n": 8, "circumference": 2.0}), "circumference"),
+    "random-path": (dict(UNIFORM_CFG, space={"kind": "random", "n": 5,
+                                             "path": "x.json"}), "path"),
+    "file-n": (dict(UNIFORM_CFG, space={"kind": "file", "path": "x.json",
+                                        "n": 4}), "n"),
+    "list-alpha": (dict(EXPECT_CFG, kl={"lambda": [1.0, 0.5], "alpha": 1.0,
+                                        "law": "gaussian"}), "alpha"),
+    "list-J": (dict(EXPECT_CFG, kl={"lambda": [1.0, 0.5], "J": 2,
+                                    "law": "gaussian"}), "J"),
+    "singleton-levels": (dict(BITS_CFG, targets={
+        "kind": "singleton-constant", "levels": [0.0, 1.0]}), "levels"),
+    "singleton-eps": (dict(BITS_CFG, targets={
+        "kind": "singleton-constant", "eps": 0.1}), "eps"),
+    "hat-value": (dict(BITS_CFG, targets={"kind": "hat-on-constants",
+                                          "value": 0.5}), "value"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_KIND_KEYS))
+def test_keys_of_another_kind_are_errors(name):
+    cfg, key = OTHER_KIND_KEYS[name]
+    with pytest.raises(ek.ConfigError, match=f"'{key}'"):
+        ek.validate_config(cfg)
+
+
+def test_kl_measure_keeps_its_value_error_for_direct_callers():
+    with pytest.raises(ValueError):
+        ek.KLMeasure([0.25, 1.0])
+    with pytest.raises(ek.ConfigError):
+        ek.KLMeasure.from_config({"lambda": [0.25, 1.0], "law": "gaussian"})
+
+
 def test_explicit_eigenvalues_need_no_rule_keys():
     cfg = dict(EXPECT_CFG, kl={"lambda": [1.0, 0.25, 0.0625],
                                "law": "gaussian"}, mc_samples=500)

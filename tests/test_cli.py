@@ -152,8 +152,11 @@ EMBED_CFG = {"kl": {"lambda": "j^-2a", "alpha": 1.0, "J": 16, "law": "gaussian"}
     dict(EMBED_CFG, samples=10),
     dict(EMBED_CFG, p=0.5),
     dict(EMBED_CFG, seed=-1),
+    dict(EMBED_CFG, f={"kind": "coordinate", "value": 2.0}),
+    dict(EMBED_CFG, f={"kind": "constant", "grid_res": 16}),
 ], ids=["rogue-key", "no-kl", "f-kind", "f-without-kind", "kl-rogue-key",
-        "few-samples", "p-below-one", "negative-seed"])
+        "few-samples", "p-below-one", "negative-seed", "coordinate-value",
+        "constant-grid-res"])
 def test_embed_check_config_is_validated(runner, tmp_path, cfg):
     path = tmp_path / "emb.json"
     path.write_text(json.dumps(cfg))
@@ -195,6 +198,58 @@ def test_seed_range_is_enforced_by_the_cli(runner, tmp_path, seed, where):
     res = runner.invoke(main, args)
     assert res.exit_code == 2
     assert "--seed" in res.output
+
+
+HYPER = {"dim": 1, "d_in": 1, "d_out": 1, "d_c": 1, "kappa": 1, "depth": 1}
+
+
+@pytest.mark.parametrize("hyper", [
+    dict(HYPER, activaton="relu"),
+    dict(HYPER, d_c=1.0),
+    dict(HYPER, d_in=2),
+    [HYPER],
+], ids=["misspelt-key", "integral-float", "d_c-below-d_in", "not-an-object"])
+@pytest.mark.parametrize("command", ["fno", "quantize"])
+def test_hyper_files_are_validated(runner, tmp_path, hyper, command):
+    path = str(tmp_path / "hyper.json")
+    (tmp_path / "hyper.json").write_text(json.dumps(hyper))
+    if command == "fno":
+        args = ["fno", "--hyper", path, "--params", path, "--input", path]
+    else:
+        args = ["quantize", "--hyper", path, "--delta", "0.01", "--m", "1.0",
+                "--n-inputs", "2", "--probes", "100"]
+    res = runner.invoke(main, args)
+    assert isinstance(res.exception, ek.ConfigError)
+
+
+def _quantize(**opts):
+    args = {"--delta": "0.01", "--m": "1.0", "--n-inputs": "2",
+            "--probes": "100"}
+    args.update(opts)
+    return ["quantize", "--hyper", None] + [x for kv in args.items() for x in kv]
+
+
+@pytest.mark.parametrize("args,option", [
+    (["gv", "--n", "3"], "--n"),
+    (["gv", "--n", "65"], "--n"),
+    (["bump", "--d", "4", "--n", "2", "--grid", "16"], "--d"),
+    (["bump", "--d", "1", "--n", "1", "--grid", "16"], "--n"),
+    (_quantize(**{"--probes": "10"}), "--probes"),
+    (_quantize(**{"--n-inputs": "0"}), "--n-inputs"),
+    (_quantize(**{"--delta": "-0.1"}), "--delta"),
+    (_quantize(**{"--delta": "0"}), "--delta"),
+    (_quantize(**{"--m": "0"}), "--m"),
+    (_quantize(**{"--delta": "2.5"}), "--delta"),
+], ids=["gv-n-3", "gv-n-65", "bump-d-4", "bump-n-1", "probes-10",
+        "n-inputs-0", "negative-delta", "zero-delta", "zero-m",
+        "delta-above-2m"])
+def test_cli_numbers_out_of_range_are_usage_errors(runner, tmp_path, args,
+                                                   option):
+    (tmp_path / "hyper.json").write_text(json.dumps(HYPER))
+    args = [str(tmp_path / "hyper.json") if a is None else a for a in args]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert option in res.output
 
 
 def test_chain_uniform_writes_csv_and_exits_zero(runner, tmp_path):

@@ -149,6 +149,13 @@ def test_resolution_consistency_bandlimited():
     assert abs(a - b) <= 1e-10 * (1 + abs(a))
 
 
+def test_bandlimited_sampler_rejects_aliasing_resolution():
+    sampler = bandlimited_sampler(2, 1, 3, stream(10, 7))
+    assert sampler(6).resolution == 6
+    with pytest.raises(ek.ResolutionTooLow):
+        sampler(5)
+
+
 def test_forward_validation():
     h = small_hyper(kappa=4)
     p = ek.FnoParams.zeros(h)
@@ -177,6 +184,28 @@ def test_spectral_bias_mode_zero_equals_constant_bias():
     assert ek.forward(pc, u) == pytest.approx(ek.forward(ps, u), abs=1e-14)
 
 
+def _conjugate_pairs(block, modes):
+    """(k, coefficient) at mode 0, at each canonical mode and at its
+    opposite, decoded slot by slot from a slot block."""
+    pairs = [((0, 0), block[0].astype(complex))]
+    for t, k in enumerate(modes):
+        c = block[1 + 2 * t] + 1j * block[2 + 2 * t]
+        pairs.append((k, c))
+        pairs.append((tuple(-ki for ki in k), np.conj(c)))
+    return pairs
+
+
+def _dft_sum(pairs, n):
+    """Re sum_k c_k exp(2 pi i k.x) on the n x n grid, term by term."""
+    x = np.arange(n) / n
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    out = 0.0
+    for k, ck in pairs:
+        phase = np.exp(2j * np.pi * (k[0] * xx + k[1] * yy))
+        out = out + np.real(phase[..., None] * ck[None, None, :])
+    return out
+
+
 def test_multiplier_matches_naive_dft_oracle():
     # independent oracle: apply the realized conjugate-symmetric multiplier
     # through explicit DFT sums instead of the fft path
@@ -196,22 +225,25 @@ def test_multiplier_matches_naive_dft_oracle():
         phase = np.exp(-2j * np.pi * (k[0] * xx + k[1] * yy))
         return np.tensordot(phase, v, axes=([0, 1], [0, 1])) / n**2
 
-    oracle = np.zeros((n, n, 2))
-    pairs = [((0, 0), mult[0].astype(complex))]
-    for t, k in enumerate(modes):
-        mk = mult[1 + 2 * t] + 1j * mult[2 + 2 * t]
-        pairs.append((k, mk))
-        pairs.append((tuple(-c for c in k), np.conj(mk)))
-    for k, mk in pairs:
-        ck = mk @ coefficient(u.values, k)
-        phase = np.exp(2j * np.pi * (k[0] * xx + k[1] * yy))
-        oracle += np.real(phase[..., None] * ck[None, None, :])
+    oracle = _dft_sum([(k, mk @ coefficient(u.values, k))
+                       for k, mk in _conjugate_pairs(mult, modes)], n)
 
     vhat = np.fft.fftn(u.values, axes=(0, 1), norm="forward")
     fast = np.real(np.fft.ifftn(
-        ek.fno._apply_multiplier(vhat, mult, modes, 2), axes=(0, 1),
+        ek.fno._apply_multiplier(vhat, mult, 2), axes=(0, 1),
         norm="forward"))
     assert np.allclose(fast, oracle, atol=1e-12)
+
+
+def test_spectral_bias_matches_naive_dft_oracle():
+    h = small_hyper(dim=2, d_c=2, kappa=3, bias_mode="spectral")
+    _, layers, _ = ek.FnoParams.random(h, 1.0, stream(53, 8)).blocks()
+    _, _, bias = layers[0]
+    n = 8
+    oracle = _dft_sum(_conjugate_pairs(bias, ek.canonical_modes(2, 3)), n)
+    re, im = ek.fno._slot_pairs(bias, 2, 3)
+    field = ek.fno._synthesize(bias[0], re + 1j * im, 2, 3, n)
+    assert np.allclose(field, oracle, atol=1e-12)
 
 
 def test_three_dimensional_operator():
@@ -237,6 +269,53 @@ def test_pack_blocks_round_trip():
     q_m, layers, p_m = p.blocks()
     rebuilt = ek.FnoParams.pack(h, q_m, layers, p_m)
     assert np.array_equal(rebuilt.theta, p.theta)
+
+
+def test_storage_layout_oracle():
+    # theta = arange(q): every block reads the stored offsets back, in the
+    # order (Q, layer 2, layer 1, P) with each layer (W, multiplier, bias)
+    h = ek.FnoHyper(2, 1, 1, 2, 2, 2, bias_mode="spectral")
+    assert layout_length(h) == 204
+    q_m, layers, p_m = ek.FnoParams(h, np.arange(204.0)).blocks()
+
+    def at(start, shape):
+        return np.arange(start, start + np.prod(shape)).reshape(shape)
+
+    assert np.array_equal(q_m, at(0, (1, 2)))
+    assert len(layers) == 2
+    for (w, mult, bias), start in zip(layers, (102, 2)):
+        assert np.array_equal(w, at(start, (2, 2)))
+        assert np.array_equal(mult, at(start + 4, (16, 2, 2)))
+        assert np.array_equal(bias, at(start + 68, (16, 2)))
+    assert np.array_equal(p_m, at(202, (2, 1)))
+
+
+@pytest.mark.parametrize("bias_mode", ["constant", "spectral"])
+def test_active_mask_matches_per_layer_formula(bias_mode):
+    h = ek.FnoHyper(2, 1, 1, 2, 2, 2, bias_mode=bias_mode)
+    slot = np.arange(h.n_mode_slots) < 1 + 2 * len(ek.canonical_modes(2, 2))
+    bias = np.ones(2, dtype=bool) if bias_mode == "constant" else np.repeat(slot, 2)
+    layer = [np.ones(4, dtype=bool), np.repeat(slot, 4), bias]
+    expected = np.concatenate([np.ones(2, dtype=bool)] + layer * 2
+                              + [np.ones(2, dtype=bool)])
+    assert np.array_equal(active_mask(h), expected)
+
+
+def test_layout_length_is_checked_against_param_count(monkeypatch):
+    h = small_hyper(d_c=2, kappa=2)
+    monkeypatch.setattr(ek.fno, "param_count", lambda hyper: ek.ParamCount(1, 5))
+    with pytest.raises(RuntimeError):
+        ek.fno._storage.__wrapped__(h)
+
+
+def test_pack_rejects_a_block_of_the_wrong_size():
+    h = small_hyper(d_c=2, kappa=2)
+    q_m, layers, p_m = ek.FnoParams.zeros(h).blocks()
+    (w, mult, bias), = layers
+    # same total length, wrong split between the multiplier and the bias
+    with pytest.raises(ValueError):
+        ek.FnoParams.pack(h, q_m, [(w, mult.ravel()[:-1],
+                                    np.zeros(bias.size + 1))], p_m)
 
 
 def test_active_mask_counts():
@@ -293,6 +372,20 @@ def test_zero_pad_preserves_forward(target_kw):
     padded = ek.zero_pad_embed(small, target)
     for i in range(32):
         u = rand_input(1, 8, 1, 100 + i)
+        a, b = ek.forward(small, u), ek.forward(padded, u)
+        assert abs(a - b) <= 1e-12 * (1 + abs(a))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("grow", [dict(d_c=3), dict(kappa=3),
+                                  dict(d_c=3, kappa=3)])
+def test_zero_pad_preserves_forward_with_spectral_bias(dim, grow):
+    base = dict(dim=dim, d_c=2, kappa=2, depth=2, activation="gelu",
+                bias_mode="spectral")
+    small = ek.FnoParams.random(small_hyper(**base), 1.0, stream(12, 8))
+    padded = ek.zero_pad_embed(small, small_hyper(**dict(base, **grow)))
+    for i in range(8):
+        u = rand_input(dim, 8, 1, 200 + i)
         a, b = ek.forward(small, u), ek.forward(padded, u)
         assert abs(a - b) <= 1e-12 * (1 + abs(a))
 

@@ -332,3 +332,34 @@ def test_lp_sample_norm():
     f = _functional((0, 1), [1.0, 0.0])
     g = _functional((0, 1), [0.0, 0.0])
     assert ek.dictionary_minimax_error([f], [g], norm) == pytest.approx(math.sqrt(0.5))
+
+
+def _per_row_minimax(targets, dictionary, dist):
+    """The per-row loop that one vectorised minimum per target replaced."""
+    worst = 0.0
+    for f in targets:
+        worst = max(worst, min(dist(f.values - g.values) for g in dictionary))
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dictionary_minimax_matches_per_row_loop(seed):
+    rng = stream(seed, 9)
+    s = int(rng.integers(1, 6))
+    ids = tuple(range(s))
+    targets = [_functional(ids, rng.normal(size=s))
+               for _ in range(int(rng.integers(1, 5)))]
+    dictionary = [_functional(ids, rng.normal(size=s))
+                  for _ in range(int(rng.integers(1, 300)))]
+    sup = _per_row_minimax(targets, dictionary,
+                           lambda d: float(np.max(np.abs(d))))
+    assert ek.dictionary_minimax_error(targets, dictionary) == sup
+    w = rng.uniform(0.1, 1.0, s)
+    w /= w.sum()
+    p = 2.0 if seed % 2 else float(rng.uniform(1.0, 4.0))
+    lp = _per_row_minimax(targets, dictionary,
+                          lambda d: float(np.sum(w * np.abs(d) ** p) ** (1 / p)))
+    # array and scalar power may differ in the last bit
+    assert ek.dictionary_minimax_error(targets, dictionary,
+                                       ek.LpSampleNorm(p, tuple(w))) \
+        == pytest.approx(lp, rel=1e-15, abs=0)
