@@ -7,9 +7,9 @@ __version__ = "0.1.0"
 from .errors import (BoundNotReached, BudgetExceeded, ChannelMismatch,
                      ConfigError, DimensionExceedsTruncation, EntrokitError,
                      EpsilonTooLarge, FamilyTooLarge, GridMisaligned,
-                     IncompatibleDepth, NoPacking, OutOfRange,
-                     ResolutionTooLow, SampleMismatch, SizeLimitExceeded,
-                     TargetTooSmall)
+                     IncompatibleDepth, LayoutMismatch, NoPacking,
+                     OutOfRange, ResolutionTooLow, SampleMismatch,
+                     SizeLimitExceeded, TargetTooSmall)
 from .metricspace import (CoverResult, FiniteMetricSpace, LpSampleNorm,
                           PackResult, SampledFunctional, SandwichReport,
                           code_length_report, dictionary_minimax_error,

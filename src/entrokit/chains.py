@@ -102,6 +102,10 @@ class ResultTable:
 
     @property
     def all_passed(self) -> bool:
+        """Every row that was not skipped passed, and the code reached its
+        target size where the run reports one."""
+        if not self.metadata.get("code_size_ok", True):
+            return False
         if "passed" not in self.columns:
             return True
         i = self.columns.index("passed")

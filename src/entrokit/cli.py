@@ -20,6 +20,7 @@ from . import metricspace as ms
 from . import packing as pk
 from . import quantizer as qz
 from . import randomfield as rf
+from .errors import LayoutMismatch
 from .rng import STREAM_PARAM_GEN, stream
 
 
@@ -182,7 +183,10 @@ def embed_check(ctx, config_path):
 def fno_eval(hyper_path, params_path, input_path):
     """Evaluate an output-averaged operator; print the scalar."""
     hyper = chains.load_hyper(hyper_path)
-    params = fno_mod.load_params(hyper, params_path)
+    try:
+        params = fno_mod.load_params(hyper, params_path)
+    except LayoutMismatch as exc:
+        raise click.BadParameter(str(exc), param_hint="--params") from exc
     with open(input_path, "r", encoding="utf-8") as fh:
         u = fno_mod.GridFunction.from_json(json.load(fh))
     click.echo("%.17g" % fno_mod.forward(params, u))

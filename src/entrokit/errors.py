@@ -57,6 +57,10 @@ class TargetTooSmall(EntrokitError):
     """Padding target does not dominate the source architecture."""
 
 
+class LayoutMismatch(EntrokitError):
+    """Stored parameter vector does not fit the architecture's layout."""
+
+
 class OutOfRange(EntrokitError):
     """Parameter vector leaves the quantization box."""
 

@@ -27,6 +27,11 @@ declared count are inert: they never influence the forward pass.
 `_slot_pairs` decodes the slots and `_mode_index` places the modes on a
 grid.
 
+Zero mode.  At kappa = 1 only the zero mode is active, and the inverse
+transform of a lone zero mode is that mode broadcast over the grid, so
+`forward` adds the mode's channel mix as a constant instead of running
+the inverse FFT; the bits are those of the full round trip.
+
 Bias.  "constant" (the default) stores d_c reals added pointwise and is
 what the parameter-count formula assumes; "spectral" stores one
 multiplier-style slot block per channel and adds the synthesized field,
@@ -44,8 +49,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import (ChannelMismatch, IncompatibleDepth, ResolutionTooLow,
-                     TargetTooSmall)
+from .errors import (ChannelMismatch, IncompatibleDepth, LayoutMismatch,
+                     ResolutionTooLow, TargetTooSmall)
 from .rng import STREAM_FNO_PROBE, STREAM_INPUT_GEN, stream
 
 # activation -> (function, Lipschitz constant used in bound propagation)
@@ -180,19 +185,22 @@ class FnoParams:
     def __init__(self, hyper: FnoHyper, theta):
         self.hyper = hyper
         self.theta = np.asarray(theta, dtype=float).copy()
-        expected = layout_length(hyper)
+        storage = _storage(hyper)
+        expected = storage[-1][0].stop
         if self.theta.shape != (expected,):
             raise ValueError(
                 f"theta has length {self.theta.shape}, layout needs {expected}")
+        views = [self.theta[sl].reshape(shape) for sl, shape, _ in storage]
+        layers = tuple(tuple(views[i:i + 3])
+                       for i in range(len(views) - 4, 0, -3))
+        self._blocks = (views[0], layers, views[-1])
 
     # -- structured access ----------------------------------------------
 
-    def blocks(self):
-        """(Q, layers, P) with layers in application order 1..L."""
-        views = [self.theta[sl].reshape(shape)
-                 for sl, shape, _ in _storage(self.hyper)]
-        layers = [tuple(views[i:i + 3]) for i in range(len(views) - 4, 0, -3)]
-        return views[0], layers, views[-1]
+    def blocks(self) -> tuple:
+        """(Q, layers, P) with layers in application order 1..L: views of
+        theta, built once."""
+        return self._blocks
 
     @classmethod
     def pack(cls, hyper: FnoHyper, q_mat, layers, p_mat) -> "FnoParams":
@@ -325,6 +333,14 @@ def bandlimited_sampler(dim: int, channels: int, max_mode: int,
 # ---------------------------------------------------------------------
 
 
+def _fft_axes(transform: Callable, a: np.ndarray, dim: int) -> np.ndarray:
+    """np.fft.fft or ifft over the leading dim axes in reverse order: what
+    fftn and ifftn compute, bit for bit, without their argument handling."""
+    for axis in reversed(range(dim)):
+        a = transform(a, axis=axis, norm="forward")
+    return a
+
+
 def _synthesize(zero: np.ndarray, coeffs: np.ndarray, dim: int, kappa: int,
                 n: int) -> np.ndarray:
     """Real field on the n^d grid (n >= 2 kappa) with Fourier coefficient
@@ -336,7 +352,7 @@ def _synthesize(zero: np.ndarray, coeffs: np.ndarray, dim: int, kappa: int,
         _, pos, neg = _mode_index(dim, kappa, n)
         grid[pos] = coeffs
         grid[neg] = np.conj(coeffs)
-    return np.real(np.fft.ifftn(grid, axes=tuple(range(dim)), norm="forward"))
+    return np.real(_fft_axes(np.fft.ifft, grid, dim))
 
 
 def _apply_multiplier(vhat: np.ndarray, mult: np.ndarray,
@@ -369,20 +385,24 @@ def forward(params: FnoParams, u: GridFunction) -> float:
         raise ResolutionTooLow(
             f"resolution {u.resolution} < 2 kappa = {2 * h.kappa}")
     act = ACTIVATIONS[h.activation][0]
-    axes = tuple(range(h.dim))
     q_mat, layers, p_mat = params.blocks()
 
     v = u.values @ p_mat.T
     for w_mat, mult, bias in layers:
-        vhat = np.fft.fftn(v, axes=axes, norm="forward")
-        conv = np.real(np.fft.ifftn(_apply_multiplier(vhat, mult, h.kappa),
-                                    axes=axes, norm="forward"))
+        vhat = _fft_axes(np.fft.fft, v, h.dim)
+        if h.kappa == 1:  # a lone zero mode transforms back to its broadcast
+            conv = np.real(vhat[(0,) * h.dim] @ mult[0].T)
+        else:
+            conv = np.real(_fft_axes(
+                np.fft.ifft, _apply_multiplier(vhat, mult, h.kappa), h.dim))
         if h.bias_mode == "spectral":
             re, im = _slot_pairs(bias, h.dim, h.kappa)
             bias = _synthesize(bias[0], re + 1j * im, h.dim, h.kappa,
                                u.resolution)
         v = act(v @ w_mat.T + conv + bias)
-    return float(np.mean(v @ q_mat.T))
+    out = v @ q_mat.T
+    # np.mean without its Python wrappers: the same sum, divided by the count
+    return float(np.add.reduce(out, axis=None) / out.size)
 
 
 # ---------------------------------------------------------------------
@@ -488,6 +508,11 @@ def save_theta(params: FnoParams, path) -> None:
 
 def load_params(hyper: FnoHyper, path) -> FnoParams:
     with open(path, "rb") as fh:
-        theta = np.frombuffer(fh.read(), dtype="<f8")
-    return FnoParams(hyper, theta)
+        raw = fh.read()
+    expected = layout_length(hyper)
+    if len(raw) != 8 * expected:
+        raise LayoutMismatch(
+            f"{path} holds {len(raw)} bytes; the layout of {hyper} needs "
+            f"{expected} float64 values ({8 * expected} bytes)")
+    return FnoParams(hyper, np.frombuffer(raw, dtype="<f8"))
 

@@ -1,6 +1,7 @@
 """Experiment chains: schema validation, pass flags, byte determinism."""
 
 import math
+from dataclasses import replace
 
 import jsonschema
 import pytest
@@ -335,6 +336,18 @@ def test_expectation_chain_byte_identical():
     a = ek.run_experiment(EXPECT_CFG).to_csv_bytes()
     b = ek.run_experiment(EXPECT_CFG).to_csv_bytes()
     assert a == b
+
+
+def test_expectation_chain_short_code_fails_the_run(monkeypatch):
+    # a code below its target size fails the run; the CSV keeps its bytes
+    full = ek.run_experiment(EXPECT_CFG)
+    build = chains.pk.volume_bound_code
+    monkeypatch.setattr(chains.pk, "volume_bound_code", lambda n: replace(
+        build(n), target_size=build(n).size + 1))
+    t = ek.run_experiment(EXPECT_CFG)
+    assert not t.metadata["code_size_ok"]
+    assert not t.all_passed
+    assert t.to_csv_bytes() == full.to_csv_bytes()
 
 
 # -- bits accuracy ---------------------------------------------------------------

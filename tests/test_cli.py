@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -222,6 +223,23 @@ def test_hyper_files_are_validated(runner, tmp_path, hyper, command):
     assert isinstance(res.exception, ek.ConfigError)
 
 
+@pytest.mark.parametrize("params", ["eight-bytes", "hyper-json"])
+def test_fno_params_of_the_wrong_size_are_usage_errors(runner, tmp_path,
+                                                       params):
+    hyper = tmp_path / "hyper.json"
+    hyper.write_text(json.dumps(HYPER))
+    u = ek.random_grid_function(1, 8, 1, stream(3, 7))
+    (tmp_path / "input.json").write_text(json.dumps(u.to_json()))
+    theta = tmp_path / "theta.bin"
+    theta.write_bytes(bytes(8))
+    res = runner.invoke(main, [
+        "fno", "--hyper", str(hyper),
+        "--params", str(theta if params == "eight-bytes" else hyper),
+        "--input", str(tmp_path / "input.json")])
+    assert res.exit_code == 2
+    assert "--params" in res.output
+
+
 def _quantize(**opts):
     args = {"--delta": "0.01", "--m": "1.0", "--n-inputs": "2",
             "--probes": "100"}
@@ -279,6 +297,24 @@ def test_chain_rerun_byte_identical(runner, tmp_path):
         assert res.exit_code == 0
         outs.append(out_path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_chain_expectation_short_code_exits_one(runner, tmp_path,
+                                                monkeypatch):
+    cfg = {"schema_version": 1, "experiment": "expectation-chain", "seed": 3,
+           "kl": {"lambda": "j^-2a", "alpha": 1.0, "J": 16, "law": "gaussian"},
+           "p": 1, "dim": 1, "cells": 2, "grid_res": 16, "mc_samples": 500}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    build = ek.chains.pk.volume_bound_code
+    monkeypatch.setattr(ek.chains.pk, "volume_bound_code", lambda n: replace(
+        build(n), target_size=build(n).size + 1))
+    res = runner.invoke(main, ["chain-expectation", "--config", str(cfg_path),
+                               "--out", str(tmp_path / "exp.csv")])
+    assert res.exit_code == 1
+    summary = json.loads(res.output[res.output.index("{"):])
+    assert summary["metadata"]["code_size_ok"] is False
+    assert summary["all_passed"] is False
 
 
 def test_sweep_command_header(runner, tmp_path):

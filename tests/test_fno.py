@@ -260,6 +260,64 @@ def test_three_dimensional_operator():
     assert abs(again - base) <= 1e-12 * (1 + abs(base))
 
 
+def _reference_forward(params, u):
+    """forward written with fftn/ifftn per layer and np.mean at the end,
+    over blocks sliced from the stored layout."""
+    h, fno = params.hyper, ek.fno
+    views = [params.theta[sl].reshape(shape)
+             for sl, shape, _ in fno._storage(h)]
+    axes, zero = tuple(range(h.dim)), (0,) * h.dim
+    v = u.values @ views[-1].T
+    for i in range(len(views) - 4, 0, -3):
+        w_mat, mult, bias = views[i:i + 3]
+        vhat = np.fft.fftn(v, axes=axes, norm="forward")
+        conv = np.real(np.fft.ifftn(fno._apply_multiplier(vhat, mult, h.kappa),
+                                    axes=axes, norm="forward"))
+        if h.bias_mode == "spectral":
+            grid = np.zeros(v.shape, dtype=complex)
+            grid[zero] = bias[0]
+            if h.kappa > 1:
+                _, pos, neg = fno._mode_index(h.dim, h.kappa, u.resolution)
+                re, im = fno._slot_pairs(bias, h.dim, h.kappa)
+                grid[pos] = re + 1j * im
+                grid[neg] = np.conj(re + 1j * im)
+            bias = np.real(np.fft.ifftn(grid, axes=axes, norm="forward"))
+        v = fno.ACTIVATIONS[h.activation][0](v @ w_mat.T + conv + bias)
+    return float(np.mean(v @ views[0].T))
+
+
+@pytest.mark.parametrize("dim,kappa", list(itertools.product((1, 2, 3),
+                                                             (1, 2, 3))))
+def test_forward_equals_the_fftn_formula_bit_for_bit(dim, kappa):
+    rng = stream(70 + 3 * dim + kappa, 8)
+    for act, bias_mode, extra in itertools.product(
+            sorted(ek.ACTIVATIONS), ("constant", "spectral"), range(4)):
+        d_c = int(rng.integers(1, 5))
+        h = ek.FnoHyper(dim, int(rng.integers(1, d_c + 1)), 1, d_c, kappa,
+                        int(rng.integers(1, 3)), act, bias_mode)
+        p = ek.FnoParams.random(h, 1.0, rng, canonical=False)
+        u = ek.random_grid_function(dim, 2 * kappa + extra, h.d_in, rng)
+        assert ek.forward(p, u) == _reference_forward(p, u)
+
+
+def test_blocks_are_views_of_theta_built_once():
+    h = ek.FnoHyper(2, 1, 1, 2, 2, 2, bias_mode="spectral")
+    p = ek.FnoParams.random(h, 1.0, stream(60, 8))
+    q_m, layers, p_m = p.blocks()
+    assert isinstance(layers, tuple) and len(layers) == 2
+    again = p.blocks()
+    for a, b in zip((q_m, *itertools.chain(*layers), p_m),
+                    (again[0], *itertools.chain(*again[1]), again[2])):
+        assert a is b
+    q_m[0, 1] = 7.0
+    layers[0][1][0, 1, 0] = -3.0
+    p_m[1, 0] = 5.0
+    assert p.theta[1] == 7.0
+    # layer 1 is stored after Q and layer 2 (2 + 100 values), past its W
+    assert p.theta[102 + 4 + 2] == -3.0
+    assert p.theta[-1] == 5.0
+
+
 # -- pack/unpack and masks -----------------------------------------------------
 
 
@@ -452,6 +510,15 @@ def test_theta_round_trip(tmp_path):
     ek.fno.save_theta(p, path)
     back = ek.fno.load_params(h, path)
     assert np.array_equal(back.theta, p.theta)
+
+
+@pytest.mark.parametrize("size", [7, 8, 8 * 27])
+def test_load_params_rejects_a_file_of_the_wrong_size(tmp_path, size):
+    h = ek.FnoHyper(1, 1, 1, 2, 2, 1)  # 26 values
+    path = tmp_path / "theta.bin"
+    path.write_bytes(bytes(size))
+    with pytest.raises(ek.LayoutMismatch):
+        ek.fno.load_params(h, path)
 
 
 def test_grid_function_json_round_trip():
