@@ -35,7 +35,9 @@ the inverse FFT; the bits are those of the full round trip.
 Bias.  "constant" (the default) stores d_c reals added pointwise and is
 what the parameter-count formula assumes; "spectral" stores one
 multiplier-style slot block per channel and adds the synthesized field,
-at the cost of a longer theta and of translation invariance.
+at the cost of a longer theta and of translation invariance.  theta is
+read-only, so each layer's field is synthesized once per parameter vector
+and resolution, on the first forward that needs it.
 """
 
 from __future__ import annotations
@@ -190,6 +192,8 @@ class FnoParams:
         if self.theta.shape != (expected,):
             raise ValueError(
                 f"theta has length {self.theta.shape}, layout needs {expected}")
+        # read-only, so the blocks and the cached bias fields stay current
+        self.theta.setflags(write=False)
         views = [self.theta[sl].reshape(shape) for sl, shape, _ in storage]
         layers = tuple(tuple(views[i:i + 3])
                        for i in range(len(views) - 4, 0, -3))
@@ -198,9 +202,28 @@ class FnoParams:
     # -- structured access ----------------------------------------------
 
     def blocks(self) -> tuple:
-        """(Q, layers, P) with layers in application order 1..L: views of
-        theta, built once."""
+        """(Q, layers, P) with layers in application order 1..L: read-only
+        views of theta, built once."""
         return self._blocks
+
+    _bias_cache = None  # resolution -> spectral bias field of each layer
+
+    def _spectral_bias(self, n: int) -> tuple:
+        """Synthesized spectral bias of each layer on the n^d grid, in
+        application order; built on first use per resolution."""
+        if self._bias_cache is None:
+            self._bias_cache = {}
+        fields = self._bias_cache.get(n)
+        if fields is None:
+            h = self.hyper
+            fields = []
+            for _, _, bias in self._blocks[1]:
+                re, im = _slot_pairs(bias, h.dim, h.kappa)
+                field = _synthesize(bias[0], re + 1j * im, h.dim, h.kappa, n)
+                field.setflags(write=False)
+                fields.append(field)
+            fields = self._bias_cache[n] = tuple(fields)
+        return fields
 
     @classmethod
     def pack(cls, hyper: FnoHyper, q_mat, layers, p_mat) -> "FnoParams":
@@ -304,30 +327,6 @@ def random_inputs(hyper: FnoHyper, count: int, seed: int,
             for _ in range(count)]
 
 
-def bandlimited_sampler(dim: int, channels: int, max_mode: int,
-                        rng: np.random.Generator) -> Callable[[int], GridFunction]:
-    """Random real band-limited function, samplable at any resolution.
-
-    Coefficients are drawn once for modes |k|_inf < max_mode; calling the
-    sampler evaluates the same continuum function on an n^d grid, so two
-    resolutions represent identical inputs.  Below n = 2 max_mode the
-    modes would alias, and the sampler raises ResolutionTooLow.
-    """
-    n_modes = 1 + len(canonical_modes(dim, max_mode))
-    coeffs = (rng.standard_normal((n_modes, channels))
-              + 1j * rng.standard_normal((n_modes, channels)))
-    coeffs[0] = coeffs[0].real  # zero mode must be real
-
-    def at_resolution(n: int) -> GridFunction:
-        if n < 2 * max_mode:
-            raise ResolutionTooLow(
-                f"resolution {n} < 2 max_mode = {2 * max_mode}")
-        return GridFunction(dim, _synthesize(coeffs[0], coeffs[1:], dim,
-                                             max_mode, n))
-
-    return at_resolution
-
-
 # ---------------------------------------------------------------------
 # forward evaluation
 # ---------------------------------------------------------------------
@@ -387,6 +386,10 @@ def forward(params: FnoParams, u: GridFunction) -> float:
     act = ACTIVATIONS[h.activation][0]
     q_mat, layers, p_mat = params.blocks()
 
+    if h.bias_mode == "spectral":
+        layers = [(w_mat, mult, field) for (w_mat, mult, _), field
+                  in zip(layers, params._spectral_bias(u.resolution))]
+
     v = u.values @ p_mat.T
     for w_mat, mult, bias in layers:
         vhat = _fft_axes(np.fft.fft, v, h.dim)
@@ -395,10 +398,6 @@ def forward(params: FnoParams, u: GridFunction) -> float:
         else:
             conv = np.real(_fft_axes(
                 np.fft.ifft, _apply_multiplier(vhat, mult, h.kappa), h.dim))
-        if h.bias_mode == "spectral":
-            re, im = _slot_pairs(bias, h.dim, h.kappa)
-            bias = _synthesize(bias[0], re + 1j * im, h.dim, h.kappa,
-                               u.resolution)
         v = act(v @ w_mat.T + conv + bias)
     out = v @ q_mat.T
     # np.mean without its Python wrappers: the same sum, divided by the count

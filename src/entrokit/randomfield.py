@@ -103,8 +103,9 @@ def sample(measure: KLMeasure, seed: int, count: int,
     """
     if count < 1:
         raise ValueError("count must be positive")
-    rng = stream(seed, stream_id)
-    return measure.draw_z(rng, count) * measure.sqrt_ev[None, :]
+    coeffs = measure.draw_z(stream(seed, stream_id), count)
+    coeffs *= measure.sqrt_ev
+    return coeffs
 
 
 def synthesize_torus(coeffs: np.ndarray, resolution: int) -> np.ndarray:
@@ -190,29 +191,56 @@ class GridFunction01:
         quadrature error comes from the curvature of |.|^p and shrinks
         like refine^-2.
         """
-        m = self.res * refine
+        res, dim = self.res, self.dim
+        m = res * refine
         mids = (np.arange(m) + 0.5) / m
         # the midpoint mesh is a product grid, so __call__'s per-point
         # cell index and weights are per-axis arrays; the corners and
         # axes are combined in __call__'s order, value for value
-        t = np.clip(mids, 0.0, 1.0) * self.res
-        i0 = np.minimum(t.astype(int), self.res - 1)
+        t = np.clip(mids, 0.0, 1.0) * res
+        i0 = np.minimum(t.astype(int), res - 1)
         frac = t - i0
         factors = (1.0 - frac, frac)
-
-        def along(axis, arr):
-            shape = [1] * self.dim
-            shape[axis] = m
-            return arr.reshape(shape)
-
-        out = np.zeros((m,) * self.dim)
-        for corner in itertools.product((0, 1), repeat=self.dim):
-            w, corner_values = 1.0, self.values
-            for axis, bit in enumerate(corner):
-                w = w * along(axis, factors[bit])
-                corner_values = corner_values.take(i0 + bit, axis=axis)
-            out += w * corner_values
-        return float(np.mean(np.abs(out.ravel()) ** p))
+        # Midpoint a lies half a refined cell or more inside cell
+        # a // refine, so i0 == arange(m) // refine and each leading axis
+        # splits into (cell, offset): a corner's node values are a slice
+        # broadcast over the offsets, and only the last axis gathers.  out
+        # holds one slab per leading cell row, in the C order of the
+        # (m,)*dim grid.
+        if dim == 1:
+            rows, slab, node_shape = 1, (m,), (m,)
+        else:
+            rows = res
+            slab = (refine,) + (res, refine) * (dim - 2) + (m,)
+            node_shape = (1,) + (res, 1) * (dim - 2) + (m,)
+        # per-bit weights of leading axis 0 (indexed by row) and of the
+        # inner leading axes k, placed on the slab's (cell, offset) axes
+        split = [f.reshape((res, refine) + (1,) * (len(slab) - 1))
+                 for f in factors]
+        inner = [[f.reshape((1,) * (2 * k - 1) + (res, refine)
+                            + (1,) * (len(slab) - 2 * k - 1)) for f in factors]
+                 for k in range(1, dim - 1)]
+        gathered = [self.values.take(i0 + bit, axis=-1) for bit in (0, 1)]
+        out = np.zeros((rows,) + slab)
+        term = np.empty(slab)
+        for row, row_out in enumerate(out):
+            axis_factors = [[f[row] for f in split]] + inner
+            for corner in itertools.product((0, 1), repeat=dim):
+                *head, bit = corner
+                w = 1.0
+                for per_bit, b in zip(axis_factors, head):
+                    w = w * per_bit[b]
+                nodes = gathered[bit][tuple(
+                    row + b if axis == 0 else slice(b, b + res)
+                    for axis, b in enumerate(head))]
+                np.multiply(w, factors[bit], out=term)
+                term *= nodes.reshape(node_shape)
+                row_out += term
+        # the mean sums pairwise over the whole grid in its C order
+        flat = out.reshape(-1)
+        np.abs(flat, out=flat)
+        flat **= p
+        return float(np.mean(flat))
 
 
 @dataclass

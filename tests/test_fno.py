@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import entrokit as ek
-from entrokit.fno import active_mask, bandlimited_sampler, layout_length
+from entrokit.fno import active_mask, layout_length
 from entrokit.rng import stream
 
 
@@ -139,6 +139,29 @@ def test_translation_invariance(dim, act):
         assert abs(shifted - base) <= 1e-10 * (1 + abs(base))
 
 
+def bandlimited_sampler(dim, channels, max_mode, rng):
+    """Random real band-limited function, samplable at any resolution.
+
+    Coefficients are drawn once for modes |k|_inf < max_mode; calling the
+    sampler evaluates the same continuum function on an n^d grid, so two
+    resolutions represent identical inputs.  Below n = 2 max_mode the
+    modes would alias, and the sampler raises ResolutionTooLow.
+    """
+    n_modes = 1 + len(ek.canonical_modes(dim, max_mode))
+    coeffs = (rng.standard_normal((n_modes, channels))
+              + 1j * rng.standard_normal((n_modes, channels)))
+    coeffs[0] = coeffs[0].real  # zero mode must be real
+
+    def at_resolution(n):
+        if n < 2 * max_mode:
+            raise ek.ResolutionTooLow(
+                f"resolution {n} < 2 max_mode = {2 * max_mode}")
+        return ek.GridFunction(dim, ek.fno._synthesize(
+            coeffs[0], coeffs[1:], dim, max_mode, n))
+
+    return at_resolution
+
+
 def test_resolution_consistency_bandlimited():
     h = small_hyper(d_c=2, kappa=2)
     q_m, layers, p_m = ek.FnoParams.random(h, 1.0, stream(9, 8)).blocks()
@@ -246,6 +269,29 @@ def test_spectral_bias_matches_naive_dft_oracle():
     assert np.allclose(field, oracle, atol=1e-12)
 
 
+def test_spectral_bias_is_synthesized_once_per_layer_and_resolution(
+        monkeypatch):
+    calls = []
+    synthesize = ek.fno._synthesize
+
+    def counted(*args):
+        calls.append(args[-1])  # the resolution
+        return synthesize(*args)
+
+    monkeypatch.setattr(ek.fno, "_synthesize", counted)
+    h = ek.FnoHyper(2, 1, 1, 3, 2, 2, bias_mode="spectral")
+    p = ek.FnoParams.random(h, 1.0, stream(54, 8))
+    for n in (4, 6):
+        first, second = rand_input(2, n, 1, 55), rand_input(2, n, 1, 56)
+        for u in (first, second, first):
+            assert ek.forward(p, u) == _reference_forward(p, u)
+    assert calls == [4, 4, 6, 6]
+    # the constant bias keeps no cache
+    c = ek.FnoParams.random(small_hyper(d_c=2, kappa=2), 1.0, stream(57, 8))
+    ek.forward(c, rand_input(1, 8, 1, 58))
+    assert calls == [4, 4, 6, 6] and "_bias_cache" not in vars(c)
+
+
 def test_three_dimensional_operator():
     h = ek.FnoHyper(3, 1, 1, 2, 1, 1, activation="relu")
     p = ek.FnoParams.random(h, 1.0, stream(41, 8))
@@ -309,13 +355,16 @@ def test_blocks_are_views_of_theta_built_once():
     for a, b in zip((q_m, *itertools.chain(*layers), p_m),
                     (again[0], *itertools.chain(*again[1]), again[2])):
         assert a is b
-    q_m[0, 1] = 7.0
-    layers[0][1][0, 1, 0] = -3.0
-    p_m[1, 0] = 5.0
-    assert p.theta[1] == 7.0
+    for view in (q_m, *itertools.chain(*layers), p_m):
+        assert np.shares_memory(view, p.theta)
+        with pytest.raises(ValueError):  # theta is read-only
+            view.flat[0] = 1.0
+    assert q_m[0, 1] == p.theta[1]
     # layer 1 is stored after Q and layer 2 (2 + 100 values), past its W
-    assert p.theta[102 + 4 + 2] == -3.0
-    assert p.theta[-1] == 5.0
+    assert layers[0][1][0, 1, 0] == p.theta[102 + 4 + 2]
+    assert p_m[1, 0] == p.theta[-1]
+    with pytest.raises(ValueError):
+        p.theta[0] = 1.0
 
 
 # -- pack/unpack and masks -----------------------------------------------------

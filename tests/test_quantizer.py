@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import entrokit as ek
 from entrokit.rng import stream
@@ -55,6 +56,20 @@ def test_quantize_error_bound_random():
         err = np.abs(theta - ek.quantize(theta, g))
         assert float(err.max()) <= delta / 2 + 1e-15
         assert g.points_per_coord <= 2**g.bits_per_coord
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_quantize_error_bound_property(data):
+    # |theta - quantize(theta)| <= delta/2 on [-M, M], endpoints included,
+    # up to the rounding of the grid value and of the index (a few ulps of M)
+    m = data.draw(st.floats(1e-3, 1e3), label="m")
+    g = ek.QuantGrid(m, m * data.draw(st.floats(1e-6, 2.0), label="ratio"))
+    theta = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from([-m, m]), st.floats(-m, m)),
+        min_size=1, max_size=20), label="theta"))
+    err = np.abs(theta - ek.quantize(theta, g))
+    assert float(err.max()) <= g.delta / 2 + 4 * np.finfo(float).eps * m
 
 
 def test_grid_covers_box_even_for_non_dividing_delta():

@@ -1,12 +1,15 @@
 """KL sampling, the CDF map, embeddings, and Monte-Carlo norms."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import entrokit as ek
+from entrokit.rng import STREAM_MC_NORM, stream
 
 
 def gaussian_j2(j_max=64):
@@ -59,6 +62,15 @@ def test_sample_determinism():
     assert a.tobytes() == b.tobytes()
     c = ek.sample(m, seed=43, count=16)
     assert a.tobytes() != c.tobytes()
+
+
+def test_sample_scales_the_standard_draws():
+    for law in ("gaussian", "uniform"):
+        m = ek.KLMeasure.from_config(
+            {"lambda": "j^-2a", "alpha": 0.75, "J": 16, "law": law})
+        expect = m.draw_z(stream(9, STREAM_MC_NORM), 500) * m.sqrt_ev
+        got = ek.sample(m, 9, 500, stream_id=STREAM_MC_NORM)
+        assert got.tobytes() == expect.tobytes()
 
 
 def test_sample_count_validation():
@@ -139,6 +151,58 @@ def test_quadrature_equals_pointwise_evaluation(dim, res):
             pts = np.stack([g.ravel() for g in mesh], axis=-1)
             expect = float(np.mean(np.abs(f(pts)) ** p))
             assert f.quadrature_abs_pow(p, refine=refine) == expect
+
+
+def _reference_quadrature(self, p, refine=8):
+    """quadrature_abs_pow as one full-grid gather per corner and axis."""
+    m = self.res * refine
+    mids = (np.arange(m) + 0.5) / m
+    # the midpoint mesh is a product grid, so __call__'s per-point
+    # cell index and weights are per-axis arrays; the corners and
+    # axes are combined in __call__'s order, value for value
+    t = np.clip(mids, 0.0, 1.0) * self.res
+    i0 = np.minimum(t.astype(int), self.res - 1)
+    frac = t - i0
+    factors = (1.0 - frac, frac)
+
+    def along(axis, arr):
+        shape = [1] * self.dim
+        shape[axis] = m
+        return arr.reshape(shape)
+
+    out = np.zeros((m,) * self.dim)
+    for corner in itertools.product((0, 1), repeat=self.dim):
+        w, corner_values = 1.0, self.values
+        for axis, bit in enumerate(corner):
+            w = w * along(axis, factors[bit])
+            corner_values = corner_values.take(i0 + bit, axis=axis)
+        out += w * corner_values
+    return float(np.mean(np.abs(out.ravel()) ** p))
+
+
+# one-cell grids, odd sizes, and the benchmark shapes (2-D res 24, 3-D res 16)
+@pytest.mark.parametrize("dim,res", [(1, 1), (1, 2), (1, 13), (1, 24),
+                                     (2, 1), (2, 3), (2, 7), (2, 24),
+                                     (3, 1), (3, 2), (3, 5), (3, 16)])
+def test_quadrature_equals_the_full_grid_formula(dim, res):
+    rng = np.random.default_rng(100 * dim + res)
+    f = ek.GridFunction01(dim, rng.standard_normal((res + 1,) * dim))
+    for refine, p in itertools.product((1, 2, 3, 8), (1, 1.5, 2, 3.7)):
+        assert (f.quadrature_abs_pow(p, refine=refine)
+                == _reference_quadrature(f, p, refine=refine))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_quadrature_memory_is_one_grid(p):
+    # the (128,)^3 midpoint grid is 16 MiB; full-grid gathers peak at 64-80
+    f = ek.GridFunction01(3, np.random.default_rng(3).standard_normal((17,) * 3))
+    tracemalloc.start()
+    try:
+        f.quadrature_abs_pow(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * 2**20
 
 
 def test_embed_constant():

@@ -6,8 +6,10 @@ import json
 import pathlib
 
 import pytest
+from click.testing import CliRunner
 
 import entrokit as ek
+from entrokit.cli import main
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -61,3 +63,29 @@ def test_shipped_embed_check_config():
         lambda x: x[:, 0], 1, cfg["f"]["grid_res"], lipschitz=1.0)
     rep = ek.isometry_check(f, measure, cfg["p"], cfg["samples"], cfg["seed"])
     assert rep.consistent
+
+
+# sha256 of the embed-check stdout, and of the CSV of one 3-D expectation
+# chain: together they pin the quadrature bits at d = 1 and d = 3
+EMBED_CHECK_STDOUT_SHA256 = (
+    "bab9b185b81e3835d55f43869581c96b8f1153cb3a132f8586ec71898d1b3c23")
+CHAIN_3D_CSV_SHA256 = (
+    "01aab920822d15fae27e902833980a1285f702a75c5b25ca0a6d151a5a7bffa4")
+
+
+def test_shipped_embed_check_stdout_digest():
+    res = CliRunner().invoke(
+        main, ["embed-check", "--config", str(CONFIG_DIR / "embed-check.json")])
+    assert res.exit_code == 0, res.output
+    assert (hashlib.sha256(res.output.encode()).hexdigest()
+            == EMBED_CHECK_STDOUT_SHA256)
+
+
+def test_three_dimensional_chain_csv_digest():
+    cfg = {"schema_version": 1, "experiment": "expectation-chain", "seed": 11,
+           "kl": {"lambda": "j^-2a", "alpha": 1.0, "J": 64, "law": "gaussian"},
+           "p": 2, "dim": 3, "cells": 2, "grid_res": 16, "mc_samples": 2000}
+    table = ek.run_experiment(cfg)
+    assert table.all_passed
+    assert (hashlib.sha256(table.to_csv_bytes()).hexdigest()
+            == CHAIN_3D_CSV_SHA256)
