@@ -60,7 +60,7 @@ def _format_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return "%.17g" % float(value)
     text = str(value)
-    if any(ch in text for ch in ',"\n'):
+    if any(ch in text for ch in ',"\n\r'):
         text = '"' + text.replace('"', '""') + '"'
     return text
 
@@ -90,7 +90,8 @@ class ResultTable:
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError("row width does not match columns")
-            lines.append(",".join(_format_cell(v) for v in row))
+            # a lone empty cell is quoted, or the line would read as no row
+            lines.append(",".join(_format_cell(v) for v in row) or '""')
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     def write(self, path) -> None:

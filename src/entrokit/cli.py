@@ -2,8 +2,9 @@
 
 Subcommands mirror the library surface: codelength, hat, gv, bump,
 embed-check, fno, quantize, sweep, chain-uniform, chain-expectation.
-Reports print as JSON on stdout; tables write CSV via --out.  The process
-exits 0 only when every pass flag in the run is true.
+Reports print as JSON on stdout (fno prints its scalar), and with --out
+the same text also goes to that file; tables write CSV via --out.  The
+process exits 0 only when every pass flag in the run is true.
 """
 
 from __future__ import annotations
@@ -20,17 +21,20 @@ from . import metricspace as ms
 from . import packing as pk
 from . import quantizer as qz
 from . import randomfield as rf
-from .errors import LayoutMismatch
+from .errors import ConfigError, LayoutMismatch
 from .rng import STREAM_PARAM_GEN, stream
 
 
-def _emit(obj, path=None) -> None:
-    """Print obj as JSON; with a path, also write the same text there
-    atomically."""
-    text = json.dumps(obj, indent=2, sort_keys=True)
+def _echo(text: str, path=None) -> None:
+    """Print text; with a path, also write the same line there atomically."""
     click.echo(text)
     if path:
         chains.write_atomic(path, (text + "\n").encode("utf-8"))
+
+
+def _emit(obj, path=None) -> None:
+    """Print obj as JSON, and write it to path as _echo does."""
+    _echo(json.dumps(obj, indent=2, sort_keys=True), path)
 
 
 def _finish(ok: bool) -> None:
@@ -47,7 +51,8 @@ _POSITIVE = click.FloatRange(min=0, min_open=True)
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Default config file for subcommands that accept one.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
-              help="Default output file for subcommands that write tables.")
+              help="Default output file: the CSV of a table, or the printed "
+                   "report of any other subcommand.")
 @click.pass_context
 def main(ctx, seed, config_path, out_path):
     """Metric-entropy constructions, packings, embeddings, and quantized
@@ -59,21 +64,29 @@ def _resolve(ctx, key, local):
     return local if local is not None else ctx.obj.get(key)
 
 
+def _load_space(path) -> ms.FiniteMetricSpace:
+    try:
+        return ms.FiniteMetricSpace.from_file(path)
+    except ConfigError as exc:
+        raise click.BadParameter(str(exc), param_hint="--space") from exc
+
+
 @main.command()
 @click.option("--space", "space_path", type=click.Path(exists=True), required=True)
 @click.option("--eps", type=float, required=True)
 @click.option("--decoder", type=click.Choice(["ambient", "restricted", "both"]),
               default="ambient", show_default=True)
-def codelength(space_path, eps, decoder):
+@click.pass_context
+def codelength(ctx, space_path, eps, decoder):
     """Covering number, entropy, and minimax code length of a space file."""
-    space = ms.FiniteMetricSpace.from_file(space_path)
+    space = _load_space(space_path)
     report = ms.code_length_report(space, eps)
     out = {"N": report["N"], "H": report["H"], "B": report["B"]}
     if decoder == "restricted":
         out["B"] = report["B_restricted"]
     elif decoder == "both":
         out["B_restricted"] = report["B_restricted"]
-    _emit(out)
+    _emit(out, _resolve(ctx, "out", None))
 
 
 @main.command()
@@ -83,7 +96,7 @@ def codelength(space_path, eps, decoder):
 @click.pass_context
 def hat(ctx, space_path, eps, out_path):
     """Build and verify a hat family; print its manifest."""
-    space = ms.FiniteMetricSpace.from_file(space_path)
+    space = _load_space(space_path)
     fam = pk.build_hat_family(space, eps)
     rep = fam.verify()
     manifest = fam.manifest()
@@ -172,7 +185,7 @@ def embed_check(ctx, config_path):
         "estimate": report.mc.estimate,
         "stderr": report.mc.stderr,
         "consistent": report.consistent,
-    })
+    }, _resolve(ctx, "out", None))
     _finish(report.consistent)
 
 
@@ -180,16 +193,19 @@ def embed_check(ctx, config_path):
 @click.option("--hyper", "hyper_path", type=click.Path(exists=True), required=True)
 @click.option("--params", "params_path", type=click.Path(exists=True), required=True)
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-def fno_eval(hyper_path, params_path, input_path):
+@click.pass_context
+def fno_eval(ctx, hyper_path, params_path, input_path):
     """Evaluate an output-averaged operator; print the scalar."""
     hyper = chains.load_hyper(hyper_path)
     try:
         params = fno_mod.load_params(hyper, params_path)
     except LayoutMismatch as exc:
         raise click.BadParameter(str(exc), param_hint="--params") from exc
-    with open(input_path, "r", encoding="utf-8") as fh:
-        u = fno_mod.GridFunction.from_json(json.load(fh))
-    click.echo("%.17g" % fno_mod.forward(params, u))
+    try:
+        u = fno_mod.GridFunction.from_json(chains.read_config(input_path))
+    except ConfigError as exc:
+        raise click.BadParameter(str(exc), param_hint="--input") from exc
+    _echo("%.17g" % fno_mod.forward(params, u), _resolve(ctx, "out", None))
 
 
 @main.command("quantize")
@@ -234,7 +250,7 @@ def quantize_cmd(ctx, hyper_path, delta, box, seed, n_inputs, probes, c_override
         "delta": cert.delta,
         "bound": cert.bound,
         "passed": cert.passed,
-    })
+    }, _resolve(ctx, "out", None))
     _finish(cert.passed)
 
 

@@ -70,4 +70,4 @@ class BudgetExceeded(EntrokitError):
 
 
 class ConfigError(EntrokitError):
-    """Experiment configuration failed schema validation."""
+    """Experiment configuration or input data file failed validation."""

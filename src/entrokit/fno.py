@@ -51,8 +51,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import (ChannelMismatch, IncompatibleDepth, LayoutMismatch,
-                     ResolutionTooLow, TargetTooSmall)
+from .errors import (ChannelMismatch, ConfigError, IncompatibleDepth,
+                     LayoutMismatch, ResolutionTooLow, TargetTooSmall)
 from .rng import STREAM_FNO_PROBE, STREAM_INPUT_GEN, stream
 
 # activation -> (function, Lipschitz constant used in bound propagation)
@@ -301,9 +301,22 @@ class GridFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GridFunction":
-        n, c, d = obj["resolution"], obj["channels"], obj["dim"]
-        vals = np.asarray(obj["values"], dtype=float).reshape((n,) * d + (c,))
-        return cls(d, vals)
+        """Inverse of to_json; any other object raises ConfigError."""
+        keys = ("dim", "resolution", "channels", "values")
+        if not isinstance(obj, dict) or set(obj) != set(keys):
+            raise ConfigError("a grid is an object with exactly the keys "
+                              + ", ".join(keys))
+        d, n, c, values = (obj[k] for k in keys)
+        for name, count in zip(keys, (d, n, c)):
+            if type(count) is not int or count < 1:
+                raise ConfigError(f"grid: {name} must be a positive integer")
+        if not isinstance(values, list) or len(values) != n**d * c:
+            raise ConfigError(f"grid: values must be a list of "
+                              f"resolution^dim * channels = {n**d * c} numbers")
+        try:
+            return cls(d, np.array(values, dtype=float).reshape((n,) * d + (c,)))
+        except (TypeError, ValueError) as err:  # non-numeric or non-finite
+            raise ConfigError(f"grid: {err}") from err
 
 
 def random_grid_function(dim: int, resolution: int, channels: int,

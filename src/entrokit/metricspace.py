@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import SampleMismatch, SizeLimitExceeded
+from .errors import ConfigError, SampleMismatch, SizeLimitExceeded
 
 EXACT_LIMIT = 20
 VALIDATION_ATOL = 1e-12
@@ -117,12 +117,25 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteMetricSpace":
-        return cls(obj["points"], obj["dist"])
+        """Inverse of to_json; any other object raises ConfigError."""
+        if not isinstance(obj, dict) or set(obj) != {"points", "dist"}:
+            raise ConfigError('a space is an object with exactly the keys '
+                              '"points" and "dist"')
+        if not isinstance(obj["points"], list):
+            raise ConfigError('space: "points" must be a list')
+        try:
+            return cls(obj["points"], obj["dist"])
+        except (TypeError, ValueError) as err:  # ragged, non-numeric, invalid
+            raise ConfigError(f"space: {err}") from err
 
     @classmethod
     def from_file(cls, path) -> "FiniteMetricSpace":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+                raise ConfigError(f"{path}: not valid JSON: {err}") from err
+        return cls.from_json(obj)
 
 
 @dataclass(frozen=True)

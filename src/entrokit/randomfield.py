@@ -29,6 +29,10 @@ from .rng import (STREAM_KL_SAMPLE, STREAM_MC_NORM, STREAM_TRANSPORT, stream)
 
 _SQRT3 = math.sqrt(3.0)
 
+# lp_norm_mc draws its coefficients in row blocks of this many bytes
+# (8,192 rows at J = 64), so its memory does not grow with n_samples
+MC_BLOCK_BYTES = 4 << 20
+
 _DENSITY_SUP = {
     "gaussian": 1.0 / math.sqrt(2 * math.pi),
     "uniform": 1.0 / (2 * _SQRT3),
@@ -103,7 +107,13 @@ def sample(measure: KLMeasure, seed: int, count: int,
     """
     if count < 1:
         raise ValueError("count must be positive")
-    coeffs = measure.draw_z(stream(seed, stream_id), count)
+    return _draw_scaled(measure, stream(seed, stream_id), count)
+
+
+def _draw_scaled(measure: KLMeasure, rng: np.random.Generator,
+                 count: int) -> np.ndarray:
+    """The next count rows of rng's KL coefficients, scaled in place."""
+    coeffs = measure.draw_z(rng, count)
     coeffs *= measure.sqrt_ev
     return coeffs
 
@@ -291,13 +301,33 @@ class McEstimate:
 
 def lp_norm_mc(functional: Callable, measure: KLMeasure, p: float,
                n_samples: int, seed: int) -> McEstimate:
-    """Monte-Carlo estimate of (E |G(u)|^p)^(1/p) with delta-method stderr."""
+    """Monte-Carlo estimate of (E |G(u)|^p)^(1/p) with delta-method stderr.
+
+    The draws come from one stream(seed, STREAM_MC_NORM) generator, in
+    consecutive row blocks of at most MC_BLOCK_BYTES of coefficients.  A
+    Philox stream continues across calls, so the blocks are the rows of
+    sample(measure, seed, n_samples, STREAM_MC_NORM) in order, and the
+    estimate does not depend on the block size, provided functional maps
+    a (rows, J) coefficient array to one value per row that depends only
+    on that row.  A result of any other shape raises ValueError.
+    """
     if not 1 <= p < math.inf:
         raise ValueError("p must be finite and >= 1")
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    coeffs = sample(measure, seed, n_samples, stream_id=STREAM_MC_NORM)
-    y = np.abs(np.asarray(functional(coeffs), dtype=float)) ** p
+    rng = stream(seed, STREAM_MC_NORM)
+    rows = max(1, MC_BLOCK_BYTES // (8 * measure.truncation))
+    y = np.empty(n_samples)
+    for lo in range(0, n_samples, rows):
+        block = _draw_scaled(measure, rng, min(rows, n_samples - lo))
+        values = np.asarray(functional(block), dtype=float)
+        if values.shape != (len(block),):
+            raise ValueError(
+                f"functional must return one value per row: got shape "
+                f"{values.shape} for {len(block)} rows")
+        np.abs(values, out=y[lo:lo + len(block)])
+    # |.|^p over all of y at once, the array a single draw would give
+    y **= p
     moment = float(np.mean(y))
     # constant functionals wiggle by ulps through interpolation; that is
     # zero variance, not sampling noise

@@ -1,10 +1,14 @@
 """Experiment chains: schema validation, pass flags, byte determinism."""
 
+import csv
+import io
 import math
+import struct
 from dataclasses import replace
 
 import jsonschema
 import pytest
+from hypothesis import given, strategies as st
 
 import entrokit as ek
 from entrokit import chains
@@ -264,6 +268,56 @@ def test_csv_formatting_rules():
 def test_csv_17_digit_floats():
     t = ResultTable(["v"], [(1 / 3,)], {})
     assert t.to_csv_bytes().decode().splitlines()[1] == "0.33333333333333331"
+
+
+def _read_csv(table):
+    text = table.to_csv_bytes().decode("utf-8")
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def test_csv_quotes_carriage_returns():
+    t = ResultTable(["a", "b"], [("x\ry", 1.5), ("\r\n", "z")], {})
+    assert _read_csv(t) == [["a", "b"], ["x\ry", "1.5"], ["\r\n", "z"]]
+
+
+def test_csv_one_empty_cell_is_a_row():
+    assert _read_csv(ResultTable(["a"], [("",), ("b",)], {})) == [
+        ["a"], [""], ["b"]]
+
+
+_CELLS = st.one_of(
+    st.booleans(), st.integers(),
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     math.inf, -math.inf]),
+    st.text())
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[_CELLS] * width), max_size=5))
+    return ResultTable([f"c{i}" for i in range(width)], rows, {})
+
+
+@given(_tables())
+def test_csv_round_trips_through_csv_reader(table):
+    back = _read_csv(table)
+    assert back[0] == table.columns
+    assert len(back) == len(table.rows) + 1
+    for row, cells in zip(table.rows, back[1:]):
+        assert len(cells) == len(row)
+        for value, cell in zip(row, cells):
+            if isinstance(value, bool):
+                assert cell == ("1" if value else "0")
+            elif isinstance(value, int):
+                assert int(cell) == value
+            elif isinstance(value, float):
+                # %.17g names every double exactly, signed zeros included
+                assert cell == "%.17g" % value
+                assert struct.pack("<d", float(cell)) == struct.pack("<d", value)
+            else:
+                assert cell == value
 
 
 def test_atomic_write(tmp_path):

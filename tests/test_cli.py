@@ -355,3 +355,92 @@ def test_bad_config_fails(runner, tmp_path):
                                     "eps_ladder": [1 / 6], "rogue": 1}))
     res = runner.invoke(main, ["chain-uniform", "--config", str(cfg_path)])
     assert res.exit_code != 0
+
+
+LINE2 = {"points": [0, 1], "dist": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("space", [
+    {"points": [0, 1]},
+    [[0.0, 1.0], [1.0, 0.0]],
+    dict(LINE2, dist=[[0.0, 1.0], [1.0]]),
+    dict(LINE2, dist=[[0.0, -1.0], [-1.0, 0.0]]),
+    dict(LINE2, distance=LINE2["dist"]),
+], ids=["no-dist", "a-list", "ragged-dist", "negative-dist", "unknown-key"])
+@pytest.mark.parametrize("command", ["hat", "codelength"])
+def test_malformed_space_files_are_usage_errors(runner, tmp_path, space,
+                                                command):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    with pytest.raises(ek.ConfigError):
+        ek.FiniteMetricSpace.from_file(path)
+    res = runner.invoke(main, [command, "--space", str(path), "--eps", "0.5"])
+    assert res.exit_code == 2
+    assert "--space" in res.output
+
+
+def test_space_file_that_is_not_json_is_a_usage_error(runner, tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text('{"points": [0, 1], "dist": ')
+    res = runner.invoke(main, ["hat", "--space", str(path), "--eps", "0.5"])
+    assert res.exit_code == 2
+    assert "--space" in res.output
+
+
+GRID8 = {"dim": 1, "resolution": 8, "channels": 1, "values": [0.5] * 8}
+
+
+@pytest.mark.parametrize("grid", [
+    {k: v for k, v in GRID8.items() if k != "channels"},
+    dict(GRID8, values=[0.5] * 7),
+    [GRID8],
+    dict(GRID8, values=[0.5] * 7 + [float("nan")]),
+    dict(GRID8, resolution=8.0),
+    dict(GRID8, values="0.5"),
+], ids=["no-channels", "seven-values", "a-list", "nan-value",
+        "float-resolution", "values-not-a-list"])
+def test_malformed_grid_files_are_usage_errors(runner, tmp_path, grid):
+    with pytest.raises(ek.ConfigError):
+        ek.GridFunction.from_json(grid)
+    hyper = tmp_path / "hyper.json"
+    hyper.write_text(json.dumps(HYPER))
+    params = ek.FnoParams.zeros(ek.FnoHyper(**HYPER))
+    ek.fno.save_theta(params, tmp_path / "theta.bin")
+    (tmp_path / "input.json").write_text(json.dumps(grid))
+    res = runner.invoke(main, ["fno", "--hyper", str(hyper),
+                               "--params", str(tmp_path / "theta.bin"),
+                               "--input", str(tmp_path / "input.json")])
+    assert res.exit_code == 2
+    assert "--input" in res.output
+
+
+def _group_out_cases(tmp_path, space_file):
+    (tmp_path / "hyper.json").write_text(json.dumps(HYPER))
+    hyper = ek.FnoHyper(**HYPER)
+    ek.fno.save_theta(ek.FnoParams.random(hyper, 1.0, stream(2, 8)),
+                      tmp_path / "theta.bin")
+    u = ek.random_grid_function(1, 8, 1, stream(3, 7))
+    (tmp_path / "input.json").write_text(json.dumps(u.to_json()))
+    (tmp_path / "emb.json").write_text(json.dumps(EMBED_CFG))
+    return {
+        "codelength": ["codelength", "--space", space_file, "--eps", "0.5"],
+        "embed-check": ["embed-check", "--config", str(tmp_path / "emb.json")],
+        "quantize": ["quantize", "--hyper", str(tmp_path / "hyper.json"),
+                     "--delta", "0.01", "--m", "1.0", "--n-inputs", "2",
+                     "--probes", "100"],
+        "fno": ["fno", "--hyper", str(tmp_path / "hyper.json"),
+                "--params", str(tmp_path / "theta.bin"),
+                "--input", str(tmp_path / "input.json")],
+    }
+
+
+@pytest.mark.parametrize("command", ["codelength", "embed-check", "quantize",
+                                     "fno"])
+def test_group_out_file_is_the_printed_text(runner, tmp_path, space_file,
+                                            command):
+    args = _group_out_cases(tmp_path, space_file)[command]
+    out_path = tmp_path / "out.txt"
+    res = runner.invoke(main, ["--out", str(out_path)] + args)
+    assert res.exit_code == 0
+    assert out_path.read_text(encoding="utf-8") == res.output
+    assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []

@@ -2,9 +2,11 @@
 zero-padding, and the empirical parameter-to-operator Lipschitz estimate."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import entrokit as ek
 from entrokit.fno import active_mask, layout_length
@@ -493,6 +495,34 @@ def test_zero_pad_preserves_forward_with_spectral_bias(dim, grow):
     padded = ek.zero_pad_embed(small, small_hyper(**dict(base, **grow)))
     for i in range(8):
         u = rand_input(dim, 8, 1, 200 + i)
+        a, b = ek.forward(small, u), ek.forward(padded, u)
+        assert abs(a - b) <= 1e-12 * (1 + abs(a))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_zero_pad_preserves_forward_property(data):
+    d_c = data.draw(st.integers(1, 3), label="d_c")
+    small_hyper_ = ek.FnoHyper(
+        dim=data.draw(st.integers(1, 2), label="dim"),
+        d_in=data.draw(st.integers(1, d_c), label="d_in"), d_out=1, d_c=d_c,
+        kappa=data.draw(st.integers(1, 2), label="kappa"),
+        depth=data.draw(st.integers(1, 2), label="depth"),
+        activation=data.draw(st.sampled_from(sorted(ek.ACTIVATIONS)),
+                             label="activation"),
+        bias_mode=data.draw(st.sampled_from(["constant", "spectral"]),
+                            label="bias_mode"))
+    grow_c, grow_k = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2))
+                               .filter(any), label="growth")
+    target = replace(small_hyper_, d_c=d_c + grow_c,
+                     kappa=small_hyper_.kappa + grow_k)
+    key = data.draw(st.integers(0, 2**32), label="key")
+    small = ek.FnoParams.random(small_hyper_, 1.0, stream(key, 8))
+    padded = ek.zero_pad_embed(small, target)
+    n = data.draw(st.integers(2 * target.kappa, 2 * target.kappa + 3),
+                  label="resolution")
+    for i in range(3):
+        u = rand_input(small_hyper_.dim, n, small_hyper_.d_in, key + i)
         a, b = ek.forward(small, u), ek.forward(padded, u)
         assert abs(a - b) <= 1e-12 * (1 + abs(a))
 

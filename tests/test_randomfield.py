@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 import entrokit as ek
+from entrokit import randomfield as rf
 from entrokit.rng import STREAM_MC_NORM, stream
 
 
@@ -240,6 +241,86 @@ def test_lp_norm_validation():
         ek.lp_norm_mc(emb, m, math.inf, 1000, seed=0)
     with pytest.raises(ValueError):
         ek.lp_norm_mc(emb, m, 2, 50, seed=0)
+
+
+def _one_shot_lp_norm_mc(functional, measure, p, n_samples, seed):
+    """The single-draw estimator: the whole (n_samples, J) matrix at once."""
+    coeffs = measure.draw_z(stream(seed, STREAM_MC_NORM), n_samples)
+    coeffs *= measure.sqrt_ev
+    y = np.abs(np.asarray(functional(coeffs), dtype=float)) ** p
+    moment = float(np.mean(y))
+    if float(np.ptp(y)) <= 1e-14 * (1.0 + float(np.max(np.abs(y)))):
+        return ek.McEstimate(moment ** (1.0 / p), 0.0, moment, 0.0, n_samples)
+    moment_se = float(np.std(y, ddof=1) / math.sqrt(n_samples))
+    stderr = ((1.0 / p) * moment ** (1.0 / p - 1.0) * moment_se
+              if moment > 0 else 0.0)
+    return ek.McEstimate(moment ** (1.0 / p), stderr, moment, moment_se,
+                         n_samples)
+
+
+def _block_rows(j_max):
+    return max(1, rf.MC_BLOCK_BYTES // (8 * j_max))
+
+
+def _signed_functional(measure):
+    # changes sign on the cube, so |.|^p is not the identity
+    dim = min(measure.truncation, 2)
+    f = ek.GridFunction01.from_callable(
+        lambda x: np.sin(3 * x[:, 0]) + x[:, -1] ** 2 - 0.6, dim, 8)
+    return ek.embed(f, measure)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "uniform"])
+@pytest.mark.parametrize("j_max", [1, 3, 64, 5000])
+def test_lp_norm_mc_equals_the_one_shot_draw(law, j_max):
+    m = ek.KLMeasure.from_config(
+        {"lambda": "j^-2a", "alpha": 1.0, "J": j_max, "law": law})
+    emb = _signed_functional(m)
+    rows = _block_rows(j_max)
+    # below one block, exactly one block, and a non-multiple of the block
+    for n in (max(100, min(1000, rows - 1)), rows, 2 * rows + 37):
+        for p in (1, 1.5, 2):
+            assert (ek.lp_norm_mc(emb, m, p, n, seed=7)
+                    == _one_shot_lp_norm_mc(emb, m, p, n, seed=7))
+    const = ek.embed(ek.GridFunction01.constant(0.7), m)
+    assert (ek.lp_norm_mc(const, m, 2, 2 * rows + 37, seed=7)
+            == _one_shot_lp_norm_mc(const, m, 2, 2 * rows + 37, seed=7))
+
+
+@pytest.mark.parametrize("law", ["gaussian", "uniform"])
+@pytest.mark.parametrize("rows", [1, 7, 100, 333])
+def test_lp_norm_mc_does_not_depend_on_the_block_size(monkeypatch, law, rows):
+    m = ek.KLMeasure.from_config(
+        {"lambda": "j^-2a", "alpha": 1.0, "J": 16, "law": law})
+    emb = _signed_functional(m)
+    expect = ek.lp_norm_mc(emb, m, 1.5, 1000, seed=3)
+    monkeypatch.setattr(rf, "MC_BLOCK_BYTES", 8 * 16 * rows)
+    assert ek.lp_norm_mc(emb, m, 1.5, 1000, seed=3) == expect
+
+
+@pytest.mark.parametrize("functional", [
+    lambda c: c[:, :2],
+    lambda c: c[:, :1],
+    lambda c: 1.0,
+    lambda c: np.ones(len(c) + 1),
+], ids=["two-per-row", "column", "scalar", "one-extra"])
+def test_lp_norm_mc_rejects_results_that_are_not_one_per_row(functional):
+    with pytest.raises(ValueError, match="one value per row"):
+        ek.lp_norm_mc(functional, gaussian_j2(4), 2, 1000, seed=0)
+
+
+def test_lp_norm_mc_memory_is_one_block():
+    # the one-shot (200000, 64) draw alone is 98 MiB; a block is 4 MiB
+    m = gaussian_j2(64)
+    emb = ek.embed(ek.GridFunction01.from_callable(
+        lambda x: x[:, 0], 1, 16, lipschitz=1.0), m)
+    tracemalloc.start()
+    try:
+        ek.lp_norm_mc(emb, m, 2, 200_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 # -- isometry -----------------------------------------------------------------
