@@ -21,7 +21,7 @@ from .packing import (BumpFamily, HatFamily, SignCode, build_bump_family,
                       gilbert_varshamov, greedy_sign_code,
                       select_embedding_dimension, volume_bound_code)
 from .randomfield import (EmbeddedFunctional, GridFunction01, IsometryReport,
-                          KLMeasure, McEstimate, cdf_map, embed,
+                          KLMeasure, McDraws, McEstimate, cdf_map, embed,
                           isometry_check, lp_norm_mc, sample,
                           synthesize_torus, transport_quotient_max)
 from .fno import (ACTIVATIONS, FnoHyper, FnoParams, GridFunction, ParamCount,

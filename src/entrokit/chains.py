@@ -473,18 +473,24 @@ def _run_expectation_chain(cfg: dict) -> ResultTable:
     columns = ["code_size", "log2_size_bound", "dim", "cells",
                "predicted_min_sep", "pair_a", "pair_b", "mc_dist", "mc_stderr",
                "quad_dist", "zscore", "passed"]
+    diffs = [rf.GridFunction01(dim, member_grid(a).values - member_grid(b).values)
+             for a, b in pairs]
+    quad_moments = [scale**p * diff.quadrature_abs_pow(p) for diff in diffs]
+    # pair t reads stream seed + t; its first dim columns are drawn ahead on
+    # worker threads once the quadratures are done
     rows = []
-    for t, (a, b) in enumerate(pairs):
-        diff_nodes = member_grid(a).values - member_grid(b).values
-        diff = rf.GridFunction01(dim, diff_nodes)
-        emb = rf.embed(diff, measure).scaled(scale)
-        mc = rf.lp_norm_mc(emb, measure, p, cfg["mc_samples"], seed + t)
-        quad_moment = scale**p * diff.quadrature_abs_pow(p)
-        z = rf.moment_zscore(mc.moment, quad_moment, mc.moment_stderr)
-        passed = (mc.estimate >= predicted_min - 3 * mc.stderr) and abs(z) <= 3
-        rows.append((code.size, log2_size_bound, dim, cells, predicted_min,
-                     a, b, mc.estimate, mc.stderr,
-                     quad_moment ** (1.0 / p), z, passed))
+    with rf.McDraws(measure, cfg["mc_samples"],
+                    [seed + t for t in range(len(pairs))], dim) as draws:
+        for t, ((a, b), diff, quad_moment) in enumerate(
+                zip(pairs, diffs, quad_moments)):
+            emb = rf.embed(diff, measure).scaled(scale)
+            mc = rf.lp_norm_mc(emb, measure, p, cfg["mc_samples"], seed + t,
+                               draws=draws)
+            z = rf.moment_zscore(mc.moment, quad_moment, mc.moment_stderr)
+            passed = (mc.estimate >= predicted_min - 3 * mc.stderr) and abs(z) <= 3
+            rows.append((code.size, log2_size_bound, dim, cells, predicted_min,
+                         a, b, mc.estimate, mc.stderr,
+                         quad_moment ** (1.0 / p), z, passed))
     meta = {"seed": seed, "config_hash": config_hash(cfg),
             "experiment": "expectation-chain", "version": __version__,
             "code_size_ok": code.size >= code.target_size}

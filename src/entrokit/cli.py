@@ -21,7 +21,8 @@ from . import metricspace as ms
 from . import packing as pk
 from . import quantizer as qz
 from . import randomfield as rf
-from .errors import ConfigError, LayoutMismatch
+from .errors import (ChannelMismatch, ConfigError, LayoutMismatch,
+                     ResolutionTooLow)
 from .rng import STREAM_PARAM_GEN, stream
 
 
@@ -48,7 +49,8 @@ _POSITIVE = click.FloatRange(min=0, min_open=True)
 @click.version_option(__version__)
 @click.option("--seed", type=click.IntRange(0, chains.SEED_MAX), default=None,
               help="Root seed override.")
-@click.option("--config", "config_path", type=click.Path(), default=None,
+@click.option("--config", "config_path",
+              type=click.Path(exists=True, dir_okay=False), default=None,
               help="Default config file for subcommands that accept one.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Default output file: the CSV of a table, or the printed "
@@ -62,6 +64,31 @@ def main(ctx, seed, config_path, out_path):
 
 def _resolve(ctx, key, local):
     return local if local is not None else ctx.obj.get(key)
+
+
+def _config_path(ctx, local):
+    path = _resolve(ctx, "config", local)
+    if path is None:
+        raise click.UsageError("a config file is required (--config)")
+    return path
+
+
+def _unread(ctx, *keys) -> None:
+    """Reject the group options named by keys: this subcommand reads none."""
+    for key in keys:
+        if ctx.obj.get(key) is not None:
+            raise click.UsageError(
+                f"{ctx.info_name} does not read the group --{key}")
+
+
+def _forward_hyper(path) -> fno_mod.FnoHyper:
+    """A hyper file for the output-averaged forward, which needs d_out 1."""
+    hyper = chains.load_hyper(path)
+    if hyper.d_out != 1:
+        raise click.BadParameter(
+            f"the output-averaged operator needs d_out = 1, not {hyper.d_out}",
+            param_hint="--hyper")
+    return hyper
 
 
 def _load_space(path) -> ms.FiniteMetricSpace:
@@ -79,6 +106,7 @@ def _load_space(path) -> ms.FiniteMetricSpace:
 @click.pass_context
 def codelength(ctx, space_path, eps, decoder):
     """Covering number, entropy, and minimax code length of a space file."""
+    _unread(ctx, "seed", "config")
     space = _load_space(space_path)
     report = ms.code_length_report(space, eps)
     out = {"N": report["N"], "H": report["H"], "B": report["B"]}
@@ -95,10 +123,16 @@ def codelength(ctx, space_path, eps, decoder):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.pass_context
 def hat(ctx, space_path, eps, out_path):
-    """Build and verify a hat family; print its manifest."""
+    """Build and verify a hat family; print its manifest.
+
+    Families too large to compare every pair draw random pairs from the
+    group --seed (default 0).
+    """
+    _unread(ctx, "config")
     space = _load_space(space_path)
     fam = pk.build_hat_family(space, eps)
-    rep = fam.verify()
+    seed = ctx.obj["seed"]
+    rep = fam.verify(0 if seed is None else seed)
     manifest = fam.manifest()
     manifest["verification"] = {
         "min_pairwise_supdist": rep.min_pairwise_supdist,
@@ -117,6 +151,7 @@ def hat(ctx, space_path, eps, out_path):
 @click.pass_context
 def gv(ctx, n, out_path):
     """Greedy sign code of length n; print its manifest."""
+    _unread(ctx, "seed", "config")
     code = pk.gilbert_varshamov(n)
     manifest = code.manifest()
     manifest["measured_min_distance"] = code.pairwise_min_hamming()
@@ -138,6 +173,7 @@ def gv(ctx, n, out_path):
 @click.pass_context
 def bump(ctx, dim, cells, grid_res, lam, out_path):
     """Build and verify a bump family; print its manifest and report."""
+    _unread(ctx, "seed", "config")
     code = pk.volume_bound_code(cells**dim)
     fam = pk.build_bump_family(dim, cells, grid_res, code, lam)
     rep = fam.verify()
@@ -157,7 +193,7 @@ def bump(ctx, dim, cells, grid_res, lam, out_path):
 
 @main.command("embed-check")
 @click.option("--config", "config_path", type=click.Path(exists=True),
-              required=True)
+              default=None)
 @click.pass_context
 def embed_check(ctx, config_path):
     """Isometry report for an embedded grid function (JSON config).
@@ -165,7 +201,7 @@ def embed_check(ctx, config_path):
     Config keys (chains.EMBED_CHECK_SCHEMA): kl (measure block), f
     ("constant"|"coordinate" with optional value/grid_res), p, samples, seed.
     """
-    cfg = chains.load_embed_check_config(config_path)
+    cfg = chains.load_embed_check_config(_config_path(ctx, config_path))
     measure = rf.KLMeasure.from_config(cfg["kl"])
     fspec = cfg.get("f", {"kind": "coordinate"})
     if fspec["kind"] == "constant":
@@ -196,7 +232,8 @@ def embed_check(ctx, config_path):
 @click.pass_context
 def fno_eval(ctx, hyper_path, params_path, input_path):
     """Evaluate an output-averaged operator; print the scalar."""
-    hyper = chains.load_hyper(hyper_path)
+    _unread(ctx, "seed", "config")
+    hyper = _forward_hyper(hyper_path)
     try:
         params = fno_mod.load_params(hyper, params_path)
     except LayoutMismatch as exc:
@@ -205,7 +242,11 @@ def fno_eval(ctx, hyper_path, params_path, input_path):
         u = fno_mod.GridFunction.from_json(chains.read_config(input_path))
     except ConfigError as exc:
         raise click.BadParameter(str(exc), param_hint="--input") from exc
-    _echo("%.17g" % fno_mod.forward(params, u), _resolve(ctx, "out", None))
+    try:
+        value = fno_mod.forward(params, u)
+    except (ChannelMismatch, ResolutionTooLow) as exc:  # u does not fit hyper
+        raise click.BadParameter(str(exc), param_hint="--input") from exc
+    _echo("%.17g" % value, _resolve(ctx, "out", None))
 
 
 @main.command("quantize")
@@ -224,10 +265,11 @@ def fno_eval(ctx, hyper_path, params_path, input_path):
 @click.pass_context
 def quantize_cmd(ctx, hyper_path, delta, box, seed, n_inputs, probes, c_override):
     """End-to-end quantization certificate for a random parameter vector."""
+    _unread(ctx, "config")
     if delta > 2 * box:
         raise click.BadParameter(f"{delta} is above 2 M = {2 * box}",
                                  param_hint="--delta")
-    hyper = chains.load_hyper(hyper_path)
+    hyper = _forward_hyper(hyper_path)
     seed = _resolve(ctx, "seed", seed)
     if seed is None:
         seed = 0
@@ -255,10 +297,7 @@ def quantize_cmd(ctx, hyper_path, delta, box, seed, n_inputs, probes, c_override
 
 
 def _run_table(ctx, config, out, experiment):
-    path = _resolve(ctx, "config", config)
-    if path is None:
-        raise click.UsageError("a config file is required (--config)")
-    cfg = chains.read_config(path)
+    cfg = chains.read_config(_config_path(ctx, config))
     kind = cfg.get("experiment") if isinstance(cfg, dict) else None
     if kind != experiment:
         raise click.UsageError(f"config is for {kind!r}, expected {experiment!r}")

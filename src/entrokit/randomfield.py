@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -32,6 +34,9 @@ _SQRT3 = math.sqrt(3.0)
 # lp_norm_mc draws its coefficients in row blocks of this many bytes
 # (8,192 rows at J = 64), so its memory does not grow with n_samples
 MC_BLOCK_BYTES = 4 << 20
+# McDraws' worker threads draw in row blocks of this many bytes (128 rows
+# at J = 64): large blocks on worker threads grow glibc's per-thread arenas
+MC_DRAW_BLOCK_BYTES = 64 << 10
 
 _DENSITY_SUP = {
     "gaussian": 1.0 / math.sqrt(2 * math.pi),
@@ -299,8 +304,115 @@ class McEstimate:
     n_samples: int
 
 
+class McDraws:
+    """lp_norm_mc's coefficient streams for several seeds, drawn ahead on
+    worker threads.
+
+    Inside its with block, the pool's min(len(seeds), usable CPUs) worker
+    threads draw each seed's stream(seed, STREAM_MC_NORM) in row blocks of
+    MC_DRAW_BLOCK_BYTES and keep the leading `columns` scaled coefficients
+    z[:, :columns] * sqrt_ev[:columns], the values lp_norm_mc would compute
+    for those columns.  take(seed) returns that (n_samples, columns) array
+    once it is drawn; pass the object as lp_norm_mc(..., draws=...).
+
+    Seeds are drawn in their given order, at most one more than there are
+    workers ahead of the last take, so the buffers held stay few whatever
+    the number of seeds.  Buffers are allocated on the calling thread.
+    Workers run only rng.stream, KLMeasure.draw_z and the product above;
+    every traced library call (lp_norm_mc, cdf_map, quadrature) stays on
+    the calling thread, whose span stack and counters a tracer may keep
+    unsynchronised.  Leaving the with block cancels the draws not started
+    and joins the workers; a worker's exception is raised by take, or on
+    leaving the block when its seed was not taken.
+    """
+
+    def __init__(self, measure: KLMeasure, n_samples: int, seeds,
+                 columns: int):
+        seeds = [int(s) for s in seeds]
+        if not seeds:
+            raise ValueError("need at least one seed")
+        if len(set(seeds)) != len(seeds):
+            raise ValueError("seeds must be distinct")
+        if n_samples < 1:
+            raise ValueError("n_samples must be positive")
+        if not 1 <= columns <= measure.truncation:
+            raise ValueError(
+                f"columns {columns} outside [1, J={measure.truncation}]")
+        self.measure = measure
+        self.n_samples = n_samples
+        self.columns = columns
+        self.seeds = seeds
+        self.workers = min(len(seeds), _usable_cpus())
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._next = 0      # index of the next seed to submit
+        self._jobs: dict = {}
+        self._taken: set = set()
+
+    def __enter__(self) -> "McDraws":
+        if self._pool is not None or self._next:
+            raise RuntimeError("McDraws is entered once")
+        self._pool = ThreadPoolExecutor(self.workers,
+                                        thread_name_prefix="entrokit-mc")
+        for _ in range(self.workers + 1):
+            self._submit_next()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._pool.shutdown(wait=True, cancel_futures=True)
+        self._pool = None
+        jobs, self._jobs = self._jobs, {}
+        if exc_type is None:
+            for future, _ in jobs.values():
+                if not future.cancelled():
+                    future.result()
+
+    def _submit_next(self) -> None:
+        if self._next == len(self.seeds):
+            return
+        seed = self.seeds[self._next]
+        self._next += 1
+        out = np.empty((self.n_samples, self.columns))
+        self._jobs[seed] = (self._pool.submit(
+            _draw_columns, self.measure, seed, out), out)
+
+    def take(self, seed: int) -> np.ndarray:
+        """The (n_samples, columns) scaled coefficients of seed, once."""
+        if self._pool is None:
+            raise RuntimeError("McDraws.take outside its with block")
+        if seed in self._taken:
+            raise ValueError(f"seed {seed} was already taken")
+        if seed not in self.seeds:
+            raise ValueError(f"seed {seed} is not one of the drawn seeds")
+        while seed not in self._jobs:
+            self._submit_next()
+        future, out = self._jobs.pop(seed)
+        self._taken.add(seed)
+        self._submit_next()
+        future.result()
+        return out
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draw_columns(measure: KLMeasure, seed: int, out: np.ndarray) -> None:
+    """Fill out with the leading columns of seed's scaled MC coefficients."""
+    rng = stream(seed, STREAM_MC_NORM)
+    rows = max(1, MC_DRAW_BLOCK_BYTES // (8 * measure.truncation))
+    columns = out.shape[1]
+    for lo in range(0, len(out), rows):
+        z = measure.draw_z(rng, min(rows, len(out) - lo))
+        np.multiply(z[:, :columns], measure.sqrt_ev[:columns],
+                    out=out[lo:lo + len(z)])
+
+
 def lp_norm_mc(functional: Callable, measure: KLMeasure, p: float,
-               n_samples: int, seed: int) -> McEstimate:
+               n_samples: int, seed: int, *,
+               draws: Optional[McDraws] = None) -> McEstimate:
     """Monte-Carlo estimate of (E |G(u)|^p)^(1/p) with delta-method stderr.
 
     The draws come from one stream(seed, STREAM_MC_NORM) generator, in
@@ -310,16 +422,33 @@ def lp_norm_mc(functional: Callable, measure: KLMeasure, p: float,
     estimate does not depend on the block size, provided functional maps
     a (rows, J) coefficient array to one value per row that depends only
     on that row.  A result of any other shape raises ValueError.
+
+    With draws (an McDraws of this measure object and n_samples, inside
+    its with block), the rows come from draws.take(seed) in the same row
+    blocks, and the functional sees only their leading draws.columns
+    coordinates; for a functional that reads no others the estimate is the
+    same, bit for bit.
     """
     if not 1 <= p < math.inf:
         raise ValueError("p must be finite and >= 1")
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    rng = stream(seed, STREAM_MC_NORM)
     rows = max(1, MC_BLOCK_BYTES // (8 * measure.truncation))
+    starts = range(0, n_samples, rows)
+    if draws is None:
+        rng = stream(seed, STREAM_MC_NORM)
+        blocks = (_draw_scaled(measure, rng, min(rows, n_samples - lo))
+                  for lo in starts)
+    else:
+        if draws.measure is not measure:
+            raise ValueError("draws were made for another measure")
+        if draws.n_samples != n_samples:
+            raise ValueError(f"draws hold {draws.n_samples} samples, "
+                             f"not {n_samples}")
+        coeffs = draws.take(seed)
+        blocks = (coeffs[lo:lo + rows] for lo in starts)
     y = np.empty(n_samples)
-    for lo in range(0, n_samples, rows):
-        block = _draw_scaled(measure, rng, min(rows, n_samples - lo))
+    for lo, block in zip(starts, blocks):
         values = np.asarray(functional(block), dtype=float)
         if values.shape != (len(block),):
             raise ValueError(

@@ -7,12 +7,14 @@ it reads from local modules; that cache goes to a temporary directory
 removed at exit, so a run leaves no .hypothesis/ behind.
 """
 
+import atexit
 import os
 import tempfile
 
 from hypothesis import settings
 
 _STORAGE = tempfile.TemporaryDirectory(prefix="hypothesis-")
+atexit.register(_STORAGE.cleanup)
 os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _STORAGE.name)
 
 settings.register_profile("entrokit", derandomize=True, deadline=None,

@@ -444,3 +444,103 @@ def test_group_out_file_is_the_printed_text(runner, tmp_path, space_file,
     assert res.exit_code == 0
     assert out_path.read_text(encoding="utf-8") == res.output
     assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+
+
+@pytest.mark.parametrize("grid", [
+    {"dim": 2, "resolution": 8, "channels": 1, "values": [0.0] * 64},
+    {"dim": 1, "resolution": 8, "channels": 2, "values": [0.0] * 16},
+    {"dim": 1, "resolution": 3, "channels": 1, "values": [0.0] * 3},
+], ids=["other-dim", "channels-not-d_in", "below-two-kappa"])
+def test_fno_inputs_that_do_not_fit_the_hyper_are_usage_errors(
+        runner, tmp_path, grid):
+    hyper = ek.FnoHyper(**dict(HYPER, kappa=2))
+    (tmp_path / "hyper.json").write_text(json.dumps(hyper.to_json()))
+    ek.fno.save_theta(ek.FnoParams.zeros(hyper), tmp_path / "theta.bin")
+    (tmp_path / "input.json").write_text(json.dumps(grid))
+    ek.GridFunction.from_json(grid)  # a well-formed grid
+    res = runner.invoke(main, ["fno", "--hyper", str(tmp_path / "hyper.json"),
+                               "--params", str(tmp_path / "theta.bin"),
+                               "--input", str(tmp_path / "input.json")])
+    assert res.exit_code == 2
+    assert "--input" in res.output
+
+
+@pytest.mark.parametrize("command", ["fno", "quantize"])
+def test_hyper_with_several_outputs_is_a_usage_error(runner, tmp_path,
+                                                     command):
+    # both commands evaluate the output-averaged forward, which needs d_out 1
+    hyper = ek.FnoHyper(**dict(HYPER, d_out=2, d_c=2))
+    (tmp_path / "hyper.json").write_text(json.dumps(hyper.to_json()))
+    ek.fno.save_theta(ek.FnoParams.zeros(hyper), tmp_path / "theta.bin")
+    u = ek.random_grid_function(1, 8, 1, stream(3, 7))
+    (tmp_path / "input.json").write_text(json.dumps(u.to_json()))
+    args = {"fno": ["--params", str(tmp_path / "theta.bin"),
+                    "--input", str(tmp_path / "input.json")],
+            "quantize": ["--delta", "0.01", "--m", "1.0", "--n-inputs", "2",
+                         "--probes", "100"]}[command]
+    res = runner.invoke(main, [command, "--hyper", str(tmp_path / "hyper.json")]
+                        + args)
+    assert res.exit_code == 2
+    assert "--hyper" in res.output
+
+
+def _command_args(tmp_path, space_file):
+    """A run of each subcommand that needs no group option."""
+    cases = _group_out_cases(tmp_path, space_file)
+    cases.update({
+        "hat": ["hat", "--space", space_file, "--eps", str(1 / 6)],
+        "gv": ["gv", "--n", "8"],
+        "bump": ["bump", "--d", "1", "--n", "4", "--grid", "16"],
+    })
+    return cases
+
+
+@pytest.mark.parametrize("command,option", [
+    ("codelength", "--seed"), ("codelength", "--config"),
+    ("hat", "--config"),
+    ("gv", "--seed"), ("gv", "--config"),
+    ("bump", "--seed"), ("bump", "--config"),
+    ("fno", "--seed"), ("fno", "--config"),
+    ("quantize", "--config"),
+])
+def test_group_option_a_command_does_not_read_is_a_usage_error(
+        runner, tmp_path, space_file, command, option):
+    args = _command_args(tmp_path, space_file)[command]
+    value = "5" if option == "--seed" else space_file
+    res = runner.invoke(main, [option, value] + args)
+    assert res.exit_code == 2
+    assert f"group {option}" in res.output
+
+
+def test_missing_group_config_file_is_a_usage_error(runner):
+    res = runner.invoke(main, ["--config", "no-such-file.json", "--seed", "5",
+                               "gv", "--n", "8"])
+    assert res.exit_code == 2
+    assert "--config" in res.output
+
+
+def test_hat_verifies_with_the_group_seed(runner, space_file, monkeypatch):
+    seen = []
+    verify = ek.packing.HatFamily.verify
+
+    def recording(self, seed=0, tol=1e-12):
+        seen.append(seed)
+        return verify(self, seed, tol)
+
+    monkeypatch.setattr(ek.packing.HatFamily, "verify", recording)
+    args = ["hat", "--space", space_file, "--eps", str(1 / 6)]
+    assert runner.invoke(main, args).exit_code == 0
+    assert runner.invoke(main, ["--seed", "5"] + args).exit_code == 0
+    assert seen == [0, 5]
+
+
+def test_embed_check_reads_the_group_config(runner, tmp_path):
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps(EMBED_CFG))
+    local = runner.invoke(main, ["embed-check", "--config", str(path)])
+    group = runner.invoke(main, ["--config", str(path), "embed-check"])
+    assert local.exit_code == group.exit_code == 0
+    assert group.output == local.output
+    res = runner.invoke(main, ["embed-check"])
+    assert res.exit_code == 2
+    assert "--config" in res.output

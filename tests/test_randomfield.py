@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -321,6 +325,166 @@ def test_lp_norm_mc_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+# -- draws made ahead on worker threads -----------------------------------------
+
+
+def _mc_measure(law, j_max=64):
+    return ek.KLMeasure.from_config(
+        {"lambda": "j^-2a", "alpha": 1.0, "J": j_max, "law": law})
+
+
+def _dim_functional(measure, dim):
+    f = ek.GridFunction01.from_callable(
+        lambda x: np.sin(3 * x[:, 0]) + x[:, -1] ** 2 - 0.6, dim, 8)
+    return ek.embed(f, measure)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "uniform"])
+@pytest.mark.parametrize("dim,columns", [(1, 1), (2, 2), (2, 64)])
+def test_lp_norm_mc_with_draws_equals_the_generic_path(law, dim, columns):
+    m = _mc_measure(law)
+    emb = _dim_functional(m, dim)
+    # a multiple of neither the functional's block nor a worker's block
+    n = 2 * _block_rows(64) + 131
+    assert n % (rf.MC_DRAW_BLOCK_BYTES // (8 * 64)) != 0
+    seeds = [7, 8, 9]
+    with ek.McDraws(m, n, seeds, columns) as draws:
+        for seed, p in zip(seeds, (1, 1.5, 2)):
+            assert (ek.lp_norm_mc(emb, m, p, n, seed, draws=draws)
+                    == ek.lp_norm_mc(emb, m, p, n, seed))
+
+
+def test_draws_taken_out_of_order_are_the_same(monkeypatch):
+    # one worker: the take of the last seed submits the seeds before it
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: 1)
+    m = _mc_measure("gaussian", 16)
+    emb = _dim_functional(m, 2)
+    seeds = list(range(10, 16))
+    with ek.McDraws(m, 500, seeds, 2) as draws:
+        assert draws.workers == 1
+        for seed in reversed(seeds):
+            assert (ek.lp_norm_mc(emb, m, 2, 500, seed, draws=draws)
+                    == ek.lp_norm_mc(emb, m, 2, 500, seed))
+
+
+def test_draws_of_a_constant_functional_have_no_variance():
+    m = _mc_measure("uniform", 8)
+    const = ek.embed(ek.GridFunction01.constant(0.7), m)
+    with ek.McDraws(m, 300, [1], 1) as draws:
+        est = ek.lp_norm_mc(const, m, 2, 300, 1, draws=draws)
+    assert est == ek.lp_norm_mc(const, m, 2, 300, 1)
+    assert est.stderr == 0.0
+
+
+def test_draws_validation():
+    m = _mc_measure("gaussian", 8)
+    emb = _dim_functional(m, 2)
+    with pytest.raises(ValueError, match="distinct"):
+        ek.McDraws(m, 200, [3, 4, 3], 2)
+    with pytest.raises(ValueError):
+        ek.McDraws(m, 200, [], 2)
+    for columns in (0, 9):
+        with pytest.raises(ValueError, match="columns"):
+            ek.McDraws(m, 200, [3], columns)
+    with ek.McDraws(m, 200, [3, 4], 2) as draws:
+        with pytest.raises(ValueError, match="not one of"):
+            ek.lp_norm_mc(emb, m, 2, 200, 5, draws=draws)
+        with pytest.raises(ValueError, match="another measure"):
+            ek.lp_norm_mc(emb, _mc_measure("uniform", 8), 2, 200, 3,
+                          draws=draws)
+        with pytest.raises(ValueError, match="200 samples"):
+            ek.lp_norm_mc(emb, m, 2, 300, 3, draws=draws)
+        ek.lp_norm_mc(emb, m, 2, 200, 3, draws=draws)
+        with pytest.raises(ValueError, match="already taken"):
+            ek.lp_norm_mc(emb, m, 2, 200, 3, draws=draws)
+    with pytest.raises(RuntimeError, match="with block"):
+        draws.take(4)
+
+
+class _FailingMeasure(ek.KLMeasure):
+    def draw_z(self, rng, count):
+        raise FloatingPointError("draw failed")
+
+
+def test_worker_exception_surfaces_from_take():
+    m = _FailingMeasure([1.0, 0.25])
+    with ek.McDraws(m, 200, [1, 2], 2) as draws:
+        with pytest.raises(FloatingPointError, match="draw failed"):
+            draws.take(1)
+
+
+def test_worker_exception_of_an_untaken_seed_surfaces_on_exit():
+    with pytest.raises(FloatingPointError, match="draw failed"):
+        with ek.McDraws(_FailingMeasure([1.0]), 200, [1], 1):
+            time.sleep(0.01)
+
+
+def _new_threads(before):
+    return [t for t in threading.enumerate() if t not in before]
+
+
+@pytest.mark.parametrize("leave", ["normally", "by-exception"])
+def test_no_worker_is_alive_after_the_with_block(leave):
+    m = _mc_measure("gaussian", 64)
+    before = set(threading.enumerate())
+    workers = []
+    try:
+        with ek.McDraws(m, 20_000, list(range(8)), 2) as draws:
+            draws.take(0)
+            workers = _new_threads(before)
+            if leave == "by-exception":
+                raise KeyboardInterrupt
+    except KeyboardInterrupt:
+        pass
+    # leaving the block has joined them: none is alive before our own join
+    alive = [t for t in workers if t.is_alive()]
+    for t in workers:
+        t.join(timeout=10)
+    assert 1 <= len(workers) <= draws.workers
+    assert alive == []
+    assert _new_threads(before) == []
+
+
+def test_import_starts_no_thread():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import threading, entrokit; print(threading.active_count())"],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "1"
+
+
+def test_more_seeds_than_cores_under_fast_thread_switching():
+    m = _mc_measure("uniform", 16)
+    emb = _dim_functional(m, 2)
+    seeds = list(range(4 * rf._usable_cpus() + 3))
+    expect = [ek.lp_norm_mc(emb, m, 1.5, 700, s) for s in seeds]
+    got, errors = [], []
+
+    def run():
+        try:
+            for _ in range(3):
+                with ek.McDraws(m, 700, seeds, 2) as draws:
+                    got.append([ek.lp_norm_mc(emb, m, 1.5, 700, s, draws=draws)
+                                for s in seeds])
+                # leave with most seeds untaken or still drawing
+                with ek.McDraws(m, 700, seeds, 2) as draws:
+                    draws.take(seeds[0])
+        except BaseException as exc:  # reported on the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive(), "draws did not finish within 120 s"
+    assert errors == []
+    assert got == [expect] * 3
 
 
 # -- isometry -----------------------------------------------------------------

@@ -89,3 +89,20 @@ def test_three_dimensional_chain_csv_digest():
     assert table.all_passed
     assert (hashlib.sha256(table.to_csv_bytes()).hexdigest()
             == CHAIN_3D_CSV_SHA256)
+
+
+# sha256 of the CSV of a 16-pair expectation chain (the benchmark's
+# known-seed3 shape): every pair's Monte-Carlo stream is drawn ahead on
+# worker threads, so this pins that those draws keep their bits
+CHAIN_16_PAIRS_CSV_SHA256 = (
+    "c12968e7d103e1c91b93cfec5d99bfb36af2a75f8a4599f0bca7ea6c0de1556a")
+
+
+def test_sixteen_pair_chain_csv_digest():
+    cfg = {"schema_version": 1, "experiment": "expectation-chain", "seed": 3,
+           "kl": {"lambda": "j^-2a", "alpha": 1.0, "J": 64, "law": "gaussian"},
+           "p": 1, "dim": 2, "cells": 4, "grid_res": 24, "mc_samples": 20000}
+    table = ek.run_experiment(cfg)
+    assert len(table.rows) == 16
+    assert (hashlib.sha256(table.to_csv_bytes()).hexdigest()
+            == CHAIN_16_PAIRS_CSV_SHA256)
