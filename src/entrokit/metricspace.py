@@ -411,15 +411,25 @@ def _norm_fn(norm) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def dictionary_minimax_error(targets: Sequence[SampledFunctional],
-                             dictionary: Sequence[SampledFunctional],
-                             norm="sup") -> float:
-    """sup over targets of the min dictionary distance in the chosen norm."""
-    if not targets or not dictionary:
+                             dictionary, norm="sup") -> float:
+    """sup over targets of the min dictionary distance in the chosen norm.
+
+    dictionary is a sequence of SampledFunctional, or a 2-D float array
+    whose rows are functionals sampled on the targets' sample ids.
+    """
+    if not targets or len(dictionary) == 0:
         raise ValueError("targets and dictionary must be nonempty")
     ids = targets[0].sample_ids
-    for f in itertools.chain(targets, dictionary):
+    is_array = isinstance(dictionary, np.ndarray)
+    for f in targets if is_array else itertools.chain(targets, dictionary):
         if f.sample_ids != ids:
             raise SampleMismatch("functionals sampled on different sets")
+    if not is_array:
+        dict_values = np.stack([g.values for g in dictionary])
+    elif dictionary.ndim == 2 and dictionary.shape[1] == len(ids):
+        dict_values = np.asarray(dictionary, dtype=float)
+    else:
+        raise SampleMismatch(f"dictionary array of shape {dictionary.shape} "
+                             f"does not hold rows of {len(ids)} samples")
     dist = _norm_fn(norm)
-    dict_values = np.stack([g.values for g in dictionary])
     return max(float(np.min(dist(f.values - dict_values))) for f in targets)

@@ -290,11 +290,11 @@ def accuracy_bits_sweep(targets: Sequence[SampledFunctional],
             if n_eval > eval_cap:
                 raise BudgetExceeded(
                     f"cell ({hi}, {gi}) needs {n_eval} evaluations > {eval_cap}")
-            dictionary = []
-            for theta in thetas:
+            # row t holds theta t's functional on the input set
+            dictionary = np.empty((len(thetas), len(input_set)))
+            for theta, row in zip(thetas, dictionary):
                 params = FnoParams(hyper, theta)
-                vals = np.array([forward(params, u) for u in input_set])
-                dictionary.append(SampledFunctional(sample_ids, vals))
+                row[:] = [forward(params, u) for u in input_set]
             err = dictionary_minimax_error(targets, dictionary, norm="sup")
             rows.append(SweepRow(bits=q * grid.bits_per_coord, minimax_err=err,
                                  hyper_id=hi, grid_id=gi, seed=seed,

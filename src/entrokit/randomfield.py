@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import ndtr
@@ -37,6 +38,13 @@ MC_BLOCK_BYTES = 4 << 20
 # McDraws' worker threads draw in row blocks of this many bytes (128 rows
 # at J = 64): large blocks on worker threads grow glibc's per-thread arenas
 MC_DRAW_BLOCK_BYTES = 64 << 10
+# GridFunction01.quadrature_abs_pow sums its midpoint grid in leaves of at
+# most this many points (512 KiB of float64); a grid of more points has
+# its cell rows computed on worker threads
+QUAD_LEAF = 1 << 16
+# numpy's pairwise summation adds blocks of at most this many elements
+# without splitting them
+_PW_BLOCKSIZE = 128
 
 _DENSITY_SUP = {
     "gaussian": 1.0 / math.sqrt(2 * math.pi),
@@ -204,8 +212,22 @@ class GridFunction01:
 
         Refined cells sit inside single interpolation cells, so the only
         quadrature error comes from the curvature of |.|^p and shrinks
-        like refine^-2.
+        like refine^-2.  p must satisfy 1 <= p < inf and refine must be an
+        integer >= 1; anything else raises ValueError.
+
+        The value is np.mean of |f|^p over the whole (refine * res)^d
+        midpoint grid, bit for bit, but that grid is never held: numpy's
+        pairwise sum is taken in leaves of at most QUAD_LEAF points, read
+        from chunks of whole leading cell rows computed in order, each of
+        at most QUAD_LEAF points or one larger row; a grid of more than one
+        chunk has them computed on worker threads (see _LeafSums).
         """
+        if not 1 <= p < math.inf:
+            raise ValueError("p must be finite and >= 1")
+        if (not isinstance(refine, numbers.Integral)
+                or isinstance(refine, bool) or refine < 1):
+            raise ValueError(f"refine must be an integer >= 1, got {refine!r}")
+        refine = int(refine)
         res, dim = self.res, self.dim
         m = res * refine
         mids = (np.arange(m) + 0.5) / m
@@ -219,9 +241,8 @@ class GridFunction01:
         # Midpoint a lies half a refined cell or more inside cell
         # a // refine, so i0 == arange(m) // refine and each leading axis
         # splits into (cell, offset): a corner's node values are a slice
-        # broadcast over the offsets, and only the last axis gathers.  out
-        # holds one slab per leading cell row, in the C order of the
-        # (m,)*dim grid.
+        # broadcast over the offsets, and only the last axis gathers.  A
+        # slab is one leading cell row, in the C order of the (m,)*dim grid.
         if dim == 1:
             rows, slab, node_shape = 1, (m,), (m,)
         else:
@@ -236,26 +257,185 @@ class GridFunction01:
                             + (1,) * (len(slab) - 2 * k - 1)) for f in factors]
                  for k in range(1, dim - 1)]
         gathered = [self.values.take(i0 + bit, axis=-1) for bit in (0, 1)]
-        out = np.zeros((rows,) + slab)
-        term = np.empty(slab)
-        for row, row_out in enumerate(out):
-            axis_factors = [[f[row] for f in split]] + inner
-            for corner in itertools.product((0, 1), repeat=dim):
-                *head, bit = corner
-                w = 1.0
-                for per_bit, b in zip(axis_factors, head):
-                    w = w * per_bit[b]
-                nodes = gathered[bit][tuple(
-                    row + b if axis == 0 else slice(b, b + res)
-                    for axis, b in enumerate(head))]
-                np.multiply(w, factors[bit], out=term)
-                term *= nodes.reshape(node_shape)
-                row_out += term
-        # the mean sums pairwise over the whole grid in its C order
-        flat = out.reshape(-1)
-        np.abs(flat, out=flat)
-        flat **= p
-        return float(np.mean(flat))
+        size = math.prod(slab)
+        # whole rows per chunk: at most QUAD_LEAF points, or one larger row
+        chunk = min(rows, max(1, QUAD_LEAF // size))
+        grid = _CellRows(p, dim, res, rows, chunk, slab, node_shape, factors,
+                         split, inner, gathered)
+        n = rows * size
+        with _LeafSums(grid, min(grid.chunks, _usable_cpus())) as sums:
+            total = _pairwise_sum(0, n, sums.leaf)
+        # np.mean divides the pairwise sum by the count
+        return float(total / n)
+
+
+class _CellRows(NamedTuple):
+    """One refined quadrature grid, laid out as quadrature_abs_pow splits it:
+    `rows` leading cell rows of `size` midpoints each, in C order, computed
+    in chunks of `chunk` consecutive rows (the last may be shorter)."""
+
+    p: float
+    dim: int
+    res: int
+    rows: int
+    chunk: int
+    slab: tuple
+    node_shape: tuple
+    factors: tuple
+    split: list
+    inner: list
+    gathered: list
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.slab)
+
+    @property
+    def chunks(self) -> int:
+        return -(-self.rows // self.chunk)
+
+
+def _cell_rows(grid: _CellRows, first: int, out: np.ndarray,
+               term: np.ndarray) -> None:
+    """Fill out (flat) with |f|^p at the midpoints of len(out) // grid.size
+    cell rows, from row first on.
+
+    Corners and axes are combined in GridFunction01.__call__'s order, so
+    each value equals pointwise evaluation bit for bit.  term is scratch
+    of at least one row.  Runs on quadrature worker threads: it calls
+    numpy only, and nothing traced.
+    """
+    term = term[:grid.size].reshape(grid.slab)
+    out.fill(0.0)
+    for row, row_out in enumerate(out.reshape((-1,) + grid.slab), first):
+        axis_factors = [[f[row] for f in grid.split]] + grid.inner
+        for corner in itertools.product((0, 1), repeat=grid.dim):
+            *head, bit = corner
+            w = 1.0
+            for per_bit, b in zip(axis_factors, head):
+                w = w * per_bit[b]
+            nodes = grid.gathered[bit][tuple(
+                row + b if axis == 0 else slice(b, b + grid.res)
+                for axis, b in enumerate(head))]
+            np.multiply(w, grid.factors[bit], out=term)
+            term *= nodes.reshape(grid.node_shape)
+            row_out += term
+    np.abs(out, out=out)
+    out **= grid.p
+
+
+class _LeafSums:
+    """Leaf sums of a _CellRows grid's |f|^p values, for _pairwise_sum.
+
+    Leaves are asked for in order, so chunks of rows are computed in
+    order, and a chunk is dropped once a later chunk is asked for.  With
+    workers > 1, a per-use pool of that many threads computes the chunks
+    at most `workers` ahead of the one being read; otherwise each chunk is
+    computed inline when it is first read.  Buffers are allocated on the
+    calling thread (large allocations on worker threads grow glibc's
+    per-thread arenas) and reused.  Leaving the with block cancels the
+    chunks not started and joins the workers, also when a worker raised.
+    """
+
+    def __init__(self, grid: _CellRows, workers: int):
+        self.grid = grid
+        self.workers = workers
+        self._length = grid.chunk * grid.size  # points in a full chunk
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._held: dict = {}   # chunk -> (values, scratch, future or None)
+        self._next = 0          # the next chunk to compute or submit
+        self._spare: list = []  # chunk-sized buffers no chunk or job uses
+        self._buf: Optional[np.ndarray] = None
+
+    def __enter__(self) -> "_LeafSums":
+        if self.workers > 1:
+            self._pool = ThreadPoolExecutor(self.workers,
+                                            thread_name_prefix="entrokit-quad")
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+        self._held.clear()
+        self._spare.clear()
+
+    def _values(self, chunk: int) -> np.ndarray:
+        """chunk's |f|^p values; chunks are read in nondecreasing order."""
+        for done in [c for c in self._held if c < chunk]:
+            self._spare.append(self._held.pop(done)[0])
+        self._start_through(chunk)
+        values, scratch, future = self._held[chunk]
+        if future is not None:
+            future.result()
+        # the scratch is free once the chunk is done
+        if scratch is not None:
+            self._spare.append(scratch)
+        self._held[chunk] = (values, None, None)
+        if self._pool is not None:
+            self._start_through(chunk + self.workers)
+        return values[:self._points(chunk)]
+
+    def _start_through(self, last: int) -> None:
+        """Compute, or submit to the pool, each chunk up to last not yet started."""
+        grid = self.grid
+        while self._next <= min(last, grid.chunks - 1):
+            values, scratch = self._buffer(), self._buffer()
+            first = self._next * grid.chunk
+            out = values[:self._points(self._next)]
+            if self._pool is None:
+                _cell_rows(grid, first, out, scratch)
+                future = None
+            else:
+                future = self._pool.submit(_cell_rows, grid, first, out,
+                                           scratch)
+            self._held[self._next] = (values, scratch, future)
+            self._next += 1
+
+    def _points(self, chunk: int) -> int:
+        """Points in chunk; the last chunk may hold fewer rows."""
+        grid = self.grid
+        return min(grid.chunk, grid.rows - chunk * grid.chunk) * grid.size
+
+    def _buffer(self) -> np.ndarray:
+        """A chunk-sized buffer: a spare one, or one allocated here."""
+        return self._spare.pop() if self._spare else np.empty(self._length)
+
+    def leaf(self, lo: int, hi: int) -> float:
+        """np.add.reduce of the grid's values lo..hi-1, in C order."""
+        length = self._length
+        first, last = lo // length, (hi - 1) // length
+        if first == last:
+            base = first * length
+            return np.add.reduce(self._values(first)[lo - base:hi - base])
+        if self._buf is None or len(self._buf) < hi - lo:
+            self._buf = np.empty(hi - lo)
+        at = 0
+        for chunk in range(first, last + 1):
+            base = chunk * length
+            a, b = max(lo, base) - base, min(hi, base + length) - base
+            self._buf[at:at + b - a] = self._values(chunk)[a:b]
+            at += b - a
+        return np.add.reduce(self._buf[:at])
+
+
+def _pairwise_sum(lo: int, hi: int, leaf: Callable[[int, int], float]) -> float:
+    """numpy's pairwise sum of elements lo..hi-1, its leaves summed by leaf.
+
+    Above _PW_BLOCKSIZE elements numpy's float64 add.reduce splits n
+    elements at n2 = n // 2 rounded down to a multiple of 8 and adds the
+    halves' sums (Higham, SIAM J. Sci. Comput. 14(4), 1993).  This
+    recursion makes the same splits down to nodes of at most QUAD_LEAF
+    elements (128 when it is set lower), each a node of that tree; so when
+    leaf(a, b) is np.add.reduce of a contiguous copy of elements a..b-1,
+    the result is np.add.reduce of the whole range, bit for bit.
+    """
+    n = hi - lo
+    if n <= max(QUAD_LEAF, _PW_BLOCKSIZE):
+        return float(leaf(lo, hi))
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(lo, lo + n2, leaf) + _pairwise_sum(lo + n2, hi, leaf)
 
 
 @dataclass

@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import entrokit as ek
 from entrokit.rng import stream
@@ -247,6 +248,37 @@ def test_monotonicity_in_eps():
     assert packs == sorted(packs, reverse=True)
 
 
+@st.composite
+def _small_instances(draw):
+    """(space, eps, subset): at most 7 points on a small integer grid, so
+    duplicates and distance ties are common, and eps often a distance."""
+    n = draw(st.integers(1, 7), label="n")
+    coords = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                           min_size=n, max_size=n), label="coords")
+    metric = draw(st.sampled_from(["euclidean", "chebyshev"]), label="metric")
+    space = ek.FiniteMetricSpace.from_coords(coords, metric=metric)
+    positive = sorted(set(space.dist[space.dist > 0].tolist())) or [1.0]
+    eps = draw(st.one_of(st.sampled_from(positive),
+                         st.floats(0.05, 6.0)), label="eps")
+    subset = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True),
+                  label="subset")
+    return space, eps, sorted(subset)
+
+
+@given(_small_instances())
+def test_sandwich_and_code_length_match_enumeration(instance):
+    space, eps, subset = instance
+    rep = ek.sandwich_check(space, eps, subset)
+    assert rep.holds
+    assert rep.m_3eps == brute_pack(space, 3 * eps, subset)
+    assert rep.n_eps == brute_cover(space, eps, subset)
+    assert rep.m_eps == brute_pack(space, eps, subset)
+    assert (ek.minimax_code_length(space, eps, subset)
+            == brute_code_length(space, eps, subset))
+    assert (ek.minimax_code_length(space, eps, subset, decoder="restricted")
+            == brute_code_length(space, eps, subset, ambient=subset))
+
+
 # -- minimax code length ---------------------------------------------------
 
 
@@ -327,6 +359,20 @@ def test_dictionary_sample_mismatch():
                                     [_functional((0, 2), [0, 0])])
 
 
+def test_dictionary_array_must_hold_rows_of_the_sample_ids():
+    targets = [_functional((0, 1, 2), [0.0, 1.0, 2.0])]
+    for bad in (np.zeros(3), np.zeros((4, 2)), np.zeros((2, 3, 1))):
+        with pytest.raises(ek.SampleMismatch, match="does not hold"):
+            ek.dictionary_minimax_error(targets, bad)
+    with pytest.raises(ValueError, match="nonempty"):
+        ek.dictionary_minimax_error(targets, np.zeros((0, 3)))
+    with pytest.raises(ek.SampleMismatch):
+        ek.dictionary_minimax_error(
+            targets + [_functional((0, 1, 3), [0, 0, 0])], np.zeros((1, 3)))
+    assert ek.dictionary_minimax_error(
+        targets, np.array([[0, 1, 3], [1, 1, 2]])) == 1.0
+
+
 def test_lp_sample_norm():
     norm = ek.LpSampleNorm(2, (0.5, 0.5))
     f = _functional((0, 1), [1.0, 0.0])
@@ -354,6 +400,9 @@ def test_dictionary_minimax_matches_per_row_loop(seed):
     sup = _per_row_minimax(targets, dictionary,
                            lambda d: float(np.max(np.abs(d))))
     assert ek.dictionary_minimax_error(targets, dictionary) == sup
+    # the same dictionary as one array, a row per functional
+    rows = np.array([g.values for g in dictionary])
+    assert ek.dictionary_minimax_error(targets, rows) == sup
     w = rng.uniform(0.1, 1.0, s)
     w /= w.sum()
     p = 2.0 if seed % 2 else float(rng.uniform(1.0, 4.0))

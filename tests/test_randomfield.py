@@ -210,6 +210,145 @@ def test_quadrature_memory_is_one_grid(p):
     assert peak <= 36 * 2**20
 
 
+# -- the streamed pairwise sum ----------------------------------------------
+
+
+_PRIMES = [7, 127, 131, 1009, 7919, 65537]
+
+
+@pytest.mark.parametrize("leaf", [64, 128, 200, 1000])
+def test_pairwise_sum_equals_add_reduce(monkeypatch, leaf):
+    monkeypatch.setattr(rf, "QUAD_LEAF", leaf)
+    x = np.random.default_rng(leaf).standard_normal(2**21 + 64) ** 2
+    lengths = list(range(1, 301)) + [1000, 36_864, 64_000, 2**21] + _PRIMES
+    for n in lengths:
+        for offset in (0, 3, 61):
+            leaves = []
+
+            def add_reduce(lo, hi):
+                leaves.append(hi - lo)
+                return np.add.reduce(x[lo:hi])
+
+            got = rf._pairwise_sum(offset, offset + n, add_reduce)
+            assert got == np.add.reduce(x[offset:offset + n]), (n, offset)
+            assert sum(leaves) == n and max(leaves) <= max(leaf, 128)
+
+
+# the full-grid oracle again, with leaves that straddle chunks of cell rows
+# and the chunks computed on two worker threads
+@pytest.mark.parametrize("dim,res", [(1, 13), (1, 24), (2, 3), (2, 7),
+                                     (2, 24), (3, 2), (3, 5), (3, 16)])
+def test_small_leaves_equal_the_full_grid_formula(monkeypatch, dim, res):
+    monkeypatch.setattr(rf, "QUAD_LEAF", 200)
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: 2)
+    rng = np.random.default_rng(100 * dim + res)
+    f = ek.GridFunction01(dim, rng.standard_normal((res + 1,) * dim))
+    for refine, p in itertools.product((1, 3, 8), (1, 1.5, 2)):
+        assert (f.quadrature_abs_pow(p, refine=refine)
+                == _reference_quadrature(f, p, refine=refine))
+
+
+@pytest.mark.parametrize("cpus,bound_mib", [(1, 4), (2, 8)])
+def test_quadrature_memory_is_a_few_cell_rows(monkeypatch, cpus, bound_mib):
+    # a cell row of the (128,)^3 midpoint grid is 1 MiB; the grid is 16
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: cpus)
+    f = ek.GridFunction01(3, np.random.default_rng(3).standard_normal((17,) * 3))
+    tracemalloc.start()
+    try:
+        f.quadrature_abs_pow(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
+
+
+@pytest.mark.parametrize("fail_row", [None, 0, 5])
+def test_no_quadrature_worker_is_alive_after_the_call(monkeypatch, fail_row):
+    f = ek.GridFunction01(3, np.random.default_rng(4).standard_normal((17,) * 3))
+    expect = f.quadrature_abs_pow(2)
+    cell_rows = rf._cell_rows
+    started = []
+
+    def counted(grid, first, out, term):
+        started.append(threading.current_thread())
+        if first == fail_row:
+            raise FloatingPointError("row failed")
+        cell_rows(grid, first, out, term)
+
+    monkeypatch.setattr(rf, "_cell_rows", counted)
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: 2)
+    before = set(threading.enumerate())
+    if fail_row is None:
+        assert f.quadrature_abs_pow(2) == expect
+    else:
+        with pytest.raises(FloatingPointError, match="row failed"):
+            f.quadrature_abs_pow(2)
+    workers = set(started)
+    assert workers and threading.current_thread() not in workers
+    assert not any(t.is_alive() for t in workers)
+    assert _new_threads(before) == []
+
+
+def test_more_quadrature_workers_than_cores_under_fast_thread_switching(
+        monkeypatch):
+    # reused chunk buffers must not be handed out while a worker writes them
+    monkeypatch.setattr(rf, "QUAD_LEAF", 1000)
+    workers = 2 * rf._usable_cpus() + 2
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: workers)
+    grids = [ek.GridFunction01(dim, np.random.default_rng(dim).standard_normal(
+        (res + 1,) * dim)) for dim, res in ((2, 12), (3, 8))]
+    expect = [_reference_quadrature(f, 1.5, refine=4) for f in grids]
+    got, errors = [], []
+
+    def run():
+        try:
+            for _ in range(3):
+                got.append([f.quadrature_abs_pow(1.5, refine=4)
+                            for f in grids])
+        except BaseException as exc:  # reported on the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive(), "quadratures did not finish within 120 s"
+    assert errors == []
+    assert got == [expect] * 3
+
+
+def test_a_one_leaf_grid_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: 2)
+    f = ek.GridFunction01(2, np.random.default_rng(5).standard_normal((25,) * 2))
+    assert (24 * 8) ** 2 <= rf.QUAD_LEAF
+    before = threading.active_count()
+    started = []
+    cell_rows = rf._cell_rows
+    monkeypatch.setattr(rf, "_cell_rows", lambda *a: (
+        started.append(threading.current_thread()), cell_rows(*a)))
+    f.quadrature_abs_pow(2)
+    assert set(started) == {threading.current_thread()}
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("refine", [0, -1, 2.5, 8.0, True, "8", None])
+def test_quadrature_rejects_a_bad_refine(refine):
+    f = ek.GridFunction01(2, np.ones((3, 3)))
+    with pytest.raises(ValueError, match="refine"):
+        f.quadrature_abs_pow(2, refine=refine)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, 0.5, 0, -2])
+def test_quadrature_rejects_a_bad_p(p):
+    f = ek.GridFunction01(2, np.ones((3, 3)))
+    with pytest.raises(ValueError, match="p must be"):
+        f.quadrature_abs_pow(p)
+
+
 def test_embed_constant():
     m = gaussian_j2(8)
     emb = ek.embed(ek.GridFunction01.constant(0.7), m)

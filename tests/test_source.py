@@ -13,3 +13,23 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_worker_threads_run_only_private_module_functions():
+    # worker threads never run a traced public function: a tracer keeps
+    # one span stack and plain counters, on the calling thread
+    found, bad = 0, []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private = {node.name for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name.startswith("_")}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("submit", "map")):
+                found += 1
+                target = node.args[0] if node.args else None
+                if not (isinstance(target, ast.Name) and target.id in private):
+                    bad.append(f"{path.name}:{node.lineno}")
+    assert found >= 2 and not bad, bad
