@@ -39,12 +39,10 @@ MC_BLOCK_BYTES = 4 << 20
 # at J = 64): large blocks on worker threads grow glibc's per-thread arenas
 MC_DRAW_BLOCK_BYTES = 64 << 10
 # GridFunction01.quadrature_abs_pow sums its midpoint grid in leaves of at
-# most this many points (512 KiB of float64); a grid of more points has
-# its cell rows computed on worker threads
+# most this many points (512 KiB of float64).  It must be at least 128,
+# numpy's unsplit pairwise block, or _pairwise_sum would split nodes
+# numpy does not split
 QUAD_LEAF = 1 << 16
-# numpy's pairwise summation adds blocks of at most this many elements
-# without splitting them
-_PW_BLOCKSIZE = 128
 
 _DENSITY_SUP = {
     "gaussian": 1.0 / math.sqrt(2 * math.pi),
@@ -219,8 +217,7 @@ class GridFunction01:
         midpoint grid, bit for bit, but that grid is never held: numpy's
         pairwise sum is taken in leaves of at most QUAD_LEAF points, read
         from chunks of whole leading cell rows computed in order, each of
-        at most QUAD_LEAF points or one larger row; a grid of more than one
-        chunk has them computed on worker threads (see _LeafSums).
+        at most QUAD_LEAF points or one larger row (see _LeafSums).
         """
         if not 1 <= p < math.inf:
             raise ValueError("p must be finite and >= 1")
@@ -263,8 +260,7 @@ class GridFunction01:
         grid = _CellRows(p, dim, res, rows, chunk, slab, node_shape, factors,
                          split, inner, gathered)
         n = rows * size
-        with _LeafSums(grid, min(grid.chunks, _usable_cpus())) as sums:
-            total = _pairwise_sum(0, n, sums.leaf)
+        total = _pairwise_sum(0, n, _LeafSums(grid).leaf)
         # np.mean divides the pairwise sum by the count
         return float(total / n)
 
@@ -290,10 +286,6 @@ class _CellRows(NamedTuple):
     def size(self) -> int:
         return math.prod(self.slab)
 
-    @property
-    def chunks(self) -> int:
-        return -(-self.rows // self.chunk)
-
 
 def _cell_rows(grid: _CellRows, first: int, out: np.ndarray,
                term: np.ndarray) -> None:
@@ -302,10 +294,9 @@ def _cell_rows(grid: _CellRows, first: int, out: np.ndarray,
 
     Corners and axes are combined in GridFunction01.__call__'s order, so
     each value equals pointwise evaluation bit for bit.  term is scratch
-    of at least one row.  Runs on quadrature worker threads: it calls
-    numpy only, and nothing traced.
+    of one row.
     """
-    term = term[:grid.size].reshape(grid.slab)
+    term = term.reshape(grid.slab)
     out.fill(0.0)
     for row, row_out in enumerate(out.reshape((-1,) + grid.slab), first):
         axis_factors = [[f[row] for f in grid.split]] + grid.inner
@@ -327,79 +318,28 @@ def _cell_rows(grid: _CellRows, first: int, out: np.ndarray,
 class _LeafSums:
     """Leaf sums of a _CellRows grid's |f|^p values, for _pairwise_sum.
 
-    Leaves are asked for in order, so chunks of rows are computed in
-    order, and a chunk is dropped once a later chunk is asked for.  With
-    workers > 1, a per-use pool of that many threads computes the chunks
-    at most `workers` ahead of the one being read; otherwise each chunk is
-    computed inline when it is first read.  Buffers are allocated on the
-    calling thread (large allocations on worker threads grow glibc's
-    per-thread arenas) and reused.  Leaving the with block cancels the
-    chunks not started and joins the workers, also when a worker raised.
+    Leaves are asked for in order, so the chunks of rows are computed in
+    order, each into the same buffer when it is first read; a leaf that
+    spans chunks is copied together first.
     """
 
-    def __init__(self, grid: _CellRows, workers: int):
+    def __init__(self, grid: _CellRows):
         self.grid = grid
-        self.workers = workers
         self._length = grid.chunk * grid.size  # points in a full chunk
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._held: dict = {}   # chunk -> (values, scratch, future or None)
-        self._next = 0          # the next chunk to compute or submit
-        self._spare: list = []  # chunk-sized buffers no chunk or job uses
+        self._values = np.empty(self._length)
+        self._term = np.empty(grid.size)  # _cell_rows' scratch row
+        self._chunk = -1                  # the chunk _values holds
         self._buf: Optional[np.ndarray] = None
 
-    def __enter__(self) -> "_LeafSums":
-        if self.workers > 1:
-            self._pool = ThreadPoolExecutor(self.workers,
-                                            thread_name_prefix="entrokit-quad")
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        self._held.clear()
-        self._spare.clear()
-
-    def _values(self, chunk: int) -> np.ndarray:
+    def _chunk_values(self, chunk: int) -> np.ndarray:
         """chunk's |f|^p values; chunks are read in nondecreasing order."""
-        for done in [c for c in self._held if c < chunk]:
-            self._spare.append(self._held.pop(done)[0])
-        self._start_through(chunk)
-        values, scratch, future = self._held[chunk]
-        if future is not None:
-            future.result()
-        # the scratch is free once the chunk is done
-        if scratch is not None:
-            self._spare.append(scratch)
-        self._held[chunk] = (values, None, None)
-        if self._pool is not None:
-            self._start_through(chunk + self.workers)
-        return values[:self._points(chunk)]
-
-    def _start_through(self, last: int) -> None:
-        """Compute, or submit to the pool, each chunk up to last not yet started."""
         grid = self.grid
-        while self._next <= min(last, grid.chunks - 1):
-            values, scratch = self._buffer(), self._buffer()
-            first = self._next * grid.chunk
-            out = values[:self._points(self._next)]
-            if self._pool is None:
-                _cell_rows(grid, first, out, scratch)
-                future = None
-            else:
-                future = self._pool.submit(_cell_rows, grid, first, out,
-                                           scratch)
-            self._held[self._next] = (values, scratch, future)
-            self._next += 1
-
-    def _points(self, chunk: int) -> int:
-        """Points in chunk; the last chunk may hold fewer rows."""
-        grid = self.grid
-        return min(grid.chunk, grid.rows - chunk * grid.chunk) * grid.size
-
-    def _buffer(self) -> np.ndarray:
-        """A chunk-sized buffer: a spare one, or one allocated here."""
-        return self._spare.pop() if self._spare else np.empty(self._length)
+        first = chunk * grid.chunk
+        values = self._values[:min(grid.chunk, grid.rows - first) * grid.size]
+        if chunk != self._chunk:
+            _cell_rows(grid, first, values, self._term)
+            self._chunk = chunk
+        return values
 
     def leaf(self, lo: int, hi: int) -> float:
         """np.add.reduce of the grid's values lo..hi-1, in C order."""
@@ -407,14 +347,15 @@ class _LeafSums:
         first, last = lo // length, (hi - 1) // length
         if first == last:
             base = first * length
-            return np.add.reduce(self._values(first)[lo - base:hi - base])
+            values = self._chunk_values(first)
+            return np.add.reduce(values[lo - base:hi - base])
         if self._buf is None or len(self._buf) < hi - lo:
             self._buf = np.empty(hi - lo)
         at = 0
         for chunk in range(first, last + 1):
             base = chunk * length
             a, b = max(lo, base) - base, min(hi, base + length) - base
-            self._buf[at:at + b - a] = self._values(chunk)[a:b]
+            self._buf[at:at + b - a] = self._chunk_values(chunk)[a:b]
             at += b - a
         return np.add.reduce(self._buf[:at])
 
@@ -422,16 +363,16 @@ class _LeafSums:
 def _pairwise_sum(lo: int, hi: int, leaf: Callable[[int, int], float]) -> float:
     """numpy's pairwise sum of elements lo..hi-1, its leaves summed by leaf.
 
-    Above _PW_BLOCKSIZE elements numpy's float64 add.reduce splits n
+    Above 128 elements numpy's float64 add.reduce splits n
     elements at n2 = n // 2 rounded down to a multiple of 8 and adds the
     halves' sums (Higham, SIAM J. Sci. Comput. 14(4), 1993).  This
     recursion makes the same splits down to nodes of at most QUAD_LEAF
-    elements (128 when it is set lower), each a node of that tree; so when
-    leaf(a, b) is np.add.reduce of a contiguous copy of elements a..b-1,
-    the result is np.add.reduce of the whole range, bit for bit.
+    elements, each a node of that tree; so when leaf(a, b) is
+    np.add.reduce of a contiguous copy of elements a..b-1, the result is
+    np.add.reduce of the whole range, bit for bit.
     """
     n = hi - lo
-    if n <= max(QUAD_LEAF, _PW_BLOCKSIZE):
+    if n <= QUAD_LEAF:
         return float(leaf(lo, hi))
     n2 = n // 2
     n2 -= n2 % 8

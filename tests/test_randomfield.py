@@ -216,7 +216,7 @@ def test_quadrature_memory_is_one_grid(p):
 _PRIMES = [7, 127, 131, 1009, 7919, 65537]
 
 
-@pytest.mark.parametrize("leaf", [64, 128, 200, 1000])
+@pytest.mark.parametrize("leaf", [128, 200, 1000])
 def test_pairwise_sum_equals_add_reduce(monkeypatch, leaf):
     monkeypatch.setattr(rf, "QUAD_LEAF", leaf)
     x = np.random.default_rng(leaf).standard_normal(2**21 + 64) ** 2
@@ -231,16 +231,14 @@ def test_pairwise_sum_equals_add_reduce(monkeypatch, leaf):
 
             got = rf._pairwise_sum(offset, offset + n, add_reduce)
             assert got == np.add.reduce(x[offset:offset + n]), (n, offset)
-            assert sum(leaves) == n and max(leaves) <= max(leaf, 128)
+            assert sum(leaves) == n and max(leaves) <= leaf
 
 
 # the full-grid oracle again, with leaves that straddle chunks of cell rows
-# and the chunks computed on two worker threads
 @pytest.mark.parametrize("dim,res", [(1, 13), (1, 24), (2, 3), (2, 7),
                                      (2, 24), (3, 2), (3, 5), (3, 16)])
 def test_small_leaves_equal_the_full_grid_formula(monkeypatch, dim, res):
     monkeypatch.setattr(rf, "QUAD_LEAF", 200)
-    monkeypatch.setattr(rf, "_usable_cpus", lambda: 2)
     rng = np.random.default_rng(100 * dim + res)
     f = ek.GridFunction01(dim, rng.standard_normal((res + 1,) * dim))
     for refine, p in itertools.product((1, 3, 8), (1, 1.5, 2)):
@@ -248,10 +246,8 @@ def test_small_leaves_equal_the_full_grid_formula(monkeypatch, dim, res):
                 == _reference_quadrature(f, p, refine=refine))
 
 
-@pytest.mark.parametrize("cpus,bound_mib", [(1, 4), (2, 8)])
-def test_quadrature_memory_is_a_few_cell_rows(monkeypatch, cpus, bound_mib):
+def test_quadrature_memory_is_a_few_cell_rows():
     # a cell row of the (128,)^3 midpoint grid is 1 MiB; the grid is 16
-    monkeypatch.setattr(rf, "_usable_cpus", lambda: cpus)
     f = ek.GridFunction01(3, np.random.default_rng(3).standard_normal((17,) * 3))
     tracemalloc.start()
     try:
@@ -259,80 +255,7 @@ def test_quadrature_memory_is_a_few_cell_rows(monkeypatch, cpus, bound_mib):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound_mib * 2**20
-
-
-@pytest.mark.parametrize("fail_row", [None, 0, 5])
-def test_no_quadrature_worker_is_alive_after_the_call(monkeypatch, fail_row):
-    f = ek.GridFunction01(3, np.random.default_rng(4).standard_normal((17,) * 3))
-    expect = f.quadrature_abs_pow(2)
-    cell_rows = rf._cell_rows
-    started = []
-
-    def counted(grid, first, out, term):
-        started.append(threading.current_thread())
-        if first == fail_row:
-            raise FloatingPointError("row failed")
-        cell_rows(grid, first, out, term)
-
-    monkeypatch.setattr(rf, "_cell_rows", counted)
-    monkeypatch.setattr(rf, "_usable_cpus", lambda: 2)
-    before = set(threading.enumerate())
-    if fail_row is None:
-        assert f.quadrature_abs_pow(2) == expect
-    else:
-        with pytest.raises(FloatingPointError, match="row failed"):
-            f.quadrature_abs_pow(2)
-    workers = set(started)
-    assert workers and threading.current_thread() not in workers
-    assert not any(t.is_alive() for t in workers)
-    assert _new_threads(before) == []
-
-
-def test_more_quadrature_workers_than_cores_under_fast_thread_switching(
-        monkeypatch):
-    # reused chunk buffers must not be handed out while a worker writes them
-    monkeypatch.setattr(rf, "QUAD_LEAF", 1000)
-    workers = 2 * rf._usable_cpus() + 2
-    monkeypatch.setattr(rf, "_usable_cpus", lambda: workers)
-    grids = [ek.GridFunction01(dim, np.random.default_rng(dim).standard_normal(
-        (res + 1,) * dim)) for dim, res in ((2, 12), (3, 8))]
-    expect = [_reference_quadrature(f, 1.5, refine=4) for f in grids]
-    got, errors = [], []
-
-    def run():
-        try:
-            for _ in range(3):
-                got.append([f.quadrature_abs_pow(1.5, refine=4)
-                            for f in grids])
-        except BaseException as exc:  # reported on the test's thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runner = threading.Thread(target=run, daemon=True)
-        runner.start()
-        runner.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not runner.is_alive(), "quadratures did not finish within 120 s"
-    assert errors == []
-    assert got == [expect] * 3
-
-
-def test_a_one_leaf_grid_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(rf, "_usable_cpus", lambda: 2)
-    f = ek.GridFunction01(2, np.random.default_rng(5).standard_normal((25,) * 2))
-    assert (24 * 8) ** 2 <= rf.QUAD_LEAF
-    before = threading.active_count()
-    started = []
-    cell_rows = rf._cell_rows
-    monkeypatch.setattr(rf, "_cell_rows", lambda *a: (
-        started.append(threading.current_thread()), cell_rows(*a)))
-    f.quadrature_abs_pow(2)
-    assert set(started) == {threading.current_thread()}
-    assert threading.active_count() == before
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("refine", [0, -1, 2.5, 8.0, True, "8", None])
