@@ -443,8 +443,15 @@ def _run_expectation_chain(cfg: dict) -> ResultTable:
     dim = _expectation_dim(cfg)
     if dim > measure.truncation:
         raise ConfigError("embedding dimension exceeds the KL truncation")
+    if dim > 3:
+        raise ConfigError(f"bump families need dimension 1, 2 or 3, not {dim}")
     cells = cfg["cells"]
-    code = pk.volume_bound_code(cells**dim)
+    length = cells**dim
+    if length > pk.MAX_CODE_LENGTH:
+        raise ConfigError(
+            f"cells^dim = {length} is above {pk.MAX_CODE_LENGTH}, the "
+            "longest sign code")
+    code = pk.volume_bound_code(length)
     family = pk.build_bump_family(dim, cells, cfg["grid_res"], code)
 
     lam_d = float(measure.eigenvalues[dim - 1])

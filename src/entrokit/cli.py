@@ -21,8 +21,8 @@ from . import metricspace as ms
 from . import packing as pk
 from . import quantizer as qz
 from . import randomfield as rf
-from .errors import (ChannelMismatch, ConfigError, LayoutMismatch,
-                     ResolutionTooLow)
+from .errors import (ChannelMismatch, ConfigError, GridMisaligned,
+                     LayoutMismatch, ResolutionTooLow, SizeLimitExceeded)
 from .rng import STREAM_PARAM_GEN, stream
 
 
@@ -145,14 +145,24 @@ def hat(ctx, space_path, eps, out_path):
     _finish(rep.ok)
 
 
+def _sign_code(n: int) -> pk.SignCode:
+    """The volume-bound code of length n; one whose coset table is too
+    large is a usage error of the option --n."""
+    try:
+        return pk.volume_bound_code(n)
+    except SizeLimitExceeded as exc:
+        raise click.BadParameter(str(exc), param_hint="--n") from exc
+
+
 @main.command()
-@click.option("--n", type=click.IntRange(4, 64), required=True)
+@click.option("--n", type=click.IntRange(4, pk.MAX_CODE_LENGTH),
+              required=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.pass_context
 def gv(ctx, n, out_path):
     """Greedy sign code of length n; print its manifest."""
     _unread(ctx, "seed", "config")
-    code = pk.gilbert_varshamov(n)
+    code = _sign_code(n)
     manifest = code.manifest()
     manifest["measured_min_distance"] = code.pairwise_min_hamming()
     ok = (manifest["measured_min_distance"] >= code.min_distance
@@ -166,7 +176,7 @@ def gv(ctx, n, out_path):
 @click.option("--d", "dim", type=click.IntRange(1, 3), required=True)
 @click.option("--n", "cells", type=click.IntRange(min=2), required=True,
               help="Cells per axis.")
-@click.option("--grid", "grid_res", type=int, required=True)
+@click.option("--grid", "grid_res", type=click.IntRange(min=1), required=True)
 @click.option("--lam", type=float, default=None,
               help="Plateau parameter; defaults to 1/(1+d).")
 @click.option("--out", "out_path", type=click.Path(), default=None)
@@ -174,8 +184,18 @@ def gv(ctx, n, out_path):
 def bump(ctx, dim, cells, grid_res, lam, out_path):
     """Build and verify a bump family; print its manifest and report."""
     _unread(ctx, "seed", "config")
-    code = pk.volume_bound_code(cells**dim)
-    fam = pk.build_bump_family(dim, cells, grid_res, code, lam)
+    length = cells**dim
+    if length > pk.MAX_CODE_LENGTH:
+        raise click.BadParameter(
+            f"{cells}^{dim} cells need a sign code longer than "
+            f"{pk.MAX_CODE_LENGTH}", param_hint="--n")
+    if lam is not None and not 0 < lam < 1:
+        raise click.BadParameter(f"{lam} is not in (0, 1)", param_hint="--lam")
+    code = _sign_code(length)
+    try:
+        fam = pk.build_bump_family(dim, cells, grid_res, code, lam)
+    except GridMisaligned as exc:
+        raise click.BadParameter(str(exc), param_hint="--grid") from exc
     rep = fam.verify()
     manifest = fam.manifest()
     manifest["verification"] = {

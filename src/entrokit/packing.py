@@ -43,6 +43,8 @@ PAIRWISE_SAMPLE = 1000
 QUADRATURE_TOL = 1e-9
 # coset-weight table entries (one byte each) a sign code may use
 LEXICODE_TABLE_LIMIT = 1 << 27
+# sign-code words are stored as uint64 bit patterns
+MAX_CODE_LENGTH = 64
 
 
 # ---------------------------------------------------------------------
@@ -299,8 +301,9 @@ def greedy_sign_code(length: int, min_distance: int,
                      target_size: int) -> SignCode:
     """Greedy code with explicit distance and size targets; no range gate,
     so degenerate short lengths (distance-1 codes) are allowed."""
-    if not 1 <= length <= 64:
-        raise ValueError(f"length must lie in [1, 64], got {length}")
+    if not 1 <= length <= MAX_CODE_LENGTH:
+        raise ValueError(
+            f"length must lie in [1, {MAX_CODE_LENGTH}], got {length}")
     if min_distance < 1 or target_size < 1:
         raise ValueError("min_distance and target_size must be >= 1")
     return _greedy_sign_code(length, min_distance, target_size)
@@ -318,8 +321,8 @@ def gilbert_varshamov(n: int) -> SignCode:
     coset table, 2^(L - k) entries for the leading bit L of the last of k
     basis words: 2^18 at n = 40, 2^27 at n = 53..55.  Longer codes need
     more than LEXICODE_TABLE_LIMIT entries and raise SizeLimitExceeded."""
-    if not 4 <= n <= 64:
-        raise ValueError(f"n must lie in [4, 64], got {n}")
+    if not 4 <= n <= MAX_CODE_LENGTH:
+        raise ValueError(f"n must lie in [4, {MAX_CODE_LENGTH}], got {n}")
     return volume_bound_code(n)
 
 
@@ -501,6 +504,8 @@ def build_bump_family(dim: int, cells: int, grid_res: int, code: SignCode,
         raise ValueError("dim must be 1, 2 or 3")
     if cells < 2:
         raise ValueError("cells must be >= 2")
+    if grid_res < 1:
+        raise ValueError("grid_res must be >= 1")
     if code.length != cells**dim:
         raise ValueError(f"code length {code.length} != {cells}^{dim}")
     if lam is None:

@@ -33,8 +33,9 @@ from .rng import (STREAM_KL_SAMPLE, STREAM_MC_NORM, STREAM_TRANSPORT, stream)
 _SQRT3 = math.sqrt(3.0)
 
 # lp_norm_mc draws its coefficients in row blocks of this many bytes
-# (8,192 rows at J = 64), so its memory does not grow with n_samples
-MC_BLOCK_BYTES = 4 << 20
+# (2,048 rows at J = 64), one block alive at a time, so its memory does
+# not grow with n_samples
+MC_BLOCK_BYTES = 1 << 20
 # McDraws' worker threads draw in row blocks of this many bytes (128 rows
 # at J = 64): large blocks on worker threads grow glibc's per-thread arenas
 MC_DRAW_BLOCK_BYTES = 64 << 10
@@ -215,9 +216,11 @@ class GridFunction01:
 
         The value is np.mean of |f|^p over the whole (refine * res)^d
         midpoint grid, bit for bit, but that grid is never held: numpy's
-        pairwise sum is taken in leaves of at most QUAD_LEAF points, read
-        from chunks of whole leading cell rows computed in order, each of
-        at most QUAD_LEAF points or one larger row (see _LeafSums).
+        pairwise sum is taken in leaves of at most QUAD_LEAF points.  A 1-D
+        grid computes each leaf's points on their own (see _line_leaf).
+        Above 1-D the leaves are read from chunks of whole leading cell
+        rows computed in order, each of at most QUAD_LEAF points or one
+        larger row (see _LeafSums).
         """
         if not 1 <= p < math.inf:
             raise ValueError("p must be finite and >= 1")
@@ -227,25 +230,20 @@ class GridFunction01:
         refine = int(refine)
         res, dim = self.res, self.dim
         m = res * refine
-        mids = (np.arange(m) + 0.5) / m
-        # the midpoint mesh is a product grid, so __call__'s per-point
-        # cell index and weights are per-axis arrays; the corners and
-        # axes are combined in __call__'s order, value for value
-        t = np.clip(mids, 0.0, 1.0) * res
-        i0 = np.minimum(t.astype(int), res - 1)
-        frac = t - i0
-        factors = (1.0 - frac, frac)
+        if dim == 1:
+            total = _pairwise_sum(
+                0, m, lambda lo, hi: _line_leaf(self.values, p, m, lo, hi))
+            # np.mean divides the pairwise sum by the count
+            return float(total / m)
+        i0, factors = _axis_weights(res, m, 0, m)
         # Midpoint a lies half a refined cell or more inside cell
         # a // refine, so i0 == arange(m) // refine and each leading axis
         # splits into (cell, offset): a corner's node values are a slice
         # broadcast over the offsets, and only the last axis gathers.  A
         # slab is one leading cell row, in the C order of the (m,)*dim grid.
-        if dim == 1:
-            rows, slab, node_shape = 1, (m,), (m,)
-        else:
-            rows = res
-            slab = (refine,) + (res, refine) * (dim - 2) + (m,)
-            node_shape = (1,) + (res, 1) * (dim - 2) + (m,)
+        rows = res
+        slab = (refine,) + (res, refine) * (dim - 2) + (m,)
+        node_shape = (1,) + (res, 1) * (dim - 2) + (m,)
         # per-bit weights of leading axis 0 (indexed by row) and of the
         # inner leading axes k, placed on the slab's (cell, offset) axes
         split = [f.reshape((res, refine) + (1,) * (len(slab) - 1))
@@ -263,6 +261,36 @@ class GridFunction01:
         total = _pairwise_sum(0, n, _LeafSums(grid).leaf)
         # np.mean divides the pairwise sum by the count
         return float(total / n)
+
+
+def _axis_weights(res: int, m: int, lo: int, hi: int):
+    """Cell index i0 and per-bit weights (1 - frac, frac) of the midpoints
+    lo..hi-1 of m refined cells on one axis of a res-cell grid.
+
+    The midpoint mesh is a product grid, so GridFunction01.__call__'s
+    per-point cell index and weights are these per-axis arrays, value for
+    value.
+    """
+    mids = (np.arange(lo, hi) + 0.5) / m
+    t = np.clip(mids, 0.0, 1.0) * res
+    i0 = np.minimum(t.astype(int), res - 1)
+    frac = t - i0
+    return i0, (1.0 - frac, frac)
+
+
+def _line_leaf(values: np.ndarray, p: float, m: int, lo: int,
+               hi: int) -> float:
+    """np.add.reduce of |f|^p at the midpoints lo..hi-1 of a 1-D grid of m
+    refined cells, f's node values given; the corners are combined in
+    GridFunction01.__call__'s order, so each value is pointwise evaluation
+    bit for bit."""
+    i0, factors = _axis_weights(len(values) - 1, m, lo, hi)
+    out = np.zeros(hi - lo)
+    for bit in (0, 1):
+        out += factors[bit] * values[i0 + bit]
+    np.abs(out, out=out)
+    out **= p
+    return np.add.reduce(out)
 
 
 class _CellRows(NamedTuple):
@@ -537,8 +565,9 @@ def lp_norm_mc(functional: Callable, measure: KLMeasure, p: float,
     """Monte-Carlo estimate of (E |G(u)|^p)^(1/p) with delta-method stderr.
 
     The draws come from one stream(seed, STREAM_MC_NORM) generator, in
-    consecutive row blocks of at most MC_BLOCK_BYTES of coefficients.  A
-    Philox stream continues across calls, so the blocks are the rows of
+    consecutive row blocks of at most MC_BLOCK_BYTES of coefficients, each
+    mapped and released before the next is drawn.  A Philox stream
+    continues across calls, so the blocks are the rows of
     sample(measure, seed, n_samples, STREAM_MC_NORM) in order, and the
     estimate does not depend on the block size, provided functional maps
     a (rows, J) coefficient array to one value per row that depends only
@@ -555,11 +584,8 @@ def lp_norm_mc(functional: Callable, measure: KLMeasure, p: float,
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
     rows = max(1, MC_BLOCK_BYTES // (8 * measure.truncation))
-    starts = range(0, n_samples, rows)
     if draws is None:
         rng = stream(seed, STREAM_MC_NORM)
-        blocks = (_draw_scaled(measure, rng, min(rows, n_samples - lo))
-                  for lo in starts)
     else:
         if draws.measure is not measure:
             raise ValueError("draws were made for another measure")
@@ -567,15 +593,22 @@ def lp_norm_mc(functional: Callable, measure: KLMeasure, p: float,
             raise ValueError(f"draws hold {draws.n_samples} samples, "
                              f"not {n_samples}")
         coeffs = draws.take(seed)
-        blocks = (coeffs[lo:lo + rows] for lo in starts)
     y = np.empty(n_samples)
-    for lo, block in zip(starts, blocks):
+    for lo in range(0, n_samples, rows):
+        count = min(rows, n_samples - lo)
+        if draws is None:
+            block = _draw_scaled(measure, rng, count)
+        else:
+            block = coeffs[lo:lo + count]
         values = np.asarray(functional(block), dtype=float)
-        if values.shape != (len(block),):
+        if values.shape != (count,):
             raise ValueError(
                 f"functional must return one value per row: got shape "
-                f"{values.shape} for {len(block)} rows")
-        np.abs(values, out=y[lo:lo + len(block)])
+                f"{values.shape} for {count} rows")
+        np.abs(values, out=y[lo:lo + count])
+        # release this block before the next is drawn, so that only one
+        # is ever alive
+        del block, values
     # |.|^p over all of y at once, the array a single draw would give
     y **= p
     moment = float(np.mean(y))

@@ -173,6 +173,13 @@ UNTYPED_CRASHES = {
                                               "law": "gaussian"}),
     "d_c-below-d_in": dict(BITS_CFG, hypers=[dict(BITS_CFG["hypers"][0],
                                                   d_in=2)]),
+    # a sign code of length cells^dim above 64 does not fit its words
+    "cells-to-the-dim-above-64": dict(EXPECT_CFG, dim=2, cells=9,
+                                      grid_res=54),
+    # dim_select picks d = 4 here; bump families stop at d = 3
+    "selected-dim-above-3": dict(
+        {k: v for k, v in EXPECT_CFG.items() if k != "dim"},
+        dim_select={"eps": 0.1, "c1": 2.0, "c2": 1.0, "alpha": 0.5}),
 }
 
 

@@ -270,6 +270,32 @@ def test_cli_numbers_out_of_range_are_usage_errors(runner, tmp_path, args,
     assert option in res.output
 
 
+@pytest.mark.parametrize("args,option", [
+    (["bump", "--d", "1", "--n", "100", "--grid", "800"], "--n"),
+    (["bump", "--d", "1", "--n", "4", "--grid", "16", "--lam", "2"], "--lam"),
+    (["bump", "--d", "1", "--n", "4", "--grid", "16", "--lam", "-1"], "--lam"),
+    (["bump", "--d", "1", "--n", "4", "--grid", "16", "--lam", "nan"],
+     "--lam"),
+    (["bump", "--d", "1", "--n", "2", "--grid", "0"], "--grid"),
+    (["bump", "--d", "1", "--n", "2", "--grid", "-4"], "--grid"),
+    (["bump", "--d", "1", "--n", "2", "--grid", "-8"], "--grid"),
+    (["bump", "--d", "1", "--n", "3", "--grid", "4"], "--grid"),
+    (["bump", "--d", "1", "--n", "4", "--grid", "20"], "--grid"),
+    (["bump", "--d", "2", "--n", "8", "--grid", "16"], "--n"),
+    (["gv", "--n", "56"], "--n"),
+], ids=["code-above-64", "lam-2", "lam-negative", "lam-nan", "grid-0",
+        "grid-negative", "grid-negative-aligned", "grid-not-a-multiple",
+        "breakpoints-off-grid", "coset-table-too-large", "gv-n-56"])
+def test_bump_and_gv_inputs_that_cannot_run_are_usage_errors(
+        runner, monkeypatch, args, option):
+    # the coset tables of lengths 56 to 64 reach the limit only after
+    # 2^27 entries; a small limit raises the same error at once
+    monkeypatch.setattr(ek.packing, "LEXICODE_TABLE_LIMIT", 1 << 8)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.exception
+    assert option in res.output
+
+
 def test_chain_uniform_writes_csv_and_exits_zero(runner, tmp_path):
     cfg = {"schema_version": 1, "experiment": "uniform-chain", "seed": 7,
            "space": {"kind": "circle", "n": 8}, "eps_ladder": [1 / 6]}

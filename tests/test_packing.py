@@ -288,6 +288,13 @@ def test_bump_grid_misalignment_rejected():
         ek.build_bump_family(2, 2, 16, ek.gilbert_varshamov(4))  # needs 12 | G
 
 
+@pytest.mark.parametrize("grid", [0, -8])
+def test_bump_grid_below_one_rejected(grid):
+    # both pass the alignment checks, then failed untyped
+    with pytest.raises(ValueError, match="grid_res"):
+        ek.build_bump_family(1, 2, grid, greedy_sign_code(2, 1, 2))
+
+
 # -- dimension selection -------------------------------------------------------
 
 

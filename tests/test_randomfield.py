@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pathlib
 import subprocess
 import sys
 import threading
@@ -185,8 +186,10 @@ def _reference_quadrature(self, p, refine=8):
     return float(np.mean(np.abs(out.ravel()) ** p))
 
 
-# one-cell grids, odd sizes, and the benchmark shapes (2-D res 24, 3-D res 16)
+# one-cell grids, odd sizes, the benchmark shapes (2-D res 24, 3-D res 16)
+# and a 1-D grid of several leaves
 @pytest.mark.parametrize("dim,res", [(1, 1), (1, 2), (1, 13), (1, 24),
+                                     (1, 10_000),
                                      (2, 1), (2, 3), (2, 7), (2, 24),
                                      (3, 1), (3, 2), (3, 5), (3, 16)])
 def test_quadrature_equals_the_full_grid_formula(dim, res):
@@ -256,6 +259,34 @@ def test_quadrature_memory_is_a_few_cell_rows():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_1d_quadrature_memory_is_a_few_leaves():
+    # the 800,000-point midpoint grid is 6.1 MiB; full-grid per-axis
+    # arrays peaked at 55 MiB
+    f = ek.GridFunction01(1, np.random.default_rng(1).standard_normal(100_001))
+    tracemalloc.start()
+    try:
+        f.quadrature_abs_pow(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+def test_one_leaf_1d_grid_is_computed_once(monkeypatch):
+    # embed-check's res 16 grid is 128 midpoints: a single leaf
+    calls = []
+    leaf = rf._line_leaf
+
+    def counting(values, p, m, lo, hi):
+        calls.append((lo, hi))
+        return leaf(values, p, m, lo, hi)
+
+    monkeypatch.setattr(rf, "_line_leaf", counting)
+    f = ek.GridFunction01.from_callable(lambda x: x[:, 0], 1, 16)
+    assert f.quadrature_abs_pow(2) == _reference_quadrature(f, 2)
+    assert calls == [(0, 128)]
 
 
 @pytest.mark.parametrize("refine", [0, -1, 2.5, 8.0, True, "8", None])
@@ -337,7 +368,8 @@ def _signed_functional(measure):
 
 
 @pytest.mark.parametrize("law", ["gaussian", "uniform"])
-@pytest.mark.parametrize("j_max", [1, 3, 64, 5000])
+# J = 1250 still gives a block of about 100 rows, the sample minimum
+@pytest.mark.parametrize("j_max", [1, 3, 64, 1250])
 def test_lp_norm_mc_equals_the_one_shot_draw(law, j_max):
     m = ek.KLMeasure.from_config(
         {"lambda": "j^-2a", "alpha": 1.0, "J": j_max, "law": law})
@@ -376,7 +408,8 @@ def test_lp_norm_mc_rejects_results_that_are_not_one_per_row(functional):
 
 
 def test_lp_norm_mc_memory_is_one_block():
-    # the one-shot (200000, 64) draw alone is 98 MiB; a block is 4 MiB
+    # the one-shot (200000, 64) draw alone is 98 MiB; a block is 1 MiB,
+    # and y (one float per sample) 1.5
     m = gaussian_j2(64)
     emb = ek.embed(ek.GridFunction01.from_callable(
         lambda x: x[:, 0], 1, 16, lipschitz=1.0), m)
@@ -386,7 +419,39 @@ def test_lp_norm_mc_memory_is_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    assert peak <= 4 * 2**20
+
+
+def test_lp_norm_mc_holds_one_block_at_a_time(monkeypatch):
+    # 8 MiB blocks: one alive at a time peaks near 9 MiB, two near 17
+    monkeypatch.setattr(rf, "MC_BLOCK_BYTES", 8 << 20)
+    m = gaussian_j2(64)
+    emb = ek.embed(ek.GridFunction01.from_callable(
+        lambda x: x[:, 0], 1, 16, lipschitz=1.0), m)
+    tracemalloc.start()
+    try:
+        ek.lp_norm_mc(emb, m, 2, 3 * _block_rows(64), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
+
+
+def test_shipped_embed_check_holds_one_block():
+    # two (8192, 64) blocks alive at once peaked at 8.9 MiB
+    cfg = ek.chains.load_embed_check_config(
+        pathlib.Path(__file__).resolve().parent.parent / "configs"
+        / "embed-check.json")
+    measure = ek.KLMeasure.from_config(cfg["kl"])
+    f = ek.GridFunction01.from_callable(
+        lambda x: x[:, 0], 1, cfg["f"]["grid_res"], lipschitz=1.0)
+    tracemalloc.start()
+    try:
+        ek.isometry_check(f, measure, cfg["p"], cfg["samples"], cfg["seed"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 # -- draws made ahead on worker threads -----------------------------------------

@@ -33,3 +33,23 @@ def test_worker_threads_run_only_private_module_functions():
                 if not (isinstance(target, ast.Name) and target.id in private):
                     bad.append(f"{path.name}:{node.lineno}")
     assert found and not bad, bad
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv",
+                "unsetenv"}
+
+
+def test_no_module_reads_the_environment():
+    # tuning lives in module constants, so no run can differ from another
+    # through a variable set outside the program
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os" and node.attr in _ENVIRONMENT):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno}" for alias in node.names
+                          if alias.name in _ENVIRONMENT]
+    assert not found, found
