@@ -191,11 +191,11 @@ def bump(ctx, dim, cells, grid_res, lam, out_path):
             f"{pk.MAX_CODE_LENGTH}", param_hint="--n")
     if lam is not None and not 0 < lam < 1:
         raise click.BadParameter(f"{lam} is not in (0, 1)", param_hint="--lam")
-    code = _sign_code(length)
     try:
-        fam = pk.build_bump_family(dim, cells, grid_res, code, lam)
+        lam = pk._bump_lam(dim, cells, grid_res, lam)
     except GridMisaligned as exc:
         raise click.BadParameter(str(exc), param_hint="--grid") from exc
+    fam = pk.build_bump_family(dim, cells, grid_res, _sign_code(length), lam)
     rep = fam.verify()
     manifest = fam.manifest()
     manifest["verification"] = {

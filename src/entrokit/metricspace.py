@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -27,6 +28,9 @@ from .errors import ConfigError, SampleMismatch, SizeLimitExceeded
 EXACT_LIMIT = 20
 VALIDATION_ATOL = 1e-12
 TRIANGLE_BLOCK_ENTRIES = 1 << 20
+# widest boolean row packed into an int64 by one matrix product
+INT64_MASK_COLUMNS = 62
+_BIT_WEIGHTS = 1 << np.arange(INT64_MASK_COLUMNS, dtype=np.int64)
 
 
 class FiniteMetricSpace:
@@ -173,8 +177,10 @@ class SandwichReport:
 
 
 def _resolve(space: FiniteMetricSpace, subset, ambient):
-    subset = list(range(space.n)) if subset is None else sorted(set(subset))
-    ambient = list(range(space.n)) if ambient is None else sorted(set(ambient))
+    subset = (list(range(space.n)) if subset is None
+              else sorted(set(map(operator.index, subset))))
+    ambient = (list(range(space.n)) if ambient is None
+               else sorted(set(map(operator.index, ambient))))
     if not set(subset) <= set(ambient):
         raise ValueError("subset must be contained in ambient")
     if not subset:
@@ -183,26 +189,48 @@ def _resolve(space: FiniteMetricSpace, subset, ambient):
 
 
 def _bitmasks(rows: np.ndarray) -> list:
-    """Each row of a boolean matrix with at most EXACT_LIMIT columns as an
-    int whose bit pos is set when column pos is."""
-    return (rows.astype(np.int64) @ (1 << np.arange(rows.shape[1], dtype=np.int64))).tolist()
+    """Each row of a boolean matrix as an int whose bit pos is set when
+    column pos is."""
+    if rows.shape[1] <= INT64_MASK_COLUMNS:
+        return (rows.astype(np.int64) @ _BIT_WEIGHTS[:rows.shape[1]]).tolist()
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _cover_candidates(space, subset, ambient, eps):
-    """One bitmask over subset positions per ambient center, deduplicated.
+def _cover_masks(space, subset, ambient, eps) -> list:
+    """One bitmask over subset positions per ambient center: the subset
+    points in its closed eps-ball."""
+    return _bitmasks(space.dist.take(ambient, 0).take(subset, 1) <= eps)
+
+
+def _greedy_cover(masks: list, full: int) -> list:
+    """Positions in masks of a greedy cover of full: each step takes the
+    first mask that covers the most uncovered bits."""
+    uncovered = full
+    picks = []
+    while uncovered:
+        gains = [(bits & uncovered).bit_count() for bits in masks]
+        best = max(gains)
+        if best == 0:
+            raise RuntimeError("uncoverable point; subset not within ambient balls")
+        pick = gains.index(best)
+        picks.append(pick)
+        uncovered &= ~masks[pick]
+    return picks
+
+
+def _cover_candidates(masks: list, ambient: list) -> list:
+    """(bitmask, center) per ambient center, deduplicated.
 
     Dominated masks (strict subsets of another candidate's coverage) are
     dropped: an optimal cover never needs them, and removal keeps the
     deterministic witness stable.
     """
-    sub = np.asarray(subset)
-    amb = np.asarray(ambient)
-    covered = space.dist[np.ix_(amb, sub)] <= eps
-    masks = {}
-    for bits, center in zip(_bitmasks(covered), amb.tolist()):
-        if bits and bits not in masks:
-            masks[bits] = center
-    items = sorted(masks.items(), key=lambda kv: (-bin(kv[0]).count("1"), kv[1]))
+    first = {}
+    for bits, center in zip(masks, ambient):
+        if bits and bits not in first:
+            first[bits] = center
+    items = sorted(first.items(), key=lambda kv: (-kv[0].bit_count(), kv[1]))
     kept = []
     for bits, center in items:
         if not any(bits | other == other for other, _ in kept):
@@ -225,11 +253,11 @@ def exact_covering_number(space: FiniteMetricSpace, eps: float,
             f"exact cover limited to {EXACT_LIMIT} points, got {len(subset)}")
     k = len(subset)
     full = (1 << k) - 1
-    candidates = _cover_candidates(space, subset, ambient, eps)
-    greedy = greedy_covering(space, eps, subset, ambient)
-    best_count = greedy.count
-    best_centers = list(greedy.centers)
-    max_cover = max(bin(bits).count("1") for bits, _ in candidates)
+    masks = _cover_masks(space, subset, ambient, eps)
+    candidates = _cover_candidates(masks, ambient)
+    best_centers = [ambient[i] for i in _greedy_cover(masks, full)]
+    best_count = len(best_centers)
+    max_cover = max(bits.bit_count() for bits, _ in candidates)
     # candidates that cover each point, densest first (deterministic order)
     per_point = [[(bits, c) for bits, c in candidates if bits >> pos & 1]
                  for pos in range(k)]
@@ -241,7 +269,7 @@ def exact_covering_number(space: FiniteMetricSpace, eps: float,
                 best_count = len(chosen)
                 best_centers = list(chosen)
             return
-        remaining = bin(full & ~covered).count("1")
+        remaining = (full & ~covered).bit_count()
         if len(chosen) + math.ceil(remaining / max_cover) >= best_count:
             return
         # branch on the uncovered point with the fewest candidates
@@ -263,19 +291,28 @@ def greedy_covering(space: FiniteMetricSpace, eps: float,
     if eps <= 0:
         raise ValueError("eps must be positive")
     subset, ambient = _resolve(space, subset, ambient)
-    sub = np.asarray(subset)
-    amb = np.asarray(ambient)
-    covered_by = space.dist[np.ix_(amb, sub)] <= eps
-    uncovered = np.ones(len(subset), dtype=bool)
-    centers = []
-    while uncovered.any():
-        gains = (covered_by & uncovered[None, :]).sum(axis=1)
-        pick = int(np.argmax(gains))  # argmax returns the first (lowest-index) max
-        if gains[pick] == 0:
-            raise RuntimeError("uncoverable point; subset not within ambient balls")
-        centers.append(int(amb[pick]))
-        uncovered &= ~covered_by[pick]
-    return CoverResult(tuple(centers), eps, exact=False)
+    masks = _cover_masks(space, subset, ambient, eps)
+    picks = _greedy_cover(masks, (1 << len(subset)) - 1)
+    return CoverResult(tuple(ambient[i] for i in picks), eps, exact=False)
+
+
+def _conflict_masks(space, subset, eps) -> list:
+    """One bitmask over subset positions per subset point: the other
+    points closer than eps to it."""
+    conflict = space.dist.take(subset, 0).take(subset, 1) < eps
+    np.fill_diagonal(conflict, False)
+    return _bitmasks(conflict)
+
+
+def _first_fit(adj: list) -> list:
+    """Positions kept by a first-fit scan: each joins when it conflicts
+    with none kept before it."""
+    kept, chosen = [], 0
+    for v, nbrs in enumerate(adj):
+        if not nbrs & chosen:
+            kept.append(v)
+            chosen |= 1 << v
+    return kept
 
 
 def exact_packing_number(space: FiniteMetricSpace, eps: float,
@@ -289,12 +326,8 @@ def exact_packing_number(space: FiniteMetricSpace, eps: float,
         raise SizeLimitExceeded(
             f"exact packing limited to {EXACT_LIMIT} points, got {len(subset)}")
     k = len(subset)
-    sub = np.asarray(subset)
-    conflict = (space.dist[np.ix_(sub, sub)] < eps) & ~np.eye(k, dtype=bool)
-    adj = _bitmasks(conflict)
-
-    greedy = greedy_packing(space, eps, subset)
-    best = [subset.index(m) for m in greedy.members]
+    adj = _conflict_masks(space, subset, eps)
+    best = _first_fit(adj)
     best_size = len(best)
 
     def recurse(candidates, chosen):
@@ -304,7 +337,7 @@ def exact_packing_number(space: FiniteMetricSpace, eps: float,
                 best_size = len(chosen)
                 best = list(chosen)
             return
-        if len(chosen) + bin(candidates).count("1") <= best_size:
+        if len(chosen) + candidates.bit_count() <= best_size:
             return
         v = (candidates & -candidates).bit_length() - 1  # lowest candidate index
         chosen.append(v)
@@ -313,7 +346,7 @@ def exact_packing_number(space: FiniteMetricSpace, eps: float,
         recurse(candidates & ~(1 << v), chosen)
 
     recurse((1 << k) - 1, [])
-    return PackResult(tuple(int(sub[i]) for i in sorted(best)), eps, exact=True)
+    return PackResult(tuple(subset[i] for i in sorted(best)), eps, exact=True)
 
 
 def greedy_packing(space: FiniteMetricSpace, eps: float, subset=None) -> PackResult:
@@ -321,11 +354,8 @@ def greedy_packing(space: FiniteMetricSpace, eps: float, subset=None) -> PackRes
     if eps <= 0:
         raise ValueError("eps must be positive")
     subset, _ = _resolve(space, subset, None)
-    members = []
-    for i in subset:
-        if all(space.dist[i, j] >= eps for j in members):
-            members.append(i)
-    return PackResult(tuple(members), eps, exact=False)
+    kept = _first_fit(_conflict_masks(space, subset, eps))
+    return PackResult(tuple(subset[i] for i in kept), eps, exact=False)
 
 
 def sandwich_check(space: FiniteMetricSpace, eps: float,
@@ -361,13 +391,16 @@ def minimax_code_length(space: FiniteMetricSpace, eps: float,
 def code_length_report(space: FiniteMetricSpace, eps: float,
                        subset=None, ambient=None) -> dict:
     """Covering number, entropy, and code length in both decoder modes."""
+    subset, ambient = _resolve(space, subset, ambient)
     n = exact_covering_number(space, eps, subset, ambient).count
+    # the restricted decoder covers with the same centers when they coincide
+    n_restricted = (n if subset == ambient
+                    else exact_covering_number(space, eps, subset, subset).count)
     return {
         "N": n,
         "H": math.log2(n),
         "B": (n - 1).bit_length(),
-        "B_restricted": minimax_code_length(space, eps, subset, ambient,
-                                            decoder="restricted"),
+        "B_restricted": (n_restricted - 1).bit_length(),
     }
 
 

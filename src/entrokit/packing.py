@@ -496,18 +496,15 @@ class BumpFamily:
         }
 
 
-def build_bump_family(dim: int, cells: int, grid_res: int, code: SignCode,
-                      lam: Optional[float] = None) -> BumpFamily:
-    """Assemble the bump family; grid_res must put every ramp breakpoint on
-    a grid node (a multiple of 2 N (d+1) suffices at the default lam)."""
-    if dim not in (1, 2, 3):
-        raise ValueError("dim must be 1, 2 or 3")
+def _bump_lam(dim: int, cells: int, grid_res: int,
+              lam: Optional[float]) -> float:
+    """The plateau parameter (1/(1+d) when lam is None), once cells,
+    grid_res and lam are known to put every ramp breakpoint on a grid node;
+    needs no sign code, so a caller can check before building one."""
     if cells < 2:
         raise ValueError("cells must be >= 2")
     if grid_res < 1:
         raise ValueError("grid_res must be >= 1")
-    if code.length != cells**dim:
-        raise ValueError(f"code length {code.length} != {cells}^{dim}")
     if lam is None:
         lam = 1.0 / (1 + dim)
     if not 0 < lam < 1:
@@ -519,6 +516,18 @@ def build_bump_family(dim: int, cells: int, grid_res: int, code: SignCode,
         raise GridMisaligned(
             f"ramp breakpoints at lam/(2N) = {lam / (2 * cells)} off the "
             f"1/{grid_res} grid")
+    return lam
+
+
+def build_bump_family(dim: int, cells: int, grid_res: int, code: SignCode,
+                      lam: Optional[float] = None) -> BumpFamily:
+    """Assemble the bump family; grid_res must put every ramp breakpoint on
+    a grid node (a multiple of 2 N (d+1) suffices at the default lam)."""
+    if dim not in (1, 2, 3):
+        raise ValueError("dim must be 1, 2 or 3")
+    lam = _bump_lam(dim, cells, grid_res, lam)
+    if code.length != cells**dim:
+        raise ValueError(f"code length {code.length} != {cells}^{dim}")
     return BumpFamily(dim, cells, grid_res, code, lam)
 
 

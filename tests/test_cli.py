@@ -281,7 +281,7 @@ def test_cli_numbers_out_of_range_are_usage_errors(runner, tmp_path, args,
     (["bump", "--d", "1", "--n", "2", "--grid", "-8"], "--grid"),
     (["bump", "--d", "1", "--n", "3", "--grid", "4"], "--grid"),
     (["bump", "--d", "1", "--n", "4", "--grid", "20"], "--grid"),
-    (["bump", "--d", "2", "--n", "8", "--grid", "16"], "--n"),
+    (["bump", "--d", "2", "--n", "8", "--grid", "48"], "--n"),
     (["gv", "--n", "56"], "--n"),
 ], ids=["code-above-64", "lam-2", "lam-negative", "lam-nan", "grid-0",
         "grid-negative", "grid-negative-aligned", "grid-not-a-multiple",
@@ -294,6 +294,18 @@ def test_bump_and_gv_inputs_that_cannot_run_are_usage_errors(
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.exception
     assert option in res.output
+
+
+def test_bump_checks_its_grid_before_it_builds_the_code(runner, monkeypatch):
+    # 52 cells need a 52-bit code, seconds of work; a misaligned grid is
+    # refused first
+    def no_code(n):
+        raise AssertionError("the sign code was built")
+
+    monkeypatch.setattr(ek.packing, "volume_bound_code", no_code)
+    res = runner.invoke(main, ["bump", "--d", "1", "--n", "52", "--grid", "100"])
+    assert res.exit_code == 2, res.exception
+    assert "--grid" in res.output
 
 
 def test_chain_uniform_writes_csv_and_exits_zero(runner, tmp_path):

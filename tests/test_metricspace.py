@@ -1,5 +1,6 @@
 """Covering/packing oracles checked against independent brute-force search."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -120,14 +121,26 @@ def test_cover_line4_half_radius():
     assert ek.exact_covering_number(line4, 0.5).count == 4
 
 
+def _random_instance(rng, n, grid):
+    """(space, eps): uniform points in the unit square with a uniform eps,
+    or an integer Chebyshev grid, full of duplicates and distance ties,
+    with eps one of its distances."""
+    if not grid:
+        space = ek.FiniteMetricSpace.from_coords(rng.uniform(0, 1, (n, 2)))
+        return space, float(rng.uniform(0.1, 0.8))
+    space = ek.FiniteMetricSpace.from_coords(rng.integers(0, 4, (n, 2)),
+                                             metric="chebyshev")
+    return space, float(rng.integers(1, 4))
+
+
 def test_cover_matches_brute_force_on_random_instances():
     rng = stream(101, 6)
-    for _ in range(20):
-        n = int(rng.integers(3, 9))
-        space = ek.FiniteMetricSpace.from_coords(rng.uniform(0, 1, (n, 2)))
-        eps = float(rng.uniform(0.1, 0.8))
-        got = ek.exact_covering_number(space, eps).count
-        assert got == brute_cover(space, eps)
+    for i in range(40):
+        space, eps = _random_instance(rng, int(rng.integers(3, 9)), i >= 20)
+        got = ek.exact_covering_number(space, eps)
+        assert got.count == brute_cover(space, eps)
+        for p in range(space.n):
+            assert any(space.dist[c, p] <= eps for c in got.centers)
 
 
 def test_cover_with_proper_subset_and_outside_centers():
@@ -178,6 +191,51 @@ def test_greedy_cover_trivia():
     assert ek.greedy_covering(line3, 0.5, subset=[1]).count == 1
 
 
+def test_greedy_cover_breaks_ties_by_lowest_index():
+    # on a line of 4 at radius 1, centers 1 and 2 each cover three points;
+    # 1 goes first, then 2 and 3 tie on the last point and 2 goes
+    line4 = ek.FiniteMetricSpace.line(4)
+    assert ek.greedy_covering(line4, 1.0).centers == (1, 2)
+    assert ek.greedy_covering(line4, 1.0, ambient=[3, 2, 1, 0]).centers == (1, 2)
+    assert ek.greedy_covering(line4, 1.0, subset=[3], ambient=[1, 2, 3]).centers == (2,)
+
+
+def _reference_greedy_cover(space, eps, subset, ambient):
+    """One numpy argmax per pick over the ball matrix."""
+    covered_by = space.dist[np.ix_(ambient, subset)] <= eps
+    uncovered = np.ones(len(subset), dtype=bool)
+    centers = []
+    while uncovered.any():
+        pick = int(np.argmax((covered_by & uncovered).sum(axis=1)))
+        centers.append(ambient[pick])
+        uncovered &= ~covered_by[pick]
+    return tuple(centers)
+
+
+def _reference_first_fit(space, eps, subset):
+    members = []
+    for i in subset:
+        if all(space.dist[i, j] >= eps for j in members):
+            members.append(i)
+    return tuple(members)
+
+
+@pytest.mark.parametrize("n", [9, 62, 63, 90])
+def test_greedy_witnesses_match_a_per_pair_scan_on_tied_grids(n):
+    # from 63 points on, the masks are packed row by row
+    rng = stream(n, 6)
+    for _ in range(10):
+        space, eps = _random_instance(rng, n, grid=True)
+        every = list(range(n))
+        subset = sorted(rng.choice(n, int(rng.integers(1, n + 1)),
+                                   replace=False).tolist())
+        for sub in (every, subset):
+            assert (ek.greedy_covering(space, eps, sub).centers
+                    == _reference_greedy_cover(space, eps, sub, every))
+            assert (ek.greedy_packing(space, eps, sub).members
+                    == _reference_first_fit(space, eps, sub))
+
+
 # -- packing ------------------------------------------------------------
 
 
@@ -195,11 +253,12 @@ def test_pack_below_min_distance_keeps_all():
 
 def test_pack_matches_brute_force():
     rng = stream(77, 6)
-    for _ in range(20):
-        n = int(rng.integers(3, 9))
-        space = ek.FiniteMetricSpace.from_coords(rng.uniform(0, 1, (n, 2)))
-        eps = float(rng.uniform(0.1, 0.8))
-        assert ek.exact_packing_number(space, eps).count == brute_pack(space, eps)
+    for i in range(40):
+        space, eps = _random_instance(rng, int(rng.integers(3, 9)), i >= 20)
+        got = ek.exact_packing_number(space, eps)
+        assert got.count == brute_pack(space, eps)
+        for a, b in itertools.combinations(got.members, 2):
+            assert space.dist[a, b] >= eps
 
 
 def test_greedy_packing_below_exact():
@@ -279,6 +338,72 @@ def test_sandwich_and_code_length_match_enumeration(instance):
             == brute_code_length(space, eps, subset, ambient=subset))
 
 
+# -- pinned witnesses ------------------------------------------------------
+
+
+def _witness_spaces(seed, count, sizes):
+    """(space, eps, subset, ambient) drawn from a seeded stream: Euclidean
+    points in 1-3 dims and integer Chebyshev grids, whose distances tie
+    often; eps is either one of the distances or a uniform draw, and
+    every second instance carries a random subset inside a random
+    ambient set."""
+    rng = stream(seed, 6)
+    for i in range(count):
+        n = int(rng.integers(sizes[0], sizes[1] + 1))
+        if i % 4 < 3:
+            space = ek.FiniteMetricSpace.from_coords(
+                rng.uniform(0, 1, (n, i % 4 + 1)))
+        else:
+            space = ek.FiniteMetricSpace.from_coords(
+                rng.integers(0, 4, (n, 2)), metric="chebyshev")
+        positive = np.unique(space.dist[space.dist > 0])
+        if positive.size and i % 3:
+            eps = float(positive[rng.integers(0, positive.size)])
+        else:
+            eps = float(rng.uniform(0.05, 1.5))
+        subset = ambient = None
+        if i % 2:
+            ambient = sorted(rng.choice(n, int(rng.integers(1, n + 1)),
+                                        replace=False).tolist())
+            subset = sorted(rng.choice(ambient, int(rng.integers(1, len(ambient) + 1)),
+                                       replace=False).tolist())
+        yield space, eps, subset, ambient
+
+
+def _digest(records):
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+# sha256 of every solver's output on the instances above; a value
+# changes only with a stated reason
+EXACT_WITNESS_SHA256 = "66782be4cd8233f7cbbd7edb935eaad0a9971780b3243bcfda2f826ac4f76fd9"
+WIDE_GREEDY_SHA256 = "30995dc0194cf397331b366a1b99725ec98bcdf223f3fd4207faa43188929657"
+
+
+def test_solver_witnesses_are_pinned():
+    records = []
+    for space, eps, subset, ambient in _witness_spaces(131, 320, (2, 18)):
+        cover = ek.exact_covering_number(space, eps, subset, ambient)
+        records.append([
+            eps, cover.centers,
+            ek.exact_packing_number(space, eps, subset).members,
+            ek.exact_packing_number(space, 3 * eps, subset).members,
+            ek.greedy_covering(space, eps, subset, ambient).centers,
+            ek.greedy_packing(space, eps, subset).members,
+            ek.code_length_report(space, eps, subset, ambient)])
+    assert _digest(records) == EXACT_WITNESS_SHA256
+
+
+def test_greedy_witnesses_wider_than_an_int64_row_are_pinned():
+    records = []
+    for size in (70, 100):
+        for space, eps, subset, ambient in _witness_spaces(size, 8, (size, size)):
+            records.append([
+                eps, ek.greedy_covering(space, eps, subset, ambient).centers,
+                ek.greedy_packing(space, eps, subset).members])
+    assert _digest(records) == WIDE_GREEDY_SHA256
+
+
 # -- minimax code length ---------------------------------------------------
 
 
@@ -312,6 +437,29 @@ def test_code_length_lower_bounded_by_entropy():
         assert rep["B"] == (rep["N"] - 1).bit_length()
         # restricting the decoder image can only increase the bit count
         assert rep["B_restricted"] >= rep["B"]
+
+
+def test_code_length_report_covers_once_when_the_decoders_agree(monkeypatch):
+    covers = []
+    exact = ek.metricspace.exact_covering_number
+
+    def counted(*args):
+        covers.append(args[2:])
+        return exact(*args)
+
+    monkeypatch.setattr(ek.metricspace, "exact_covering_number", counted)
+    line5 = ek.FiniteMetricSpace.line(5)
+    assert ek.code_length_report(line5, 1.0)["B_restricted"] == 1
+    assert len(covers) == 1
+    covers.clear()
+    assert ek.code_length_report(line5, 2.0, subset=[1, 3], ambient=[3, 1])[
+        "B_restricted"] == 0
+    assert len(covers) == 1
+    covers.clear()
+    # centers 2 (ambient) and {0, 4} (restricted) cover the ends
+    rep = ek.code_length_report(line5, 2.0, subset=[0, 4])
+    assert (rep["B"], rep["B_restricted"]) == (0, 1)
+    assert covers == [([0, 4], [0, 1, 2, 3, 4]), ([0, 4], [0, 4])]
 
 
 # -- dictionary minimax error ----------------------------------------------

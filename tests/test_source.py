@@ -53,3 +53,19 @@ def test_no_module_reads_the_environment():
                 found += [f"{path.name}:{node.lineno}" for alias in node.names
                           if alias.name in _ENVIRONMENT]
     assert not found, found
+
+
+def test_popcounts_do_not_go_through_strings():
+    # bin(x).count("1") builds a string per popcount; int.bit_count and
+    # np.bitwise_count count the bits directly
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "count"
+                    and isinstance(node.func.value, ast.Call)
+                    and isinstance(node.func.value.func, ast.Name)
+                    and node.func.value.func.id == "bin"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
