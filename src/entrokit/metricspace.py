@@ -28,9 +28,6 @@ from .errors import ConfigError, SampleMismatch, SizeLimitExceeded
 EXACT_LIMIT = 20
 VALIDATION_ATOL = 1e-12
 TRIANGLE_BLOCK_ENTRIES = 1 << 20
-# widest boolean row packed into an int64 by one matrix product
-INT64_MASK_COLUMNS = 62
-_BIT_WEIGHTS = 1 << np.arange(INT64_MASK_COLUMNS, dtype=np.int64)
 
 
 class FiniteMetricSpace:
@@ -191,16 +188,16 @@ def _resolve(space: FiniteMetricSpace, subset, ambient):
 def _bitmasks(rows: np.ndarray) -> list:
     """Each row of a boolean matrix as an int whose bit pos is set when
     column pos is."""
-    if rows.shape[1] <= INT64_MASK_COLUMNS:
-        return (rows.astype(np.int64) @ _BIT_WEIGHTS[:rows.shape[1]]).tolist()
     packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    width, buf = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(buf[i:i + width], "little")
+            for i in range(0, len(buf), width)]
 
 
 def _cover_masks(space, subset, ambient, eps) -> list:
     """One bitmask over subset positions per ambient center: the subset
     points in its closed eps-ball."""
-    return _bitmasks(space.dist.take(ambient, 0).take(subset, 1) <= eps)
+    return _bitmasks((space.dist.take(ambient, 0) <= eps).take(subset, 1))
 
 
 def _greedy_cover(masks: list, full: int) -> list:
@@ -299,7 +296,7 @@ def greedy_covering(space: FiniteMetricSpace, eps: float,
 def _conflict_masks(space, subset, eps) -> list:
     """One bitmask over subset positions per subset point: the other
     points closer than eps to it."""
-    conflict = space.dist.take(subset, 0).take(subset, 1) < eps
+    conflict = (space.dist.take(subset, 0) < eps).take(subset, 1)
     np.fill_diagonal(conflict, False)
     return _bitmasks(conflict)
 
@@ -350,12 +347,23 @@ def exact_packing_number(space: FiniteMetricSpace, eps: float,
 
 
 def greedy_packing(space: FiniteMetricSpace, eps: float, subset=None) -> PackResult:
-    """First-fit packing in index order; count <= exact packing number."""
+    """First-fit packing in index order; count <= exact packing number.
+
+    Reads one column of distances per member kept, so it holds O(n)
+    memory on spaces of any size.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     subset, _ = _resolve(space, subset, None)
-    kept = _first_fit(_conflict_masks(space, subset, eps))
-    return PackResult(tuple(subset[i] for i in kept), eps, exact=False)
+    rows = np.asarray(subset)
+    free = np.ones(len(subset), dtype=bool)  # no member kept so far is < eps away
+    members = []
+    while free.any():
+        pos = int(free.argmax())
+        members.append(subset[pos])
+        free &= space.dist[rows, subset[pos]] >= eps
+        free[pos] = False
+    return PackResult(tuple(members), eps, exact=False)
 
 
 def sandwich_check(space: FiniteMetricSpace, eps: float,
@@ -393,14 +401,15 @@ def code_length_report(space: FiniteMetricSpace, eps: float,
     """Covering number, entropy, and code length in both decoder modes."""
     subset, ambient = _resolve(space, subset, ambient)
     n = exact_covering_number(space, eps, subset, ambient).count
-    # the restricted decoder covers with the same centers when they coincide
-    n_restricted = (n if subset == ambient
-                    else exact_covering_number(space, eps, subset, subset).count)
+    b = (n - 1).bit_length()
     return {
         "N": n,
         "H": math.log2(n),
-        "B": (n - 1).bit_length(),
-        "B_restricted": (n_restricted - 1).bit_length(),
+        "B": b,
+        # the restricted decoder covers with the same centers when they coincide
+        "B_restricted": (b if subset == ambient else
+                         minimax_code_length(space, eps, subset, ambient,
+                                             decoder="restricted")),
     }
 
 

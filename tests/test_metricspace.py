@@ -222,7 +222,7 @@ def _reference_first_fit(space, eps, subset):
 
 @pytest.mark.parametrize("n", [9, 62, 63, 90])
 def test_greedy_witnesses_match_a_per_pair_scan_on_tied_grids(n):
-    # from 63 points on, the masks are packed row by row
+    # widths on both sides of a 64-bit word
     rng = stream(n, 6)
     for _ in range(10):
         space, eps = _random_instance(rng, n, grid=True)
@@ -394,7 +394,7 @@ def test_solver_witnesses_are_pinned():
     assert _digest(records) == EXACT_WITNESS_SHA256
 
 
-def test_greedy_witnesses_wider_than_an_int64_row_are_pinned():
+def test_greedy_witnesses_on_wide_spaces_are_pinned():
     records = []
     for size in (70, 100):
         for space, eps, subset, ambient in _witness_spaces(size, 8, (size, size)):
