@@ -10,6 +10,7 @@ process exits 0 only when every pass flag in the run is true.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -21,8 +22,9 @@ from . import metricspace as ms
 from . import packing as pk
 from . import quantizer as qz
 from . import randomfield as rf
-from .errors import (ChannelMismatch, ConfigError, GridMisaligned,
-                     LayoutMismatch, ResolutionTooLow, SizeLimitExceeded)
+from .errors import (ChannelMismatch, ConfigError, EpsilonTooLarge,
+                     GridMisaligned, LayoutMismatch, ResolutionTooLow,
+                     SizeLimitExceeded)
 from .rng import STREAM_PARAM_GEN, stream
 
 
@@ -42,7 +44,17 @@ def _finish(ok: bool) -> None:
     sys.exit(0 if ok else 1)
 
 
-_POSITIVE = click.FloatRange(min=0, min_open=True)
+class _FiniteFloat(click.FloatRange):
+    """A FloatRange that also refuses nan and the infinities."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{rv} is not a finite number", param, ctx)
+        return rv
+
+
+_POSITIVE = _FiniteFloat(min=0, min_open=True)
 
 
 @click.group()
@@ -100,7 +112,7 @@ def _load_space(path) -> ms.FiniteMetricSpace:
 
 @main.command()
 @click.option("--space", "space_path", type=click.Path(exists=True), required=True)
-@click.option("--eps", type=float, required=True)
+@click.option("--eps", type=_POSITIVE, required=True)
 @click.option("--decoder", type=click.Choice(["ambient", "restricted", "both"]),
               default="ambient", show_default=True)
 @click.pass_context
@@ -119,7 +131,7 @@ def codelength(ctx, space_path, eps, decoder):
 
 @main.command()
 @click.option("--space", "space_path", type=click.Path(exists=True), required=True)
-@click.option("--eps", type=float, required=True)
+@click.option("--eps", type=_POSITIVE, required=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.pass_context
 def hat(ctx, space_path, eps, out_path):
@@ -130,7 +142,10 @@ def hat(ctx, space_path, eps, out_path):
     """
     _unread(ctx, "config")
     space = _load_space(space_path)
-    fam = pk.build_hat_family(space, eps)
+    try:
+        fam = pk.build_hat_family(space, eps)
+    except EpsilonTooLarge as exc:
+        raise click.BadParameter(str(exc), param_hint="--eps") from exc
     seed = ctx.obj["seed"]
     rep = fam.verify(0 if seed is None else seed)
     manifest = fam.manifest()
@@ -280,7 +295,7 @@ def fno_eval(ctx, hyper_path, params_path, input_path):
               show_default=True)
 @click.option("--probes", type=click.IntRange(min=100), default=128,
               show_default=True)
-@click.option("--c", "c_override", type=float, default=None,
+@click.option("--c", "c_override", type=_FiniteFloat(min=0), default=None,
               help="Skip calibration and use this C in the bound.")
 @click.pass_context
 def quantize_cmd(ctx, hyper_path, delta, box, seed, n_inputs, probes, c_override):

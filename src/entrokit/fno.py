@@ -49,17 +49,25 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (ChannelMismatch, ConfigError, IncompatibleDepth,
                      LayoutMismatch, ResolutionTooLow, TargetTooSmall)
 from .rng import STREAM_FNO_PROBE, STREAM_INPUT_GEN, stream
 
+
+def _gelu(x):
+    # scipy.special is imported on the first call, so runs without gelu
+    # never load it
+    from scipy.special import ndtr
+
+    return x * ndtr(x)
+
+
 # activation -> (function, Lipschitz constant used in bound propagation)
 ACTIVATIONS = {
     "relu": (lambda x: np.maximum(x, 0.0), 1.0),
     # gelu(x) = x Phi(x); max slope Phi(sqrt 2) + sqrt 2 phi(sqrt 2) = 1.12892...
-    "gelu": (lambda x: x * ndtr(x), 1.129),
+    "gelu": (_gelu, 1.129),
     "identity": (lambda x: x, 1.0),
 }
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, DimensionExceedsTruncation
 from .rng import (STREAM_KL_SAMPLE, STREAM_MC_NORM, STREAM_TRANSPORT, stream)
@@ -84,6 +83,9 @@ class KLMeasure:
     def cdf(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         if self.law == "gaussian":
+            # imported here, so runs without a Gaussian CDF never load scipy
+            from scipy.special import ndtr
+
             return ndtr(z)
         return np.clip((z + _SQRT3) / (2 * _SQRT3), 0.0, 1.0)
 

@@ -411,6 +411,18 @@ def test_expectation_chain_short_code_fails_the_run(monkeypatch):
     assert t.to_csv_bytes() == full.to_csv_bytes()
 
 
+def test_expectation_chain_checks_its_grid_before_it_builds_the_code(
+        monkeypatch):
+    # 7^2 cells need a 49-bit code, most of a second and 269 MB; a grid
+    # that is no multiple of the cells is refused first
+    def no_code(n):
+        raise AssertionError("the sign code was built")
+
+    monkeypatch.setattr(chains.pk, "volume_bound_code", no_code)
+    with pytest.raises(ek.GridMisaligned):
+        ek.run_experiment(dict(EXPECT_CFG, dim=2, cells=7, grid_res=50))
+
+
 # -- bits accuracy ---------------------------------------------------------------
 
 

@@ -258,13 +258,31 @@ def _quantize(**opts):
     (_quantize(**{"--delta": "0"}), "--delta"),
     (_quantize(**{"--m": "0"}), "--m"),
     (_quantize(**{"--delta": "2.5"}), "--delta"),
+    (_quantize(**{"--delta": "nan"}), "--delta"),
+    (_quantize(**{"--m": "nan"}), "--m"),
+    (_quantize(**{"--m": "inf"}), "--m"),
+    (_quantize(**{"--c": "-1"}), "--c"),
+    (_quantize(**{"--c": "inf"}), "--c"),
+    (["codelength", "--space", None, "--eps", "0"], "--eps"),
+    (["codelength", "--space", None, "--eps", "-1"], "--eps"),
+    (["codelength", "--space", None, "--eps", "nan"], "--eps"),
+    (["hat", "--space", None, "--eps", "0"], "--eps"),
+    (["hat", "--space", None, "--eps", "-1"], "--eps"),
+    (["hat", "--space", None, "--eps", "nan"], "--eps"),
+    (["hat", "--space", None, "--eps", "0.5"], "--eps"),
 ], ids=["gv-n-3", "gv-n-65", "bump-d-4", "bump-n-1", "probes-10",
         "n-inputs-0", "negative-delta", "zero-delta", "zero-m",
-        "delta-above-2m"])
+        "delta-above-2m", "nan-delta", "nan-m", "infinite-m", "negative-c",
+        "infinite-c", "codelength-zero-eps", "codelength-negative-eps",
+        "codelength-nan-eps", "hat-zero-eps", "hat-negative-eps",
+        "hat-nan-eps", "hat-eps-above-a-third"])
 def test_cli_numbers_out_of_range_are_usage_errors(runner, tmp_path, args,
                                                    option):
-    (tmp_path / "hyper.json").write_text(json.dumps(HYPER))
-    args = [str(tmp_path / "hyper.json") if a is None else a for a in args]
+    # None stands for the file the subcommand reads: a space or a hyper
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(ek.FiniteMetricSpace.line(4).to_json()
+                               if args[0] in ("codelength", "hat") else HYPER))
+    args = [str(path) if a is None else a for a in args]
     res = runner.invoke(main, args)
     assert res.exit_code == 2
     assert option in res.output

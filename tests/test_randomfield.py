@@ -1,7 +1,9 @@
 """KL sampling, the CDF map, embeddings, and Monte-Carlo norms."""
 
 import itertools
+import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -580,6 +582,84 @@ def test_import_starts_no_thread():
          "import threading, entrokit; print(threading.active_count())"],
         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "1"
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_python(code, *args):
+    """stdout of code run in a new interpreter that imports src's entrokit."""
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    return out.stdout.strip()
+
+
+_SCIPY_LOADED = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+
+
+def test_import_loads_no_scipy():
+    # scipy.special is imported by the first ndtr call, not by the package
+    assert _fresh_python(
+        f"import sys, entrokit, entrokit.cli; print({_SCIPY_LOADED})") == "False"
+
+
+def test_cli_runs_without_ndtr_load_no_scipy(tmp_path):
+    space = tmp_path / "line4.json"
+    space.write_text(json.dumps(ek.FiniteMetricSpace.line(4).to_json()))
+    config = tmp_path / "uniform.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "experiment": "uniform-chain", "seed": 7,
+        "space": {"kind": "circle", "n": 8}, "eps_ladder": [1 / 6]}))
+    out = _fresh_python(f"""
+import sys
+from click.testing import CliRunner
+from entrokit.cli import main
+space, config = sys.argv[1:]
+for args in (["gv", "--n", "24"],
+             ["bump", "--d", "1", "--n", "4", "--grid", "32"],
+             ["hat", "--space", space, "--eps", str(1 / 6)],
+             ["codelength", "--space", space, "--eps", "0.5"],
+             ["chain-uniform", "--config", config]):
+    print(CliRunner().invoke(main, args).exit_code, end=" ")
+print({_SCIPY_LOADED})
+""", space, config)
+    assert out == "0 0 0 0 0 False"
+
+
+_NDTR_CALLERS = {
+    "gelu-forward": """
+import entrokit as ek
+from entrokit import fno
+from entrokit.rng import stream
+before = {loaded}
+hyper = ek.FnoHyper(1, 1, 1, 2, 2, 2, "gelu")
+params = ek.FnoParams.random(hyper, 1.0, stream(4, 0))
+u = ek.random_inputs(hyper, 1, 4)[0]
+got = fno.forward(params, u)
+loaded = "scipy.special" in sys.modules
+from scipy.special import ndtr
+fno.ACTIVATIONS["gelu"] = (lambda x: x * ndtr(x), 1.129)
+same = got.hex() == fno.forward(params, u).hex()
+""",
+    "gaussian-cdf": """
+import numpy as np
+import entrokit as ek
+before = {loaded}
+z = np.linspace(-9.0, 9.0, 4001)
+got = ek.KLMeasure([1.0, 0.25]).cdf(z)
+loaded = "scipy.special" in sys.modules
+from scipy.special import ndtr
+same = got.tobytes() == ndtr(z).tobytes()
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NDTR_CALLERS))
+def test_ndtr_callers_load_scipy_and_keep_its_bits(name):
+    code = _NDTR_CALLERS[name].format(loaded=_SCIPY_LOADED)
+    out = _fresh_python(f"import sys\n{code}\nprint(before, loaded, same)")
+    assert out == "False True True"
 
 
 def test_more_seeds_than_cores_under_fast_thread_switching():

@@ -69,3 +69,20 @@ def test_popcounts_do_not_go_through_strings():
                     and node.func.value.func.id == "bin"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_no_module_level_scipy_import():
+    # scipy.special costs about 0.25 s to import, and most runs never call
+    # it; its callers import it inside the function that needs it
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
