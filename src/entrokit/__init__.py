@@ -19,7 +19,7 @@ from .metricspace import (CoverResult, FiniteMetricSpace, LpSampleNorm,
 from .packing import (BumpFamily, HatFamily, SignCode, build_bump_family,
                       build_hat_family, entropy_lower_bound_uniform,
                       gilbert_varshamov, greedy_sign_code,
-                      select_embedding_dimension, volume_bound_code)
+                      select_embedding_dimension)
 from .randomfield import (EmbeddedFunctional, GridFunction01, IsometryReport,
                           KLMeasure, McDraws, McEstimate, cdf_map, embed,
                           isometry_check, lp_norm_mc, sample,

@@ -452,8 +452,8 @@ def _run_expectation_chain(cfg: dict) -> ResultTable:
             f"cells^dim = {length} is above {pk.MAX_CODE_LENGTH}, the "
             "longest sign code")
     # check the grid before building the code, which can take seconds
-    lam = pk._bump_lam(dim, cells, cfg["grid_res"], None)
-    code = pk.volume_bound_code(length)
+    lam = pk.bump_lam(dim, cells, cfg["grid_res"], None)
+    code = pk.gilbert_varshamov(length)
     family = pk.build_bump_family(dim, cells, cfg["grid_res"], code, lam)
 
     lam_d = float(measure.eigenvalues[dim - 1])

@@ -23,8 +23,8 @@ from . import packing as pk
 from . import quantizer as qz
 from . import randomfield as rf
 from .errors import (ChannelMismatch, ConfigError, EpsilonTooLarge,
-                     GridMisaligned, LayoutMismatch, ResolutionTooLow,
-                     SizeLimitExceeded)
+                     GridMisaligned, LayoutMismatch, OutOfRange,
+                     ResolutionTooLow, SizeLimitExceeded)
 from .rng import STREAM_PARAM_GEN, stream
 
 
@@ -164,7 +164,7 @@ def _sign_code(n: int) -> pk.SignCode:
     """The volume-bound code of length n; one whose coset table is too
     large is a usage error of the option --n."""
     try:
-        return pk.volume_bound_code(n)
+        return pk.gilbert_varshamov(n)
     except SizeLimitExceeded as exc:
         raise click.BadParameter(str(exc), param_hint="--n") from exc
 
@@ -207,7 +207,7 @@ def bump(ctx, dim, cells, grid_res, lam, out_path):
     if lam is not None and not 0 < lam < 1:
         raise click.BadParameter(f"{lam} is not in (0, 1)", param_hint="--lam")
     try:
-        lam = pk._bump_lam(dim, cells, grid_res, lam)
+        lam = pk.bump_lam(dim, cells, grid_res, lam)
     except GridMisaligned as exc:
         raise click.BadParameter(str(exc), param_hint="--grid") from exc
     fam = pk.build_bump_family(dim, cells, grid_res, _sign_code(length), lam)
@@ -310,15 +310,26 @@ def quantize_cmd(ctx, hyper_path, delta, box, seed, n_inputs, probes, c_override
         seed = 0
     inputs = fno_mod.random_inputs(hyper, n_inputs, seed)
     if c_override is None:
-        c_value = qz.calibrate_c(hyper, box, inputs, probes, seed)
+        try:
+            c_value = qz.calibrate_c(hyper, box, inputs, probes, seed)
+        except OutOfRange as exc:
+            raise click.BadParameter(str(exc), param_hint="--m") from exc
     else:
         c_value = c_override
     log2_bound = qz.theoretical_lip_bound(qz.LipBoundInputs(
         hyper.depth, hyper.d_c, hyper.kappa, hyper.dim, box, c_value))
+    try:
+        bound = 2.0**log2_bound
+    except OverflowError:
+        bound = math.inf
+    if math.isinf(bound):
+        raise click.BadParameter(
+            f"the Lipschitz bound 2^{log2_bound:.6g} overflows a float",
+            param_hint="--m" if c_override is None else ["--m", "--c"])
     grid = qz.QuantGrid(box, delta)
     rng = stream(seed, STREAM_PARAM_GEN)
     params = fno_mod.FnoParams.random(hyper, box, rng)
-    cert = qz.certify_quantization(params, grid, inputs, 2.0**log2_bound)
+    cert = qz.certify_quantization(params, grid, inputs, bound)
     _emit({
         "measured_err": cert.measured_err,
         "lip_estimate": cert.lip_estimate,

@@ -62,7 +62,8 @@ class LayoutMismatch(EntrokitError):
 
 
 class OutOfRange(EntrokitError):
-    """Parameter vector leaves the quantization box."""
+    """Parameter vector leaves the quantization box, or a box too large
+    for its Lipschitz bound to fit in a float."""
 
 
 class BudgetExceeded(EntrokitError):

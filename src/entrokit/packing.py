@@ -309,21 +309,15 @@ def greedy_sign_code(length: int, min_distance: int,
     return _greedy_sign_code(length, min_distance, target_size)
 
 
-def volume_bound_code(n: int) -> SignCode:
-    """Code of length n at distance ceil(n/4) and size ceil(e^(n/8)), the
-    combination the volume bound guarantees for any n."""
-    return greedy_sign_code(n, math.ceil(n / 4), math.ceil(math.exp(n / 8)))
-
-
 def gilbert_varshamov(n: int) -> SignCode:
-    """Greedy code of length n with Hamming distance >= ceil(n/4) and size
-    >= ceil(e^(n/8)).  Deterministic.  Work and memory grow like the
-    coset table, 2^(L - k) entries for the leading bit L of the last of k
-    basis words: 2^18 at n = 40, 2^27 at n = 53..55.  Longer codes need
-    more than LEXICODE_TABLE_LIMIT entries and raise SizeLimitExceeded."""
-    if not 4 <= n <= MAX_CODE_LENGTH:
-        raise ValueError(f"n must lie in [4, {MAX_CODE_LENGTH}], got {n}")
-    return volume_bound_code(n)
+    """Greedy code of length n in [1, MAX_CODE_LENGTH] with Hamming
+    distance >= ceil(n/4) and size >= ceil(e^(n/8)), the combination the
+    volume bound guarantees for any n.  Deterministic.  Work and memory
+    grow like the coset table, 2^(L - k) entries for the leading bit L of
+    the last of k basis words: 2^18 at n = 40, 2^27 at n = 53..55.  Longer
+    codes need more than LEXICODE_TABLE_LIMIT entries and raise
+    SizeLimitExceeded."""
+    return greedy_sign_code(n, math.ceil(n / 4), math.ceil(math.exp(n / 8)))
 
 
 # ---------------------------------------------------------------------
@@ -496,8 +490,8 @@ class BumpFamily:
         }
 
 
-def _bump_lam(dim: int, cells: int, grid_res: int,
-              lam: Optional[float]) -> float:
+def bump_lam(dim: int, cells: int, grid_res: int,
+             lam: Optional[float]) -> float:
     """The plateau parameter (1/(1+d) when lam is None), once cells,
     grid_res and lam are known to put every ramp breakpoint on a grid node;
     needs no sign code, so a caller can check before building one."""
@@ -525,7 +519,7 @@ def build_bump_family(dim: int, cells: int, grid_res: int, code: SignCode,
     a grid node (a multiple of 2 N (d+1) suffices at the default lam)."""
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2 or 3")
-    lam = _bump_lam(dim, cells, grid_res, lam)
+    lam = bump_lam(dim, cells, grid_res, lam)
     if code.length != cells**dim:
         raise ValueError(f"code length {code.length} != {cells}^{dim}")
     return BumpFamily(dim, cells, grid_res, code, lam)

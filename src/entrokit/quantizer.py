@@ -112,10 +112,16 @@ def calibrate_c(hyper: FnoHyper, box: float, input_set: Sequence[GridFunction],
     The bound factors as (L+2)(2 d_c M)^(L+2) times (C + (2 kappa)^(d/2));
     the measured Lipschitz estimate divided by the leading factor is the
     empirically realized prefactor, and C is set to twice that, so the
-    calibrated bound exceeds the measurement by construction.
+    calibrated bound exceeds the measurement by construction.  Raises
+    OutOfRange when the leading factor overflows a float.
     """
+    try:
+        leading = (hyper.depth + 2) * (2 * hyper.d_c * box) ** (hyper.depth + 2)
+    except OverflowError:
+        leading = math.inf
+    if math.isinf(leading):
+        raise OutOfRange(f"(L+2) (2 d_c M)^(L+2) overflows a float at M = {box}")
     est = empirical_lipschitz(hyper, box, probes, input_set, seed)
-    leading = (hyper.depth + 2) * (2 * hyper.d_c * box) ** (hyper.depth + 2)
     return 2.0 * est / leading
 
 

@@ -22,7 +22,7 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -218,176 +218,91 @@ class GridFunction01:
 
         The value is np.mean of |f|^p over the whole (refine * res)^d
         midpoint grid, bit for bit, but that grid is never held: numpy's
-        pairwise sum is taken in leaves of at most QUAD_LEAF points.  A 1-D
-        grid computes each leaf's points on their own (see _line_leaf).
-        Above 1-D the leaves are read from chunks of whole leading cell
-        rows computed in order, each of at most QUAD_LEAF points or one
-        larger row (see _LeafSums).
+        pairwise sum is taken in leaves of at most QUAD_LEAF points, and
+        each leaf computes only the points it touches (see _leaf_sum).
         """
         if not 1 <= p < math.inf:
             raise ValueError("p must be finite and >= 1")
         if (not isinstance(refine, numbers.Integral)
                 or isinstance(refine, bool) or refine < 1):
             raise ValueError(f"refine must be an integer >= 1, got {refine!r}")
-        refine = int(refine)
-        res, dim = self.res, self.dim
-        m = res * refine
-        if dim == 1:
-            total = _pairwise_sum(
-                0, m, lambda lo, hi: _line_leaf(self.values, p, m, lo, hi))
-            # np.mean divides the pairwise sum by the count
-            return float(total / m)
-        i0, factors = _axis_weights(res, m, 0, m)
-        # Midpoint a lies half a refined cell or more inside cell
-        # a // refine, so i0 == arange(m) // refine and each leading axis
-        # splits into (cell, offset): a corner's node values are a slice
-        # broadcast over the offsets, and only the last axis gathers.  A
-        # slab is one leading cell row, in the C order of the (m,)*dim grid.
-        rows = res
-        slab = (refine,) + (res, refine) * (dim - 2) + (m,)
-        node_shape = (1,) + (res, 1) * (dim - 2) + (m,)
-        # per-bit weights of leading axis 0 (indexed by row) and of the
-        # inner leading axes k, placed on the slab's (cell, offset) axes
-        split = [f.reshape((res, refine) + (1,) * (len(slab) - 1))
-                 for f in factors]
-        inner = [[f.reshape((1,) * (2 * k - 1) + (res, refine)
-                            + (1,) * (len(slab) - 2 * k - 1)) for f in factors]
-                 for k in range(1, dim - 1)]
-        gathered = [self.values.take(i0 + bit, axis=-1) for bit in (0, 1)]
-        size = math.prod(slab)
-        # whole rows per chunk: at most QUAD_LEAF points, or one larger row
-        chunk = min(rows, max(1, QUAD_LEAF // size))
-        grid = _CellRows(p, dim, res, rows, chunk, slab, node_shape, factors,
-                         split, inner, gathered)
-        n = rows * size
-        total = _pairwise_sum(0, n, _LeafSums(grid).leaf)
+        m = self.res * int(refine)
+        n = m ** self.dim
+        scratch: list = []
+        total = _pairwise_sum(
+            0, n, lambda lo, hi: _leaf_sum(self.values, p, m, lo, hi, scratch))
         # np.mean divides the pairwise sum by the count
         return float(total / n)
 
 
-def _axis_weights(res: int, m: int, lo: int, hi: int):
+def _axis_weights(res: int, m: int, index: np.ndarray):
     """Cell index i0 and per-bit weights (1 - frac, frac) of the midpoints
-    lo..hi-1 of m refined cells on one axis of a res-cell grid.
+    `index` of m refined cells on one axis of a res-cell grid.
 
     The midpoint mesh is a product grid, so GridFunction01.__call__'s
     per-point cell index and weights are these per-axis arrays, value for
     value.
     """
-    mids = (np.arange(lo, hi) + 0.5) / m
+    mids = (index + 0.5) / m
     t = np.clip(mids, 0.0, 1.0) * res
     i0 = np.minimum(t.astype(int), res - 1)
     frac = t - i0
     return i0, (1.0 - frac, frac)
 
 
-def _line_leaf(values: np.ndarray, p: float, m: int, lo: int,
-               hi: int) -> float:
-    """np.add.reduce of |f|^p at the midpoints lo..hi-1 of a 1-D grid of m
-    refined cells, f's node values given; the corners are combined in
-    GridFunction01.__call__'s order, so each value is pointwise evaluation
-    bit for bit."""
-    i0, factors = _axis_weights(len(values) - 1, m, lo, hi)
-    out = np.zeros(hi - lo)
-    for bit in (0, 1):
-        out += factors[bit] * values[i0 + bit]
+def _leaf_sum(values: np.ndarray, p: float, m: int, lo: int, hi: int,
+              scratch: list) -> float:
+    """np.add.reduce of |f|^p at the points lo..hi-1, in C order, of the
+    (m,)*d midpoint grid of m refined cells per axis, f's node values given.
+
+    The grid is read as lines along the last axis.  The leaf computes the
+    lines it touches, or only its own columns when it lies inside one
+    line.  Corners are combined in GridFunction01.__call__'s order, so
+    each value is pointwise evaluation bit for bit.  scratch keeps the
+    leaf-sized buffers from one leaf to the next.
+    """
+    res = values.shape[0] - 1
+    first, last = lo // m, (hi - 1) // m
+    start, stop = (lo - first * m, hi - first * m) if first == last else (0, m)
+    i0, factors = _axis_weights(res, m, np.arange(start, stop))
+    # each line's midpoint index on the leading axes, axis 0 first
+    lines, heads = np.arange(first, last + 1), []
+    for _ in range(values.ndim - 1):
+        lines, index = np.divmod(lines, m)
+        heads.insert(0, index)
+    # head weight and node row per leading-axis corner (rows, in
+    # itertools.product order) and per line (columns)
+    count = last - first + 1
+    w, row = np.ones((1, count)), np.zeros((1, count), dtype=np.intp)
+    for index in heads:
+        head_i0, head_factors = _axis_weights(res, m, index)
+        w = (w[:, None] * np.stack(head_factors)).reshape(-1, count)
+        row = (row[:, None] * (res + 1) + head_i0
+               + np.arange(2)[:, None]).reshape(-1, count)
+    # only the node rows the lines read, and only their columns
+    top = int(row[0].min())
+    rows = values.reshape(-1, res + 1)[top:int(row[-1].max()) + 1]
+    table = [rows.take(i0 + bit, axis=1) for bit in (0, 1)]
+    size = count * (stop - start)
+    if not scratch or scratch[0].size < size:
+        scratch[:] = [np.empty(size) for _ in range(3)]
+    out, term, nodes = (b[:size].reshape(count, -1) for b in scratch)
+    out.fill(0.0)
+    for head_w, head_row in zip(w, row - top):
+        for bit in (0, 1):
+            # the outer product head_w * factors[bit]: einsum, faster than
+            # a broadcast multiply over short lines, adds each product to
+            # +0.0, which can change only a zero's sign, and the sums into
+            # out (from +0.0) never show a zero's sign
+            np.einsum("i,j->ij", head_w, factors[bit], out=term)
+            # head_row is in range; mode "raise" would buffer the output
+            np.take(table[bit], head_row, axis=0, out=nodes, mode="clip")
+            term *= nodes
+            out += term
     np.abs(out, out=out)
     out **= p
-    return np.add.reduce(out)
-
-
-class _CellRows(NamedTuple):
-    """One refined quadrature grid, laid out as quadrature_abs_pow splits it:
-    `rows` leading cell rows of `size` midpoints each, in C order, computed
-    in chunks of `chunk` consecutive rows (the last may be shorter)."""
-
-    p: float
-    dim: int
-    res: int
-    rows: int
-    chunk: int
-    slab: tuple
-    node_shape: tuple
-    factors: tuple
-    split: list
-    inner: list
-    gathered: list
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.slab)
-
-
-def _cell_rows(grid: _CellRows, first: int, out: np.ndarray,
-               term: np.ndarray) -> None:
-    """Fill out (flat) with |f|^p at the midpoints of len(out) // grid.size
-    cell rows, from row first on.
-
-    Corners and axes are combined in GridFunction01.__call__'s order, so
-    each value equals pointwise evaluation bit for bit.  term is scratch
-    of one row.
-    """
-    term = term.reshape(grid.slab)
-    out.fill(0.0)
-    for row, row_out in enumerate(out.reshape((-1,) + grid.slab), first):
-        axis_factors = [[f[row] for f in grid.split]] + grid.inner
-        for corner in itertools.product((0, 1), repeat=grid.dim):
-            *head, bit = corner
-            w = 1.0
-            for per_bit, b in zip(axis_factors, head):
-                w = w * per_bit[b]
-            nodes = grid.gathered[bit][tuple(
-                row + b if axis == 0 else slice(b, b + grid.res)
-                for axis, b in enumerate(head))]
-            np.multiply(w, grid.factors[bit], out=term)
-            term *= nodes.reshape(grid.node_shape)
-            row_out += term
-    np.abs(out, out=out)
-    out **= grid.p
-
-
-class _LeafSums:
-    """Leaf sums of a _CellRows grid's |f|^p values, for _pairwise_sum.
-
-    Leaves are asked for in order, so the chunks of rows are computed in
-    order, each into the same buffer when it is first read; a leaf that
-    spans chunks is copied together first.
-    """
-
-    def __init__(self, grid: _CellRows):
-        self.grid = grid
-        self._length = grid.chunk * grid.size  # points in a full chunk
-        self._values = np.empty(self._length)
-        self._term = np.empty(grid.size)  # _cell_rows' scratch row
-        self._chunk = -1                  # the chunk _values holds
-        self._buf: Optional[np.ndarray] = None
-
-    def _chunk_values(self, chunk: int) -> np.ndarray:
-        """chunk's |f|^p values; chunks are read in nondecreasing order."""
-        grid = self.grid
-        first = chunk * grid.chunk
-        values = self._values[:min(grid.chunk, grid.rows - first) * grid.size]
-        if chunk != self._chunk:
-            _cell_rows(grid, first, values, self._term)
-            self._chunk = chunk
-        return values
-
-    def leaf(self, lo: int, hi: int) -> float:
-        """np.add.reduce of the grid's values lo..hi-1, in C order."""
-        length = self._length
-        first, last = lo // length, (hi - 1) // length
-        if first == last:
-            base = first * length
-            values = self._chunk_values(first)
-            return np.add.reduce(values[lo - base:hi - base])
-        if self._buf is None or len(self._buf) < hi - lo:
-            self._buf = np.empty(hi - lo)
-        at = 0
-        for chunk in range(first, last + 1):
-            base = chunk * length
-            a, b = max(lo, base) - base, min(hi, base + length) - base
-            self._buf[at:at + b - a] = self._chunk_values(chunk)[a:b]
-            at += b - a
-        return np.add.reduce(self._buf[:at])
+    offset = first * m + start
+    return np.add.reduce(out.ravel()[lo - offset:hi - offset])
 
 
 def _pairwise_sum(lo: int, hi: int, leaf: Callable[[int, int], float]) -> float:

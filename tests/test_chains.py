@@ -402,8 +402,8 @@ def test_expectation_chain_byte_identical():
 def test_expectation_chain_short_code_fails_the_run(monkeypatch):
     # a code below its target size fails the run; the CSV keeps its bytes
     full = ek.run_experiment(EXPECT_CFG)
-    build = chains.pk.volume_bound_code
-    monkeypatch.setattr(chains.pk, "volume_bound_code", lambda n: replace(
+    build = chains.pk.gilbert_varshamov
+    monkeypatch.setattr(chains.pk, "gilbert_varshamov", lambda n: replace(
         build(n), target_size=build(n).size + 1))
     t = ek.run_experiment(EXPECT_CFG)
     assert not t.metadata["code_size_ok"]
@@ -418,7 +418,7 @@ def test_expectation_chain_checks_its_grid_before_it_builds_the_code(
     def no_code(n):
         raise AssertionError("the sign code was built")
 
-    monkeypatch.setattr(chains.pk, "volume_bound_code", no_code)
+    monkeypatch.setattr(chains.pk, "gilbert_varshamov", no_code)
     with pytest.raises(ek.GridMisaligned):
         ek.run_experiment(dict(EXPECT_CFG, dim=2, cells=7, grid_res=50))
 

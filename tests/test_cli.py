@@ -263,6 +263,9 @@ def _quantize(**opts):
     (_quantize(**{"--m": "inf"}), "--m"),
     (_quantize(**{"--c": "-1"}), "--c"),
     (_quantize(**{"--c": "inf"}), "--c"),
+    (_quantize(**{"--m": "1e200", "--delta": "1e199"}), "--m"),
+    (_quantize(**{"--m": "1", "--delta": "0.1", "--c": "1e308"}), "--c"),
+    (_quantize(**{"--m": "1e308", "--delta": "1e307", "--c": "1"}), "--m"),
     (["codelength", "--space", None, "--eps", "0"], "--eps"),
     (["codelength", "--space", None, "--eps", "-1"], "--eps"),
     (["codelength", "--space", None, "--eps", "nan"], "--eps"),
@@ -273,7 +276,8 @@ def _quantize(**opts):
 ], ids=["gv-n-3", "gv-n-65", "bump-d-4", "bump-n-1", "probes-10",
         "n-inputs-0", "negative-delta", "zero-delta", "zero-m",
         "delta-above-2m", "nan-delta", "nan-m", "infinite-m", "negative-c",
-        "infinite-c", "codelength-zero-eps", "codelength-negative-eps",
+        "infinite-c", "overflowing-m", "overflowing-c",
+        "infinite-bound", "codelength-zero-eps", "codelength-negative-eps",
         "codelength-nan-eps", "hat-zero-eps", "hat-negative-eps",
         "hat-nan-eps", "hat-eps-above-a-third"])
 def test_cli_numbers_out_of_range_are_usage_errors(runner, tmp_path, args,
@@ -286,6 +290,17 @@ def test_cli_numbers_out_of_range_are_usage_errors(runner, tmp_path, args,
     res = runner.invoke(main, args)
     assert res.exit_code == 2
     assert option in res.output
+
+
+def test_quantize_a_large_finite_box_runs(runner, tmp_path):
+    # (2 d_c M)^(L+2) = 8e300 and the bound 2^1001.7 still fit in a float
+    path = tmp_path / "hyper.json"
+    path.write_text(json.dumps(HYPER))
+    args = _quantize(**{"--m": "1e100", "--delta": "1e99"})
+    res = runner.invoke(main, [str(path) if a is None else a for a in args])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["log2_lip_bound"] == pytest.approx(
+        1001.66, abs=0.01)
 
 
 @pytest.mark.parametrize("args,option", [
@@ -320,7 +335,7 @@ def test_bump_checks_its_grid_before_it_builds_the_code(runner, monkeypatch):
     def no_code(n):
         raise AssertionError("the sign code was built")
 
-    monkeypatch.setattr(ek.packing, "volume_bound_code", no_code)
+    monkeypatch.setattr(ek.packing, "gilbert_varshamov", no_code)
     res = runner.invoke(main, ["bump", "--d", "1", "--n", "52", "--grid", "100"])
     assert res.exit_code == 2, res.exception
     assert "--grid" in res.output
@@ -362,8 +377,8 @@ def test_chain_expectation_short_code_exits_one(runner, tmp_path,
            "p": 1, "dim": 1, "cells": 2, "grid_res": 16, "mc_samples": 500}
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(cfg))
-    build = ek.chains.pk.volume_bound_code
-    monkeypatch.setattr(ek.chains.pk, "volume_bound_code", lambda n: replace(
+    build = ek.chains.pk.gilbert_varshamov
+    monkeypatch.setattr(ek.chains.pk, "gilbert_varshamov", lambda n: replace(
         build(n), target_size=build(n).size + 1))
     res = runner.invoke(main, ["chain-expectation", "--config", str(cfg_path),
                                "--out", str(tmp_path / "exp.csv")])

@@ -112,10 +112,12 @@ def test_gv_deterministic():
 
 
 def test_gv_range_validation():
+    # greedy_sign_code's range: the expectation chain builds lengths 2 and 3
     with pytest.raises(ValueError):
-        ek.gilbert_varshamov(3)
+        ek.gilbert_varshamov(0)
     with pytest.raises(ValueError):
         ek.gilbert_varshamov(65)
+    assert ek.gilbert_varshamov(3).ints == scan_sign_code(3, 1, 2)
 
 
 def test_greedy_code_small_lengths():
@@ -147,7 +149,7 @@ def scan_sign_code(n, min_dist, target, chunk=1 << 15):
 
 @pytest.mark.parametrize("n", range(4, 33))
 def test_volume_bound_code_matches_scan(n):
-    code = packing.volume_bound_code(n)
+    code = ek.gilbert_varshamov(n)
     assert code.ints == scan_sign_code(n, code.min_distance, code.target_size)
 
 
@@ -268,7 +270,7 @@ def all_pairs_lipschitz(fam, index):
                          [(1, 2, 16), (1, 4, 32), (2, 2, 24), (2, 2, 48), (2, 3, 36)])
 def test_king_neighbour_lipschitz_equals_all_pairs(dim, cells, grid):
     fam = ek.build_bump_family(dim, cells, grid,
-                               packing.volume_bound_code(cells**dim))
+                               ek.gilbert_varshamov(cells**dim))
     for index in range(fam.code.size):
         assert fam.member_discrete_lipschitz(index) == all_pairs_lipschitz(fam, index)
 

@@ -239,9 +239,11 @@ def test_pairwise_sum_equals_add_reduce(monkeypatch, leaf):
             assert sum(leaves) == n and max(leaves) <= leaf
 
 
-# the full-grid oracle again, with leaves that straddle chunks of cell rows
+# the full-grid oracle again, with leaves that straddle lines; at refine 8
+# a (2, 30) line is 240 points, so leaves also lie inside one line
 @pytest.mark.parametrize("dim,res", [(1, 13), (1, 24), (2, 3), (2, 7),
-                                     (2, 24), (3, 2), (3, 5), (3, 16)])
+                                     (2, 24), (2, 30), (3, 2), (3, 5),
+                                     (3, 16)])
 def test_small_leaves_equal_the_full_grid_formula(monkeypatch, dim, res):
     monkeypatch.setattr(rf, "QUAD_LEAF", 200)
     rng = np.random.default_rng(100 * dim + res)
@@ -279,13 +281,13 @@ def test_1d_quadrature_memory_is_a_few_leaves():
 def test_one_leaf_1d_grid_is_computed_once(monkeypatch):
     # embed-check's res 16 grid is 128 midpoints: a single leaf
     calls = []
-    leaf = rf._line_leaf
+    leaf = rf._leaf_sum
 
-    def counting(values, p, m, lo, hi):
+    def counting(values, p, m, lo, hi, scratch):
         calls.append((lo, hi))
-        return leaf(values, p, m, lo, hi)
+        return leaf(values, p, m, lo, hi, scratch)
 
-    monkeypatch.setattr(rf, "_line_leaf", counting)
+    monkeypatch.setattr(rf, "_leaf_sum", counting)
     f = ek.GridFunction01.from_callable(lambda x: x[:, 0], 1, 16)
     assert f.quadrature_abs_pow(2) == _reference_quadrature(f, 2)
     assert calls == [(0, 128)]

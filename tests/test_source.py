@@ -86,3 +86,30 @@ def test_no_module_level_scipy_import():
             if any(name.split(".")[0] == "scipy" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_no_module_reads_a_private_name_of_a_sibling():
+    # a name that starts with "_" belongs to its module; what a sibling
+    # needs is public, and so is traced like every public function
+    siblings = {path.stem for path in SOURCE.glob("*.py")}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in siblings:
+                        aliases.add(alias.asname or alias.name)
+                    elif (node.module in siblings
+                          and alias.name.startswith("_")
+                          and not alias.name.startswith("__")):
+                        found.append(f"{path.name}:{node.lineno}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
