@@ -103,9 +103,9 @@ class ResultTable:
 
     @property
     def all_passed(self) -> bool:
-        """Every row that was not skipped passed, and the code reached its
-        target size where the run reports one."""
-        if not self.metadata.get("code_size_ok", True):
+        """The table has rows, every row that was not skipped passed, and
+        the code reached its target size where the run reports one."""
+        if not self.rows or not self.metadata.get("code_size_ok", True):
             return False
         if "passed" not in self.columns:
             return True
@@ -482,14 +482,16 @@ def _run_expectation_chain(cfg: dict) -> ResultTable:
     columns = ["code_size", "log2_size_bound", "dim", "cells",
                "predicted_min_sep", "pair_a", "pair_b", "mc_dist", "mc_stderr",
                "quad_dist", "zscore", "passed"]
-    diffs = [rf.GridFunction01(dim, member_grid(a).values - member_grid(b).values)
-             for a, b in pairs]
-    quad_moments = [scale**p * diff.quadrature_abs_pow(p) for diff in diffs]
     # pair t reads stream seed + t; its first dim columns are drawn ahead on
-    # worker threads once the quadratures are done
+    # worker threads, which start while this thread integrates the pairs
     rows = []
     with rf.McDraws(measure, cfg["mc_samples"],
                     [seed + t for t in range(len(pairs))], dim) as draws:
+        diffs = [rf.GridFunction01(dim, member_grid(a).values
+                                   - member_grid(b).values)
+                 for a, b in pairs]
+        quad_moments = [scale**p * diff.quadrature_abs_pow(p)
+                        for diff in diffs]
         for t, ((a, b), diff, quad_moment) in enumerate(
                 zip(pairs, diffs, quad_moments)):
             emb = rf.embed(diff, measure).scaled(scale)

@@ -22,9 +22,9 @@ from . import metricspace as ms
 from . import packing as pk
 from . import quantizer as qz
 from . import randomfield as rf
-from .errors import (ChannelMismatch, ConfigError, EpsilonTooLarge,
-                     GridMisaligned, LayoutMismatch, OutOfRange,
-                     ResolutionTooLow, SizeLimitExceeded)
+from .errors import (ChannelMismatch, ConfigError, EntrokitError,
+                     EpsilonTooLarge, GridMisaligned, LayoutMismatch,
+                     OutOfRange, ResolutionTooLow, SizeLimitExceeded)
 from .rng import STREAM_PARAM_GEN, stream
 
 
@@ -322,10 +322,16 @@ def quantize_cmd(ctx, hyper_path, delta, box, seed, n_inputs, probes, c_override
         bound = 2.0**log2_bound
     except OverflowError:
         bound = math.inf
+    hint = ["--m"] if c_override is None else ["--m", "--c"]
     if math.isinf(bound):
         raise click.BadParameter(
             f"the Lipschitz bound 2^{log2_bound:.6g} overflows a float",
-            param_hint="--m" if c_override is None else ["--m", "--c"])
+            param_hint=hint)
+    # QuantCertificate.bound, which a pass flag must not compare when infinite
+    if math.isinf(bound * delta / 2.0):
+        raise click.BadParameter(
+            f"the certified bound 2^{log2_bound:.6g} * {delta} / 2 overflows "
+            "a float", param_hint=hint + ["--delta"])
     grid = qz.QuantGrid(box, delta)
     rng = stream(seed, STREAM_PARAM_GEN)
     params = fno_mod.FnoParams.random(hyper, box, rng)
@@ -350,7 +356,10 @@ def _run_table(ctx, config, out, experiment):
     seed = _resolve(ctx, "seed", None)
     if seed is not None:
         cfg = dict(cfg, seed=seed)
-    table = chains.run_experiment(cfg)
+    try:
+        table = chains.run_experiment(cfg)
+    except EntrokitError as exc:
+        raise click.BadParameter(str(exc), param_hint="--config") from exc
     path = _resolve(ctx, "out", out)
     if path:
         table.write(path)

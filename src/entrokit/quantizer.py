@@ -224,7 +224,9 @@ class QuantCertificate:
 
     @property
     def passed(self) -> bool:
-        return self.measured_err <= self.bound
+        """The measured error is within a finite bound: an infinite bound
+        checks nothing, so it fails."""
+        return math.isfinite(self.bound) and self.measured_err <= self.bound
 
 
 def certify_quantization(params: FnoParams, grid: QuantGrid,

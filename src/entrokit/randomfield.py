@@ -219,7 +219,8 @@ class GridFunction01:
         The value is np.mean of |f|^p over the whole (refine * res)^d
         midpoint grid, bit for bit, but that grid is never held: numpy's
         pairwise sum is taken in leaves of at most QUAD_LEAF points, and
-        each leaf computes only the points it touches (see _leaf_sum).
+        each leaf computes only the points it touches (see _leaf_sum), and
+        skips the lines whose node rows are all zero.
         """
         if not 1 <= p < math.inf:
             raise ValueError("p must be finite and >= 1")
@@ -228,9 +229,10 @@ class GridFunction01:
             raise ValueError(f"refine must be an integer >= 1, got {refine!r}")
         m = self.res * int(refine)
         n = m ** self.dim
+        live_rows = np.any(self.values.reshape(-1, self.res + 1) != 0, axis=1)
         scratch: list = []
-        total = _pairwise_sum(
-            0, n, lambda lo, hi: _leaf_sum(self.values, p, m, lo, hi, scratch))
+        total = _pairwise_sum(0, n, lambda lo, hi: _leaf_sum(
+            self.values, live_rows, p, m, lo, hi, scratch))
         # np.mean divides the pairwise sum by the count
         return float(total / n)
 
@@ -250,21 +252,22 @@ def _axis_weights(res: int, m: int, index: np.ndarray):
     return i0, (1.0 - frac, frac)
 
 
-def _leaf_sum(values: np.ndarray, p: float, m: int, lo: int, hi: int,
-              scratch: list) -> float:
+def _leaf_sum(values: np.ndarray, live_rows: np.ndarray, p: float, m: int,
+              lo: int, hi: int, scratch: list) -> float:
     """np.add.reduce of |f|^p at the points lo..hi-1, in C order, of the
     (m,)*d midpoint grid of m refined cells per axis, f's node values given.
 
     The grid is read as lines along the last axis.  The leaf computes the
     lines it touches, or only its own columns when it lies inside one
     line.  Corners are combined in GridFunction01.__call__'s order, so
-    each value is pointwise evaluation bit for bit.  scratch keeps the
-    leaf-sized buffers from one leaf to the next.
+    each value is pointwise evaluation bit for bit.  live_rows marks the
+    node rows along the last axis that hold a nonzero value; a line whose
+    corner rows are all unmarked is left at +0.0 without being computed.
+    scratch keeps the leaf-sized buffers from one leaf to the next.
     """
     res = values.shape[0] - 1
     first, last = lo // m, (hi - 1) // m
     start, stop = (lo - first * m, hi - first * m) if first == last else (0, m)
-    i0, factors = _axis_weights(res, m, np.arange(start, stop))
     # each line's midpoint index on the leading axes, axis 0 first
     lines, heads = np.arange(first, last + 1), []
     for _ in range(values.ndim - 1):
@@ -279,6 +282,15 @@ def _leaf_sum(values: np.ndarray, p: float, m: int, lo: int, hi: int,
         w = (w[:, None] * np.stack(head_factors)).reshape(-1, count)
         row = (row[:, None] * (res + 1) + head_i0
                + np.arange(2)[:, None]).reshape(-1, count)
+    # the weights are >= 0 and the nodes of a skipped line are +-0, so
+    # every product the line would add is +-0 and its sum stays at +0.0
+    live = live_rows[row].any(axis=0)
+    if not live.any():
+        return 0.0
+    dense = live.all()
+    if not dense:
+        w, row = w[:, live], row[:, live]
+    i0, factors = _axis_weights(res, m, np.arange(start, stop))
     # only the node rows the lines read, and only their columns
     top = int(row[0].min())
     rows = values.reshape(-1, res + 1)[top:int(row[-1].max()) + 1]
@@ -286,7 +298,9 @@ def _leaf_sum(values: np.ndarray, p: float, m: int, lo: int, hi: int,
     size = count * (stop - start)
     if not scratch or scratch[0].size < size:
         scratch[:] = [np.empty(size) for _ in range(3)]
-    out, term, nodes = (b[:size].reshape(count, -1) for b in scratch)
+    computed = row.shape[1] * (stop - start)
+    out, term, nodes = (b[:computed].reshape(-1, stop - start)
+                        for b in scratch)
     out.fill(0.0)
     for head_w, head_row in zip(w, row - top):
         for bit in (0, 1):
@@ -301,6 +315,12 @@ def _leaf_sum(values: np.ndarray, p: float, m: int, lo: int, hi: int,
             out += term
     np.abs(out, out=out)
     out **= p
+    if not dense:
+        # term's buffer is free again: the whole leaf, skipped lines +0.0
+        full = scratch[1][:size].reshape(count, -1)
+        full.fill(0.0)
+        full[live] = out
+        out = full
     offset = first * m + start
     return np.add.reduce(out.ravel()[lo - offset:hi - offset])
 
@@ -387,9 +407,12 @@ class McDraws:
     Workers run only rng.stream, KLMeasure.draw_z and the product above;
     every traced library call (lp_norm_mc, cdf_map, quadrature) stays on
     the calling thread, whose span stack and counters a tracer may keep
-    unsynchronised.  Leaving the with block cancels the draws not started
-    and joins the workers; a worker's exception is raised by take, or on
-    leaving the block when its seed was not taken.
+    unsynchronised.  A worker's exception is raised by take.  Leaving the
+    block joins the workers, and what it raises does not depend on thread
+    timing: after an exception in the block, or once a take has raised,
+    it cancels the draws not started and raises nothing more; otherwise
+    it waits for every draw submitted and raises the first failure, in
+    the seeds' given order, of a seed not taken.
     """
 
     def __init__(self, measure: KLMeasure, n_samples: int, seeds,
@@ -413,6 +436,7 @@ class McDraws:
         self._next = 0      # index of the next seed to submit
         self._jobs: dict = {}
         self._taken: set = set()
+        self._take_failed = False
 
     def __enter__(self) -> "McDraws":
         if self._pool is not None or self._next:
@@ -424,13 +448,14 @@ class McDraws:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        quiet = exc_type is not None or self._take_failed
+        self._pool.shutdown(wait=True, cancel_futures=quiet)
         self._pool = None
         jobs, self._jobs = self._jobs, {}
-        if exc_type is None:
+        if not quiet:
+            # submitted in the seeds' given order
             for future, _ in jobs.values():
-                if not future.cancelled():
-                    future.result()
+                future.result()
 
     def _submit_next(self) -> None:
         if self._next == len(self.seeds):
@@ -454,7 +479,11 @@ class McDraws:
         future, out = self._jobs.pop(seed)
         self._taken.add(seed)
         self._submit_next()
-        future.result()
+        try:
+            future.result()
+        except BaseException:
+            self._take_failed = True
+            raise
         return out
 
 

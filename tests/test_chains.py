@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import struct
+import threading
 from dataclasses import replace
 
 import jsonschema
@@ -327,6 +328,14 @@ def test_csv_round_trips_through_csv_reader(table):
                 assert cell == value
 
 
+@pytest.mark.parametrize("columns", [["passed"], ["status", "passed"], ["v"]])
+def test_a_table_with_no_rows_does_not_pass(columns):
+    assert not ResultTable(columns, [], {}).all_passed
+    # skipped rows keep their meaning: a table of skipped rows passes
+    if "status" in columns:
+        assert ResultTable(columns, [("skipped", False)], {}).all_passed
+
+
 def test_atomic_write(tmp_path):
     t = ResultTable(["v"], [(1,)], {})
     path = tmp_path / "out.csv"
@@ -421,6 +430,23 @@ def test_expectation_chain_checks_its_grid_before_it_builds_the_code(
     monkeypatch.setattr(chains.pk, "gilbert_varshamov", no_code)
     with pytest.raises(ek.GridMisaligned):
         ek.run_experiment(dict(EXPECT_CFG, dim=2, cells=7, grid_res=50))
+
+
+class _QuadratureFailed(Exception):
+    pass
+
+
+def test_expectation_chain_quadrature_error_leaves_no_worker(monkeypatch):
+    # the quadratures run while worker threads draw; a failing one raises
+    # its own error, and leaving the draw block has joined every worker
+    def failing(self, p, refine=8):
+        raise _QuadratureFailed
+
+    monkeypatch.setattr(ek.GridFunction01, "quadrature_abs_pow", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(_QuadratureFailed):
+        ek.run_experiment(dict(EXPECT_CFG, dim=2, cells=4, grid_res=24))
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 
 # -- bits accuracy ---------------------------------------------------------------

@@ -266,6 +266,7 @@ def _quantize(**opts):
     (_quantize(**{"--m": "1e200", "--delta": "1e199"}), "--m"),
     (_quantize(**{"--m": "1", "--delta": "0.1", "--c": "1e308"}), "--c"),
     (_quantize(**{"--m": "1e308", "--delta": "1e307", "--c": "1"}), "--m"),
+    (_quantize(**{"--m": "1e100", "--delta": "1e99"}), "--delta"),
     (["codelength", "--space", None, "--eps", "0"], "--eps"),
     (["codelength", "--space", None, "--eps", "-1"], "--eps"),
     (["codelength", "--space", None, "--eps", "nan"], "--eps"),
@@ -277,7 +278,8 @@ def _quantize(**opts):
         "n-inputs-0", "negative-delta", "zero-delta", "zero-m",
         "delta-above-2m", "nan-delta", "nan-m", "infinite-m", "negative-c",
         "infinite-c", "overflowing-m", "overflowing-c",
-        "infinite-bound", "codelength-zero-eps", "codelength-negative-eps",
+        "infinite-bound", "overflowing-certified-bound",
+        "codelength-zero-eps", "codelength-negative-eps",
         "codelength-nan-eps", "hat-zero-eps", "hat-negative-eps",
         "hat-nan-eps", "hat-eps-above-a-third"])
 def test_cli_numbers_out_of_range_are_usage_errors(runner, tmp_path, args,
@@ -293,14 +295,16 @@ def test_cli_numbers_out_of_range_are_usage_errors(runner, tmp_path, args,
 
 
 def test_quantize_a_large_finite_box_runs(runner, tmp_path):
-    # (2 d_c M)^(L+2) = 8e300 and the bound 2^1001.7 still fit in a float
+    # (2 d_c M)^(L+2) = 8e150, the bound 2^503.4 and the certified bound
+    # 2^503.4 * delta / 2 still fit in a float
     path = tmp_path / "hyper.json"
     path.write_text(json.dumps(HYPER))
-    args = _quantize(**{"--m": "1e100", "--delta": "1e99"})
+    args = _quantize(**{"--m": "1e50", "--delta": "1e40"})
     res = runner.invoke(main, [str(path) if a is None else a for a in args])
     assert res.exit_code == 0, res.output
-    assert json.loads(res.output)["log2_lip_bound"] == pytest.approx(
-        1001.66, abs=0.01)
+    report = json.loads(res.output)
+    assert report["log2_lip_bound"] == pytest.approx(503.37, abs=0.01)
+    assert report["passed"] is True
 
 
 @pytest.mark.parametrize("args,option", [
@@ -386,6 +390,54 @@ def test_chain_expectation_short_code_exits_one(runner, tmp_path,
     summary = json.loads(res.output[res.output.index("{"):])
     assert summary["metadata"]["code_size_ok"] is False
     assert summary["all_passed"] is False
+
+
+_UNRUNNABLE_TABLES = {
+    "chain-uniform": ({
+        "schema_version": 1, "experiment": "uniform-chain", "seed": 7,
+        "space": {"kind": "random", "n": 21, "dim": 2},
+        "eps_ladder": [1 / 6]}, "exact cover limited to 20 points"),
+    "chain-expectation": ({
+        "schema_version": 1, "experiment": "expectation-chain", "seed": 3,
+        "kl": {"lambda": "j^-2a", "alpha": 1.0, "J": 16, "law": "gaussian"},
+        "p": 1, "dim": 2, "cells": 7, "grid_res": 50, "mc_samples": 500},
+        "not a multiple of 7"),
+    "sweep": ({
+        "schema_version": 1, "experiment": "bits-accuracy", "seed": 5,
+        "targets": {"kind": "singleton-constant", "value": 0.0},
+        "hypers": [{"dim": 1, "d_in": 2, "d_out": 1, "d_c": 1, "kappa": 1,
+                    "depth": 1}],
+        "grids": [{"m": 1.0, "delta": 1.0}]}, "d_c"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_UNRUNNABLE_TABLES))
+def test_library_errors_of_table_commands_are_usage_errors(runner, tmp_path,
+                                                           command):
+    cfg, message = _UNRUNNABLE_TABLES[command]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    res = runner.invoke(main, [command, "--config", str(cfg_path)])
+    assert res.exit_code == 2, res.exception
+    assert isinstance(res.exception, SystemExit)
+    assert "--config" in res.output and message in res.output
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_sweep_with_no_rows_does_not_pass(runner, tmp_path):
+    # forward overflows at m = delta = 1e300, so no cell has a finite error
+    cfg = {"schema_version": 1, "experiment": "bits-accuracy", "seed": 5,
+           "targets": {"kind": "singleton-constant", "value": 0.0},
+           "hypers": [{"dim": 1, "d_in": 1, "d_out": 1, "d_c": 1, "kappa": 1,
+                       "depth": 1, "activation": "identity"}],
+           "grids": [{"m": 1e300, "delta": 1e300}]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    res = runner.invoke(main, ["sweep", "--config", str(cfg_path)])
+    assert res.exit_code == 1, res.exception
+    summary = json.loads(res.output[res.output.index("{"):])
+    assert summary["rows"] == 0 and summary["all_passed"] is False
 
 
 def test_sweep_command_header(runner, tmp_path):

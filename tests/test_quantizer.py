@@ -212,6 +212,15 @@ def test_certify_pass_whenever_estimate_covers_empirical():
     assert cert.passed
 
 
+@pytest.mark.parametrize("lip_estimate,delta", [
+    (1e308, 10.0), (math.inf, 0.1), (math.nan, 0.1)])
+def test_certificate_with_a_bound_that_is_not_finite_fails(lip_estimate,
+                                                           delta):
+    cert = ek.QuantCertificate(0.0, lip_estimate, delta)
+    assert not math.isfinite(cert.bound)
+    assert not cert.passed
+
+
 # -- bits versus accuracy -----------------------------------------------------------
 
 

@@ -16,6 +16,7 @@ import pytest
 from scipy import stats
 
 import entrokit as ek
+from entrokit import packing as pk
 from entrokit import randomfield as rf
 from entrokit.rng import STREAM_MC_NORM, stream
 
@@ -239,6 +240,31 @@ def test_pairwise_sum_equals_add_reduce(monkeypatch, leaf):
             assert sum(leaves) == n and max(leaves) <= leaf
 
 
+# cells per axis of the bump families whose node grids have these shapes
+_BUMP_CELLS = {(1, 24): 2, (2, 24): 4, (3, 16): 2}
+
+
+def _node_grids(dim, res):
+    """A dense random node grid, then sparse ones whose all-zero lines
+    the quadrature skips: all zero, one nonzero node, a few nonzero nodes
+    among +0.0 and -0.0, and where one exists, the difference of two
+    bump-family members."""
+    rng = np.random.default_rng(100 * dim + res)
+    dense = rng.standard_normal((res + 1,) * dim)
+    zero = np.zeros_like(dense)
+    one = zero.copy()
+    one[tuple(rng.integers(0, res + 1, dim))] = 1.5
+    signed = np.copysign(zero, rng.standard_normal(dense.shape))
+    signed.flat[rng.integers(0, signed.size, 3)] = (-0.7, 0.3, 2.0)
+    grids = [dense, zero, one, signed]
+    if (dim, res) in _BUMP_CELLS:
+        cells = _BUMP_CELLS[dim, res]
+        fam = pk.build_bump_family(dim, cells, res,
+                                   pk.gilbert_varshamov(cells**dim))
+        grids.append(fam.member_on_nodes(0) - fam.member_on_nodes(1))
+    return grids
+
+
 # the full-grid oracle again, with leaves that straddle lines; at refine 8
 # a (2, 30) line is 240 points, so leaves also lie inside one line
 @pytest.mark.parametrize("dim,res", [(1, 13), (1, 24), (2, 3), (2, 7),
@@ -246,11 +272,15 @@ def test_pairwise_sum_equals_add_reduce(monkeypatch, leaf):
                                      (3, 16)])
 def test_small_leaves_equal_the_full_grid_formula(monkeypatch, dim, res):
     monkeypatch.setattr(rf, "QUAD_LEAF", 200)
-    rng = np.random.default_rng(100 * dim + res)
-    f = ek.GridFunction01(dim, rng.standard_normal((res + 1,) * dim))
-    for refine, p in itertools.product((1, 3, 8), (1, 1.5, 2)):
-        assert (f.quadrature_abs_pow(p, refine=refine)
-                == _reference_quadrature(f, p, refine=refine))
+    for k, values in enumerate(_node_grids(dim, res)):
+        f = ek.GridFunction01(dim, values)
+        for refine, p in itertools.product((1, 3, 8), (1, 1.5, 2)):
+            # past the dense grid, skip (3, 16) at refine 8: its 2M points
+            # in leaves of 200 take about a second a call
+            if k and (res * refine) ** dim > 2**20:
+                continue
+            assert (f.quadrature_abs_pow(p, refine=refine)
+                    == _reference_quadrature(f, p, refine=refine))
 
 
 def test_quadrature_memory_is_a_few_cell_rows():
@@ -283,9 +313,9 @@ def test_one_leaf_1d_grid_is_computed_once(monkeypatch):
     calls = []
     leaf = rf._leaf_sum
 
-    def counting(values, p, m, lo, hi, scratch):
+    def counting(values, live_rows, p, m, lo, hi, scratch):
         calls.append((lo, hi))
-        return leaf(values, p, m, lo, hi, scratch)
+        return leaf(values, live_rows, p, m, lo, hi, scratch)
 
     monkeypatch.setattr(rf, "_leaf_sum", counting)
     f = ek.GridFunction01.from_callable(lambda x: x[:, 0], 1, 16)
@@ -550,6 +580,25 @@ def test_worker_exception_of_an_untaken_seed_surfaces_on_exit():
     with pytest.raises(FloatingPointError, match="draw failed"):
         with ek.McDraws(_FailingMeasure([1.0]), 200, [1], 1):
             time.sleep(0.01)
+
+
+class _FailingSecondSeed(ek.KLMeasure):
+    """Draws fail for seed 2's stream only."""
+
+    def draw_z(self, rng, count):
+        if np.array_equal(rng.bit_generator.state["state"]["key"],
+                          [2, STREAM_MC_NORM]):
+            raise FloatingPointError("draw failed")
+        return super().draw_z(rng, count)
+
+
+def test_exit_waits_for_an_untaken_draw_that_has_not_started(monkeypatch):
+    # one worker: when the block is left, seed 2 still waits behind seed 1,
+    # and its failure is raised all the same
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: 1)
+    with pytest.raises(FloatingPointError, match="draw failed"):
+        with ek.McDraws(_FailingSecondSeed([1.0]), 20_000, [1, 2], 1) as draws:
+            assert draws.workers == 1
 
 
 def _new_threads(before):

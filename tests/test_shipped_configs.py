@@ -106,3 +106,24 @@ def test_sixteen_pair_chain_csv_digest():
     assert len(table.rows) == 16
     assert (hashlib.sha256(table.to_csv_bytes()).hexdigest()
             == CHAIN_16_PAIRS_CSV_SHA256)
+
+
+# sha256 of the CSV of 3-D expectation chains in the benchmark's chain3d
+# shape (J 64, cells 2, grid 16, 20,000 samples): their quadratures run
+# while the Monte-Carlo streams are drawn, and most of each pair's lines
+# are zero, so this pins that neither changes a bit
+CHAIN3D_CSV_SHA256 = {
+    1: "2d2b3d25fc9470e4922578d5e93109df0f05833af28ff989c534ef5f19881a39",
+    2: "ced9590cfd71cd5b2fcfdc2ec0ca7b36426e91f49d4c93ed030f014c8ad2f67a",
+}
+
+
+@pytest.mark.parametrize("p", sorted(CHAIN3D_CSV_SHA256))
+def test_chain3d_shape_csv_digest(p):
+    cfg = {"schema_version": 1, "experiment": "expectation-chain", "seed": 0,
+           "kl": {"lambda": "j^-2a", "alpha": 1.0, "J": 64, "law": "uniform"},
+           "p": p, "dim": 3, "cells": 2, "grid_res": 16, "mc_samples": 20000}
+    table = ek.run_experiment(cfg)
+    assert len(table.rows) == 3
+    assert (hashlib.sha256(table.to_csv_bytes()).hexdigest()
+            == CHAIN3D_CSV_SHA256[p])
