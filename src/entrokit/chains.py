@@ -533,7 +533,10 @@ def _run_bits_accuracy(cfg: dict) -> ResultTable:
         targets = [ms.SampledFunctional(ids, np.full(len(inputs), value))]
 
     hypers = [_hyper(h) for h in cfg["hypers"]]
-    grids = [qz.QuantGrid(g["m"], g["delta"]) for g in cfg["grids"]]
+    try:
+        grids = [qz.QuantGrid(g["m"], g["delta"]) for g in cfg["grids"]]
+    except ValueError as err:  # delta above 2 M
+        raise ConfigError(f"grid: {err}") from err
     front = qz.accuracy_bits_sweep(targets, hypers, grids, inputs, seed,
                                    max_random=cfg.get("max_random", 1 << 12))
     if entropy_floor is None:

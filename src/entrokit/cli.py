@@ -95,7 +95,10 @@ def _unread(ctx, *keys) -> None:
 
 def _forward_hyper(path) -> fno_mod.FnoHyper:
     """A hyper file for the output-averaged forward, which needs d_out 1."""
-    hyper = chains.load_hyper(path)
+    try:
+        hyper = chains.load_hyper(path)
+    except ConfigError as exc:
+        raise click.BadParameter(str(exc), param_hint="--hyper") from exc
     if hyper.d_out != 1:
         raise click.BadParameter(
             f"the output-averaged operator needs d_out = 1, not {hyper.d_out}",
@@ -236,19 +239,23 @@ def embed_check(ctx, config_path):
     Config keys (chains.EMBED_CHECK_SCHEMA): kl (measure block), f
     ("constant"|"coordinate" with optional value/grid_res), p, samples, seed.
     """
-    cfg = chains.load_embed_check_config(_config_path(ctx, config_path))
-    measure = rf.KLMeasure.from_config(cfg["kl"])
-    fspec = cfg.get("f", {"kind": "coordinate"})
-    if fspec["kind"] == "constant":
-        f = rf.GridFunction01.constant(fspec.get("value", 1.0))
-    else:
-        f = rf.GridFunction01.from_callable(
-            lambda x: x[:, 0], 1, fspec.get("grid_res", 16), lipschitz=1.0)
-    seed = _resolve(ctx, "seed", None)
-    if seed is None:
-        seed = cfg.get("seed", 0)
-    report = rf.isometry_check(f, measure, cfg.get("p", 2),
-                               cfg.get("samples", 100000), seed)
+    path = _config_path(ctx, config_path)
+    try:
+        cfg = chains.load_embed_check_config(path)
+        measure = rf.KLMeasure.from_config(cfg["kl"])
+        fspec = cfg.get("f", {"kind": "coordinate"})
+        if fspec["kind"] == "constant":
+            f = rf.GridFunction01.constant(fspec.get("value", 1.0))
+        else:
+            f = rf.GridFunction01.from_callable(
+                lambda x: x[:, 0], 1, fspec.get("grid_res", 16), lipschitz=1.0)
+        seed = _resolve(ctx, "seed", None)
+        if seed is None:
+            seed = cfg.get("seed", 0)
+        report = rf.isometry_check(f, measure, cfg.get("p", 2),
+                                   cfg.get("samples", 100000), seed)
+    except EntrokitError as exc:
+        raise click.BadParameter(str(exc), param_hint="--config") from exc
     _emit({
         "mc_moment": report.mc_moment,
         "quad_moment": report.quad_moment,
@@ -304,6 +311,11 @@ def quantize_cmd(ctx, hyper_path, delta, box, seed, n_inputs, probes, c_override
     if delta > 2 * box:
         raise click.BadParameter(f"{delta} is above 2 M = {2 * box}",
                                  param_hint="--delta")
+    try:
+        grid = qz.QuantGrid(box, delta)
+    except OutOfRange as exc:
+        raise click.BadParameter(str(exc),
+                                 param_hint=["--m", "--delta"]) from exc
     hyper = _forward_hyper(hyper_path)
     seed = _resolve(ctx, "seed", seed)
     if seed is None:
@@ -332,7 +344,6 @@ def quantize_cmd(ctx, hyper_path, delta, box, seed, n_inputs, probes, c_override
         raise click.BadParameter(
             f"the certified bound 2^{log2_bound:.6g} * {delta} / 2 overflows "
             "a float", param_hint=hint + ["--delta"])
-    grid = qz.QuantGrid(box, delta)
     rng = stream(seed, STREAM_PARAM_GEN)
     params = fno_mod.FnoParams.random(hyper, box, rng)
     cert = qz.certify_quantization(params, grid, inputs, bound)
@@ -349,7 +360,10 @@ def quantize_cmd(ctx, hyper_path, delta, box, seed, n_inputs, probes, c_override
 
 
 def _run_table(ctx, config, out, experiment):
-    cfg = chains.read_config(_config_path(ctx, config))
+    try:
+        cfg = chains.read_config(_config_path(ctx, config))
+    except ConfigError as exc:
+        raise click.BadParameter(str(exc), param_hint="--config") from exc
     kind = cfg.get("experiment") if isinstance(cfg, dict) else None
     if kind != experiment:
         raise click.UsageError(f"config is for {kind!r}, expected {experiment!r}")

@@ -32,6 +32,16 @@ transform of a lone zero mode is that mode broadcast over the grid, so
 `forward` adds the mode's channel mix as a constant instead of running
 the inverse FFT; the bits are those of the full round trip.
 
+Per-call cost.  `forward` is called once per (theta, input), tens of
+thousands of times per sweep on tiny grids, so each call does only the
+arithmetic.  The input checks, the activation, the per-axis FFT specs
+and the forward scale 1/n are decided once per (architecture object,
+grid shape) in a `_Plan`.  The FFTs call numpy's pocketfft gufuncs, the
+ones `np.fft.fft` and `np.fft.ifft` reach, with the scale and the
+complex output buffer that `np.fft` would pass, so the bits are those of
+`np.fft`.  Each `FnoParams` builds its transposed blocks once, and at
+kappa > 1 its complex multiplier stacks on first use.
+
 Bias.  "constant" (the default) stores d_c reals added pointwise and is
 what the parameter-count formula assumes; "spectral" stores one
 multiplier-style slot block per channel and adds the synthesized field,
@@ -46,7 +56,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -202,10 +212,43 @@ class FnoParams:
                 f"theta has length {self.theta.shape}, layout needs {expected}")
         # read-only, so the blocks and the cached bias fields stay current
         self.theta.setflags(write=False)
-        views = [self.theta[sl].reshape(shape) for sl, shape, _ in storage]
+        self._bind([self.theta[sl].reshape(shape) for sl, shape, _ in storage])
+
+    def _bind(self, views: list) -> None:
+        """Set the blocks from the stored blocks of theta, in storage order,
+        and the transposes that forward multiplies by."""
         layers = tuple(tuple(views[i:i + 3])
                        for i in range(len(views) - 4, 0, -3))
         self._blocks = (views[0], layers, views[-1])
+        # (P^T, (W^T, M_0^T, bias) per layer, Q^T), in application order
+        self._forward_views = (views[-1].T,
+                               tuple((w.T, m[0].T, b) for w, m, b in layers),
+                               views[0].T)
+
+    @classmethod
+    def rows(cls, hyper: FnoHyper, thetas) -> Iterator["FnoParams"]:
+        """One FnoParams per row of a dictionary matrix, made as it is
+        needed.  Each row's theta and blocks are views of the matrix,
+        reshaped once for the whole batch; a writeable matrix is copied
+        once to a read-only one."""
+        thetas = np.asarray(thetas, dtype=float)
+        storage = _storage(hyper)
+        expected = storage[-1][0].stop
+        if thetas.ndim != 2 or thetas.shape[1] != expected:
+            raise ValueError(f"thetas have shape {thetas.shape}, layout "
+                             f"needs rows of {expected}")
+        if thetas.flags.writeable:
+            thetas = thetas.copy()
+            thetas.setflags(write=False)
+        count = len(thetas)
+        batch = [thetas[:, sl].reshape((count,) + shape)
+                 for sl, shape, _ in storage]
+        for t in range(count):
+            params = cls.__new__(cls)
+            params.hyper = hyper
+            params.theta = thetas[t]
+            params._bind([block[t] for block in batch])
+            yield params
 
     # -- structured access ----------------------------------------------
 
@@ -233,6 +276,17 @@ class FnoParams:
             fields = self._bias_cache[n] = tuple(fields)
         return fields
 
+    _mult_cache = None  # _complex_multiplier of each layer
+
+    def _multipliers(self) -> tuple:
+        """The complex multiplier stacks of each layer, in application
+        order; built on first use."""
+        if self._mult_cache is None:
+            h = self.hyper
+            self._mult_cache = tuple(_complex_multiplier(mult, h.dim, h.kappa)
+                                     for _, mult, _ in self._blocks[1])
+        return self._mult_cache
+
     @classmethod
     def pack(cls, hyper: FnoHyper, q_mat, layers, p_mat) -> "FnoParams":
         """Inverse of blocks(); layers given in application order 1..L."""
@@ -258,12 +312,19 @@ class FnoParams:
 
 
 def active_mask(hyper: FnoHyper) -> np.ndarray:
-    """Boolean mask of slots that influence the forward pass."""
+    """Boolean mask of slots that influence the forward pass: one read-only
+    array per architecture."""
+    return _active_mask(hyper)
+
+
+@functools.lru_cache(maxsize=None)
+def _active_mask(hyper: FnoHyper) -> np.ndarray:
     mask = np.ones(layout_length(hyper), dtype=bool)
     for sl, shape, slotted in _storage(hyper):
         if slotted:
             # the (2 kappa - 1)^d active slots precede the inert ones
             mask[sl].reshape(shape)[(2 * hyper.kappa - 1) ** hyper.dim:] = False
+    mask.setflags(write=False)
     return mask
 
 
@@ -353,11 +414,32 @@ def random_inputs(hyper: FnoHyper, count: int, seed: int,
 # ---------------------------------------------------------------------
 
 
-def _fft_axes(transform: Callable, a: np.ndarray, dim: int) -> np.ndarray:
-    """np.fft.fft or ifft over the leading dim axes in reverse order: what
-    fftn and ifftn compute, bit for bit, without their argument handling."""
-    for axis in reversed(range(dim)):
-        a = transform(a, axis=axis, norm="forward")
+def _pocketfft():
+    """The gufunc module behind np.fft.fft and np.fft.ifft (numpy >= 2.0),
+    imported on first use as np.fft itself is, so runs that never
+    transform never load it."""
+    from numpy.fft import _pocketfft_umath
+
+    return _pocketfft_umath
+
+
+@functools.lru_cache(maxsize=None)
+def _fft_specs(dim: int) -> tuple:
+    """The gufunc `axes` argument of each of the leading dim axes, in the
+    reverse order that fftn and ifftn take them."""
+    return tuple([(axis,), (), (axis,)] for axis in reversed(range(dim)))
+
+
+def _fft_axes(gufunc, a: np.ndarray, specs: tuple, scale: float) -> np.ndarray:
+    """pocketfft's fft or ifft gufunc over each axis of specs in turn,
+    scaled by `scale` (1/n forward, 1 inverse: norm="forward").
+
+    These are the calls np.fft.fft and np.fft.ifft make, with the same
+    scale and a fresh complex output, so the bits are those of np.fft
+    without its argument handling.
+    """
+    for spec in specs:
+        a = gufunc(a, scale, axes=spec, out=np.empty(a.shape, dtype=complex))
     return a
 
 
@@ -372,29 +454,62 @@ def _synthesize(zero: np.ndarray, coeffs: np.ndarray, dim: int, kappa: int,
         _, pos, neg = _mode_index(dim, kappa, n)
         grid[pos] = coeffs
         grid[neg] = np.conj(coeffs)
-    return np.real(_fft_axes(np.fft.ifft, grid, dim))
+    return _fft_axes(_pocketfft().ifft, grid, _fft_specs(dim), 1).real
 
 
-def _apply_multiplier(vhat: np.ndarray, mult: np.ndarray,
-                      kappa: int) -> np.ndarray:
-    """y_hat(k) = M_k v_hat(k) on active modes, conjugate pair mirrored."""
-    dim = vhat.ndim - 1
+def _complex_multiplier(mult: np.ndarray, dim: int, kappa: int) -> tuple:
+    """(M_0^T, M_t^T stacked over the canonical modes t, their conjugates)
+    of a multiplier slot block, as _apply_multiplier takes them."""
+    re, im = _slot_pairs(mult, dim, kappa)
+    m_t = (re + 1j * im).transpose(0, 2, 1)
+    return mult[0].T, m_t, np.conj(m_t)
+
+
+def _apply_multiplier(vhat: np.ndarray, mults: tuple, pos: tuple,
+                      neg: tuple) -> np.ndarray:
+    """y_hat(k) = M_k v_hat(k) on active modes, conjugate pair mirrored;
+    mults from _complex_multiplier, pos and neg from _mode_index."""
+    m0_t, m_t, m_conj = mults
     out = np.zeros_like(vhat)
-    zero = (0,) * dim
-    out[zero] = vhat[zero] @ mult[0].T
-    if kappa > 1:
-        _, pos, neg = _mode_index(dim, kappa, vhat.shape[0])
-        re, im = _slot_pairs(mult, dim, kappa)
-        m_t = (re + 1j * im).transpose(0, 2, 1)
-        # a stack of vector-matrix products; einsum would sum in another order
-        out[pos] = (vhat[pos][:, None, :] @ m_t)[:, 0, :]
-        out[neg] = (vhat[neg][:, None, :] @ np.conj(m_t))[:, 0, :]
+    zero = (0,) * (vhat.ndim - 1)
+    out[zero] = vhat[zero] @ m0_t
+    # a stack of vector-matrix products; einsum would sum in another order
+    out[pos] = (vhat[pos][:, None, :] @ m_t)[:, 0, :]
+    out[neg] = (vhat[neg][:, None, :] @ m_conj)[:, 0, :]
     return out
 
 
-def forward(params: FnoParams, u: GridFunction) -> float:
-    """Lift, apply hidden layers, project, and spatially average."""
-    h = params.hyper
+class _Plan:
+    """What forward needs of one architecture on one input grid shape,
+    decided once the input passed the checks."""
+
+    __slots__ = ("hyper", "act", "fft", "ifft", "n", "specs", "scale",
+                 "zero", "kappa1", "spectral", "pos", "neg")
+
+    def __init__(self, h: FnoHyper, n: int):
+        self.hyper = h  # keeps the id in the cache key taken
+        self.act = ACTIVATIONS[h.activation][0]
+        pfu = _pocketfft()
+        self.fft, self.ifft = pfu.fft, pfu.ifft
+        self.n = n
+        self.specs = _fft_specs(h.dim)
+        self.scale = 1.0 / n  # np.fft's forward scale reciprocal(n)
+        self.zero = (0,) * h.dim
+        self.kappa1 = h.kappa == 1
+        self.spectral = h.bias_mode == "spectral"
+        _, self.pos, self.neg = _mode_index(h.dim, h.kappa, n)
+
+
+# (id of the FnoHyper, input grid shape) -> _Plan.  Keyed by identity, so a
+# lookup never hashes or compares the dataclass; each plan holds its hyper,
+# so an id stays taken while its entry lives.
+_PLANS: dict = {}
+_PLAN_LIMIT = 1024
+
+
+def _plan(h: FnoHyper, u: GridFunction) -> _Plan:
+    """The checked plan of h on u's grid; a bad input raises and caches
+    nothing."""
     if u.dim != h.dim:
         raise ChannelMismatch(f"input dim {u.dim} != architecture dim {h.dim}")
     if u.channels != h.d_in:
@@ -404,23 +519,34 @@ def forward(params: FnoParams, u: GridFunction) -> float:
     if u.resolution < 2 * h.kappa:
         raise ResolutionTooLow(
             f"resolution {u.resolution} < 2 kappa = {2 * h.kappa}")
-    act = ACTIVATIONS[h.activation][0]
-    q_mat, layers, p_mat = params.blocks()
+    if len(_PLANS) >= _PLAN_LIMIT:
+        _PLANS.clear()
+    plan = _PLANS[id(h), u.values.shape] = _Plan(h, u.resolution)
+    return plan
 
-    if h.bias_mode == "spectral":
-        layers = [(w_mat, mult, field) for (w_mat, mult, _), field
-                  in zip(layers, params._spectral_bias(u.resolution))]
 
-    v = u.values @ p_mat.T
-    for w_mat, mult, bias in layers:
-        vhat = _fft_axes(np.fft.fft, v, h.dim)
-        if h.kappa == 1:  # a lone zero mode transforms back to its broadcast
-            conv = np.real(vhat[(0,) * h.dim] @ mult[0].T)
+def forward(params: FnoParams, u: GridFunction) -> float:
+    """Lift, apply hidden layers, project, and spatially average."""
+    values = u.values
+    plan = _PLANS.get((id(params.hyper), values.shape))
+    if plan is None:
+        plan = _plan(params.hyper, u)
+    p_t, layers, q_t = params._forward_views
+    if plan.spectral:
+        layers = [(w_t, m0_t, field) for (w_t, m0_t, _), field
+                  in zip(layers, params._spectral_bias(plan.n))]
+    mults = None if plan.kappa1 else params._multipliers()
+
+    v = values @ p_t
+    for i, (w_t, m0_t, bias) in enumerate(layers):
+        vhat = _fft_axes(plan.fft, v, plan.specs, plan.scale)
+        if mults is None:  # a lone zero mode transforms back to its broadcast
+            conv = (vhat[plan.zero] @ m0_t).real
         else:
-            conv = np.real(_fft_axes(
-                np.fft.ifft, _apply_multiplier(vhat, mult, h.kappa), h.dim))
-        v = act(v @ w_mat.T + conv + bias)
-    out = v @ q_mat.T
+            conv = _fft_axes(plan.ifft, _apply_multiplier(
+                vhat, mults[i], plan.pos, plan.neg), plan.specs, 1).real
+        v = plan.act(v @ w_t + conv + bias)
+    out = v @ q_t
     # np.mean without its Python wrappers: the same sum, divided by the count
     return float(np.add.reduce(out, axis=None) / out.size)
 

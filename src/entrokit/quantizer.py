@@ -50,6 +50,11 @@ class QuantGrid:
     def __post_init__(self):
         if self.m <= 0 or self.delta <= 0 or self.delta > 2 * self.m:
             raise ValueError("need 0 < delta <= 2 M")
+        # a grid index must fit an int64; below 2^63 a float's floor is at
+        # most 2^63 - 1024, so the largest index converts exactly
+        if not self.m / self.delta * 2 < 2.0**63:
+            raise OutOfRange(f"a grid of spacing {self.delta} on [-{self.m}, "
+                             f"{self.m}] has more than 2^63 points")
 
     @property
     def points_per_coord(self) -> int:
@@ -258,18 +263,26 @@ class SweepRow:
     exhaustive: bool  # False marks a random-search upper bound
 
 
-def _dictionary_thetas(q: int, grid: QuantGrid, seed: int,
-                       max_random: int) -> tuple:
-    """(candidate matrix, exhaustive flag) for the quantized parameter set."""
-    vals = grid.values()
-    p = len(vals)
-    total = p**q
-    if total <= EXHAUSTIVE_DICT_LIMIT:
+def _dictionary_thetas(q: int, grid: QuantGrid, exhaustive: bool, seed: int,
+                       max_random: int) -> np.ndarray:
+    """Read-only candidate matrix of the quantized parameter set: all of
+    it, or max_random seeded draws.
+
+    Grid indices map to values with `values()`' own formula, so no grid is
+    materialized: random search draws indices on grids of up to 2^63
+    points.
+    """
+    p = grid.points_per_coord
+    if exhaustive:
         idx = np.indices((p,) * q).reshape(q, -1).T
-        return vals[idx], True
-    rng = stream(seed, STREAM_SWEEP_DICT)
-    idx = rng.integers(0, p, size=(max_random, q))
-    return vals[idx], False
+    else:
+        rng = stream(seed, STREAM_SWEEP_DICT)
+        idx = rng.integers(0, p, size=(max_random, q))
+    # (idx - half_span) * delta, values()' formula, without a temporary
+    thetas = idx - grid._half_span
+    thetas *= grid.delta
+    thetas.setflags(write=False)
+    return thetas
 
 
 def accuracy_bits_sweep(targets: Sequence[SampledFunctional],
@@ -293,15 +306,17 @@ def accuracy_bits_sweep(targets: Sequence[SampledFunctional],
     for hi, hyper in enumerate(hypers):
         q = layout_length(hyper)
         for gi, grid in enumerate(grids):
-            thetas, exhaustive = _dictionary_thetas(q, grid, seed + hi, max_random)
-            n_eval = len(thetas) * len(input_set)
-            if n_eval > eval_cap:
+            size = grid.points_per_coord ** q
+            exhaustive = size <= EXHAUSTIVE_DICT_LIMIT
+            n_eval = (size if exhaustive else max_random) * len(input_set)
+            if n_eval > eval_cap:  # refused before any theta is drawn
                 raise BudgetExceeded(
                     f"cell ({hi}, {gi}) needs {n_eval} evaluations > {eval_cap}")
+            thetas = _dictionary_thetas(q, grid, exhaustive, seed + hi,
+                                        max_random)
             # row t holds theta t's functional on the input set
             dictionary = np.empty((len(thetas), len(input_set)))
-            for theta, row in zip(thetas, dictionary):
-                params = FnoParams(hyper, theta)
+            for params, row in zip(FnoParams.rows(hyper, thetas), dictionary):
                 row[:] = [forward(params, u) for u in input_set]
             err = dictionary_minimax_error(targets, dictionary, norm="sup")
             rows.append(SweepRow(bits=q * grid.bits_per_coord, minimax_err=err,

@@ -161,8 +161,11 @@ EMBED_CFG = {"kl": {"lambda": "j^-2a", "alpha": 1.0, "J": 16, "law": "gaussian"}
 def test_embed_check_config_is_validated(runner, tmp_path, cfg):
     path = tmp_path / "emb.json"
     path.write_text(json.dumps(cfg))
+    with pytest.raises(ek.ConfigError) as err:
+        ek.chains.load_embed_check_config(path)
     res = runner.invoke(main, ["embed-check", "--config", str(path)])
-    assert isinstance(res.exception, ek.ConfigError)
+    assert res.exit_code == 2
+    assert "--config" in res.output and str(err.value) in res.output
 
 
 def test_embed_check_config_needs_no_schema_version(tmp_path):
@@ -180,8 +183,11 @@ def test_embed_check_config_needs_no_schema_version(tmp_path):
 def test_malformed_json_config_is_a_config_error(runner, tmp_path, command):
     path = tmp_path / "bad.json"
     path.write_text('{"schema_version": 1, "experiment": ')
+    with pytest.raises(ek.ConfigError):
+        ek.chains.read_config(path)
     res = runner.invoke(main, [command, "--config", str(path)])
-    assert isinstance(res.exception, ek.ConfigError)
+    assert res.exit_code == 2
+    assert "--config" in res.output and "not valid JSON" in res.output
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**63)])
@@ -219,8 +225,11 @@ def test_hyper_files_are_validated(runner, tmp_path, hyper, command):
     else:
         args = ["quantize", "--hyper", path, "--delta", "0.01", "--m", "1.0",
                 "--n-inputs", "2", "--probes", "100"]
+    with pytest.raises(ek.ConfigError):
+        ek.chains.load_hyper(path)
     res = runner.invoke(main, args)
-    assert isinstance(res.exception, ek.ConfigError)
+    assert res.exit_code == 2
+    assert "--hyper" in res.output
 
 
 @pytest.mark.parametrize("params", ["eight-bytes", "hyper-json"])
@@ -267,6 +276,7 @@ def _quantize(**opts):
     (_quantize(**{"--m": "1", "--delta": "0.1", "--c": "1e308"}), "--c"),
     (_quantize(**{"--m": "1e308", "--delta": "1e307", "--c": "1"}), "--m"),
     (_quantize(**{"--m": "1e100", "--delta": "1e99"}), "--delta"),
+    (_quantize(**{"--m": "1e100", "--delta": "1e-10"}), "--delta"),
     (["codelength", "--space", None, "--eps", "0"], "--eps"),
     (["codelength", "--space", None, "--eps", "-1"], "--eps"),
     (["codelength", "--space", None, "--eps", "nan"], "--eps"),
@@ -279,6 +289,7 @@ def _quantize(**opts):
         "delta-above-2m", "nan-delta", "nan-m", "infinite-m", "negative-c",
         "infinite-c", "overflowing-m", "overflowing-c",
         "infinite-bound", "overflowing-certified-bound",
+        "grid-over-2^63-points",
         "codelength-zero-eps", "codelength-negative-eps",
         "codelength-nan-eps", "hat-zero-eps", "hat-negative-eps",
         "hat-nan-eps", "hat-eps-above-a-third"])
@@ -293,6 +304,22 @@ def test_cli_numbers_out_of_range_are_usage_errors(runner, tmp_path, args,
     assert res.exit_code == 2
     assert option in res.output
 
+
+
+@pytest.mark.parametrize("grid,message", [
+    ({"m": 1.0, "delta": 1e-300}, "more than 2^63 points"),
+    ({"m": 1.0, "delta": 3.0}, "need 0 < delta <= 2 M"),
+], ids=["over-2^63-points", "delta-above-2m"])
+def test_sweep_grids_that_cannot_exist_are_usage_errors(runner, tmp_path,
+                                                        grid, message):
+    cfg = {"schema_version": 1, "experiment": "bits-accuracy", "seed": 1,
+           "targets": {"kind": "singleton-constant"},
+           "hypers": [dict(HYPER, depth=2)], "grids": [grid]}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    res = runner.invoke(main, ["sweep", "--config", str(path)])
+    assert res.exit_code == 2
+    assert "--config" in res.output and message in res.output
 
 def test_quantize_a_large_finite_box_runs(runner, tmp_path):
     # (2 d_c M)^(L+2) = 8e150, the bound 2^503.4 and the certified bound

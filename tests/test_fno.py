@@ -1,6 +1,7 @@
 """Output-averaged operator: parameter accounting, forward identities,
 zero-padding, and the empirical parameter-to-operator Lipschitz estimate."""
 
+import inspect
 import itertools
 from dataclasses import replace
 
@@ -254,9 +255,10 @@ def test_multiplier_matches_naive_dft_oracle():
                        for k, mk in _conjugate_pairs(mult, modes)], n)
 
     vhat = np.fft.fftn(u.values, axes=(0, 1), norm="forward")
+    _, pos, neg = ek.fno._mode_index(2, 2, n)
     fast = np.real(np.fft.ifftn(
-        ek.fno._apply_multiplier(vhat, mult, 2), axes=(0, 1),
-        norm="forward"))
+        ek.fno._apply_multiplier(vhat, ek.fno._complex_multiplier(mult, 2, 2),
+                                 pos, neg), axes=(0, 1), norm="forward"))
     assert np.allclose(fast, oracle, atol=1e-12)
 
 
@@ -309,27 +311,44 @@ def test_three_dimensional_operator():
 
 
 def _reference_forward(params, u):
-    """forward written with fftn/ifftn per layer and np.mean at the end,
-    over blocks sliced from the stored layout."""
+    """forward as first written: np.fft.fft and ifft with norm="forward"
+    over each axis, the full inverse transform in every layer, the
+    multiplier and the spectral bias decoded slot by slot, and np.mean at
+    the end, over blocks sliced from the stored layout."""
     h, fno = params.hyper, ek.fno
     views = [params.theta[sl].reshape(shape)
              for sl, shape, _ in fno._storage(h)]
-    axes, zero = tuple(range(h.dim)), (0,) * h.dim
+    zero = (0,) * h.dim
+    _, pos, neg = fno._mode_index(h.dim, h.kappa, u.resolution)
+
+    def transform(fft, a):
+        for axis in reversed(range(h.dim)):
+            a = fft(a, axis=axis, norm="forward")
+        return a
+
+    def multiply(vhat, mult):
+        out = np.zeros_like(vhat)
+        out[zero] = vhat[zero] @ mult[0].T
+        if h.kappa > 1:
+            re, im = fno._slot_pairs(mult, h.dim, h.kappa)
+            m_t = (re + 1j * im).transpose(0, 2, 1)
+            out[pos] = (vhat[pos][:, None, :] @ m_t)[:, 0, :]
+            out[neg] = (vhat[neg][:, None, :] @ np.conj(m_t))[:, 0, :]
+        return out
+
     v = u.values @ views[-1].T
     for i in range(len(views) - 4, 0, -3):
         w_mat, mult, bias = views[i:i + 3]
-        vhat = np.fft.fftn(v, axes=axes, norm="forward")
-        conv = np.real(np.fft.ifftn(fno._apply_multiplier(vhat, mult, h.kappa),
-                                    axes=axes, norm="forward"))
+        vhat = transform(np.fft.fft, v)
+        conv = np.real(transform(np.fft.ifft, multiply(vhat, mult)))
         if h.bias_mode == "spectral":
             grid = np.zeros(v.shape, dtype=complex)
             grid[zero] = bias[0]
             if h.kappa > 1:
-                _, pos, neg = fno._mode_index(h.dim, h.kappa, u.resolution)
                 re, im = fno._slot_pairs(bias, h.dim, h.kappa)
                 grid[pos] = re + 1j * im
                 grid[neg] = np.conj(re + 1j * im)
-            bias = np.real(np.fft.ifftn(grid, axes=axes, norm="forward"))
+            bias = np.real(transform(np.fft.ifft, grid))
         v = fno.ACTIVATIONS[h.activation][0](v @ w_mat.T + conv + bias)
     return float(np.mean(v @ views[0].T))
 
@@ -346,6 +365,98 @@ def test_forward_equals_the_fftn_formula_bit_for_bit(dim, kappa):
         p = ek.FnoParams.random(h, 1.0, rng, canonical=False)
         u = ek.random_grid_function(dim, 2 * kappa + extra, h.d_in, rng)
         assert ek.forward(p, u) == _reference_forward(p, u)
+
+
+# resolutions for the lean-path oracle: even, odd and prime grids
+ORACLE_RESOLUTIONS = (2, 3, 4, 5, 6, 7, 8, 9, 11, 13)
+
+
+def test_lean_forward_matches_the_np_fft_oracle_on_random_architectures():
+    # 204 seeded architectures, each at two resolutions >= 2 kappa, called
+    # in the order a, b, a so one architecture holds two cached plans; a
+    # batch of three thetas goes through FnoParams.rows as well
+    rng = stream(90, 8)
+    combos = list(itertools.product(sorted(ek.ACTIVATIONS),
+                                    ("constant", "spectral"))) * 34
+    for act, bias_mode in combos:
+        dim, kappa = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        d_c = int(rng.integers(1, 5))
+        h = ek.FnoHyper(dim, int(rng.integers(1, d_c + 1)), 1, d_c, kappa,
+                        int(rng.integers(1, 3)), act, bias_mode)
+        sizes = [n for n in ORACLE_RESOLUTIONS if n >= 2 * kappa]
+        first, second = (
+            ek.random_grid_function(dim, int(rng.choice(sizes)), h.d_in, rng)
+            for _ in range(2))
+        thetas = rng.uniform(-1.0, 1.0, (3, layout_length(h)))
+        thetas.setflags(write=False)
+        for theta, row in zip(thetas, ek.FnoParams.rows(h, thetas)):
+            single = ek.FnoParams(h, theta)
+            for u in (first, second, first):
+                want = _reference_forward(single, u)
+                assert ek.forward(single, u) == want
+                assert ek.forward(row, u) == want
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 5, 8, 11])
+def test_fft_axes_equals_np_fft(dim, n):
+    rng = stream(91 + dim, 8)
+    real = rng.standard_normal((n,) * dim + (3,))
+    specs, pfu = ek.fno._fft_specs(dim), ek.fno._pocketfft()
+    for a in (real, real + 1j * rng.standard_normal(real.shape)):
+        want_fwd, want_inv = a, a
+        for axis in reversed(range(dim)):
+            want_fwd = np.fft.fft(want_fwd, axis=axis, norm="forward")
+            want_inv = np.fft.ifft(want_inv, axis=axis, norm="forward")
+        got_fwd = ek.fno._fft_axes(pfu.fft, a, specs, 1.0 / n)
+        got_inv = ek.fno._fft_axes(pfu.ifft, a, specs, 1)
+        for got, want in ((got_fwd, want_fwd), (got_inv, want_inv)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_fft_gufuncs_are_the_ones_np_fft_uses():
+    # a numpy that moves np.fft's gufuncs fails here before any bit drifts
+    assert ek.fno._pocketfft() is np.fft._pocketfft.pfu
+
+
+def test_plan_cache_keeps_no_failure():
+    h = small_hyper(kappa=3)
+    p = ek.FnoParams.random(h, 1.0, stream(92, 8))
+    low, good = rand_input(1, 5, 1, 93), rand_input(1, 6, 1, 94)
+    wide = rand_input(1, 6, 2, 95)
+    for bad, error in ((low, ek.ResolutionTooLow), (wide, ek.ChannelMismatch)):
+        with pytest.raises(error):
+            ek.forward(p, bad)
+        assert ek.forward(p, good) == _reference_forward(p, good)
+        with pytest.raises(error):
+            ek.forward(p, bad)
+        assert (id(h), bad.values.shape) not in ek.fno._PLANS
+
+
+def test_rows_is_a_lazy_generator_of_read_only_views():
+    h = ek.FnoHyper(2, 1, 1, 2, 2, 2, bias_mode="spectral")
+    thetas = stream(96, 8).uniform(-1.0, 1.0, (4, layout_length(h)))
+    thetas.setflags(write=False)
+    rows = ek.FnoParams.rows(h, thetas)
+    assert inspect.isgenerator(rows)
+    u = rand_input(2, 5, 1, 97)
+    for theta, row in zip(thetas, rows):
+        single = ek.FnoParams(h, theta)
+        assert np.array_equal(row.theta, single.theta)
+        assert np.shares_memory(row.theta, thetas)  # no copy of the matrix
+        got, want = row.blocks(), single.blocks()
+        for a, b in zip((got[0], *itertools.chain(*got[1]), got[2]),
+                        (want[0], *itertools.chain(*want[1]), want[2])):
+            assert np.array_equal(a, b) and np.shares_memory(a, thetas)
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0
+        assert ek.forward(row, u) == ek.forward(single, u)
+    # a writeable matrix is copied once, so later writes change no row
+    writeable = np.array(thetas)
+    first = next(ek.FnoParams.rows(h, writeable))
+    assert not np.shares_memory(first.theta, writeable)
+    with pytest.raises(ValueError):
+        next(ek.FnoParams.rows(h, thetas[:, :-1]))
 
 
 def test_blocks_are_views_of_theta_built_once():
@@ -430,6 +541,10 @@ def test_pack_rejects_a_block_of_the_wrong_size():
 def test_active_mask_counts():
     h = ek.FnoHyper(2, 1, 1, 2, 2, 1)
     mask = active_mask(h)
+    # one read-only mask per architecture
+    assert active_mask(ek.FnoHyper(2, 1, 1, 2, 2, 1)) is mask
+    with pytest.raises(ValueError):
+        mask[0] = False
     inert_per_entry = (2 * 2) ** 2 - (2 * 2 - 1) ** 2  # 16 - 9 = 7
     assert int((~mask).sum()) == inert_per_entry * h.d_c**2
     # inert slots never change the output

@@ -2,13 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import entrokit as ek
-from entrokit.rng import stream
+from entrokit.rng import STREAM_SWEEP_DICT, stream
 
 
 REF_HYPER = ek.FnoHyper(1, 1, 1, 1, 1, 1)
@@ -159,6 +160,49 @@ def test_bit_budget_validation():
         ek.bit_budget_asymptotic(8, 1, 1.0, 0.05)  # c q <= 1
 
 
+
+@pytest.mark.parametrize("m,delta", [(1.0, 2.0**-62), (1e100, 1e-10),
+                                     (1.0, 1e-300), (1e300, 1e-300)])
+def test_grid_of_more_than_2_63_points_is_out_of_range(m, delta):
+    with pytest.raises(ek.OutOfRange):
+        ek.QuantGrid(m, delta)
+
+
+def test_largest_grid_indices_fit_an_int64():
+    # 2 M / delta is the largest float below 2^63
+    g = ek.QuantGrid(1.0, 2.0 / np.nextafter(2.0**63, 0.0))
+    top = g.points_per_coord - 1
+    assert 2**62 < top < 2**63
+    assert g.round_indices(np.array([-1.0, 1.0])).tolist() == [0, top]
+
+
+@pytest.mark.parametrize("m,delta,q", [(2.0, 0.3, 3), (1.0, 0.5, 10),
+                                       (0.7, 0.13, 8)])
+def test_dictionary_thetas_equal_the_materialized_grid(m, delta, q):
+    grid = ek.QuantGrid(m, delta)
+    vals = grid.values()
+    exhaustive = len(vals) ** q <= ek.quantizer.EXHAUSTIVE_DICT_LIMIT
+    thetas = ek.quantizer._dictionary_thetas(q, grid, exhaustive, 3, 64)
+    if exhaustive:
+        idx = np.indices((len(vals),) * q).reshape(q, -1).T
+    else:
+        idx = stream(3, STREAM_SWEEP_DICT).integers(0, len(vals), size=(64, q))
+    assert np.array_equal(thetas, vals[idx])
+    assert not thetas.flags.writeable
+
+
+def test_random_search_on_a_fine_grid_materializes_no_grid():
+    # 2e7 + 1 grid values would take 160 MB
+    tracemalloc.start()
+    try:
+        thetas = ek.quantizer._dictionary_thetas(
+            10, ek.QuantGrid(1.0, 1e-7), False, 3, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert thetas.shape == (64, 10)
+    assert np.all(np.abs(thetas) <= 1.0) and peak < 1 << 20
+
 # -- certification -----------------------------------------------------------------
 
 
@@ -274,10 +318,53 @@ def test_sweep_deterministic_snapshot():
 def test_sweep_budget_exceeded():
     targets, inputs = _hat_targets_and_inputs()
     hyper = ek.FnoHyper(1, 1, 1, 2, 2, 2)  # q = 48: random search territory
-    with pytest.raises(ek.BudgetExceeded):
-        ek.accuracy_bits_sweep(targets, [hyper], [ek.QuantGrid(1.0, 0.5)],
-                               inputs, seed=5, max_random=1 << 20)
+    # refused before drawing: 2^20 thetas of 48 coordinates take 384 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ek.BudgetExceeded):
+            ek.accuracy_bits_sweep(targets, [hyper], [ek.QuantGrid(1.0, 0.5)],
+                                   inputs, seed=5, max_random=1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
+
+
+def _counting(monkeypatch, modules):
+    """Replace forward in each module by a wrapper that counts calls."""
+    calls = []
+    for module in modules:
+        real = module.forward
+
+        def counted(params, u, real=real):
+            calls.append(1)
+            return real(params, u)
+
+        monkeypatch.setattr(module, "forward", counted)
+    return calls
+
+
+def test_sweep_calls_forward_once_per_theta_and_input(monkeypatch):
+    calls = _counting(monkeypatch, [ek.quantizer])
+    targets, inputs = _hat_targets_and_inputs()
+    exhaustive = ek.FnoHyper(1, 1, 1, 1, 1, 1, activation="identity")  # 3^6
+    random = ek.FnoHyper(1, 1, 1, 1, 1, 2, activation="identity")  # 3^10
+    ek.accuracy_bits_sweep(targets, [exhaustive, random],
+                           [ek.QuantGrid(1.0, 1.0)], inputs, seed=5,
+                           max_random=40)
+    assert len(calls) == (3**6 + 40) * len(inputs)
+
+
+def test_calibration_and_certificate_call_forward_per_probe_pair(monkeypatch):
+    calls = _counting(monkeypatch, [ek.fno, ek.quantizer])
+    hyper = ek.FnoHyper(2, 1, 1, 3, 2, 2, activation="gelu",
+                        bias_mode="spectral")
+    inputs = ek.random_inputs(hyper, 2, seed=4)
+    c_cal = ek.calibrate_c(hyper, 0.8, inputs, 100, seed=4)
+    params = ek.FnoParams.random(hyper, 0.8, stream(4, 8))
+    ek.certify_quantization(params, ek.QuantGrid(0.8, 0.02), inputs, c_cal)
+    assert len(calls) == 2 * (100 + 1) * len(inputs)
 
 def test_pareto_front_cleaning():
     rows = [ek.SweepRow(10, 0.5, 0, 0, 1, True),
