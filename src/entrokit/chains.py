@@ -419,7 +419,7 @@ def _run_uniform_chain(cfg: dict) -> ResultTable:
         except NoPacking:
             rows.append((eps, n6, h, predicted, 0.0, 0.0, "skipped", False))
             continue
-        rep = fam.verify(seed=seed)
+        rep = fam.verify()
         passed = rep.ok and fam.n_centers >= n6
         rows.append((eps, n6, h, predicted, float(fam.n_centers),
                      rep.min_pairwise_supdist, "ok", passed))
@@ -461,15 +461,14 @@ def _run_expectation_chain(cfg: dict) -> ResultTable:
     predicted_min = scale * family.l1_floor
     log2_size_bound = (code.length / 8.0) * math.log2(math.e)
 
-    n_pairs = int(code.size * (code.size - 1) / 2)
+    # every pair (i, j), i < j, in row-major order
+    first, second = np.triu_indices(code.size, 1)
     max_pairs = cfg.get("max_pairs", 16)
     pair_rng = stream(seed, STREAM_CHAIN_PAIRS)
-    all_pairs = [(i, j) for i in range(code.size) for j in range(i + 1, code.size)]
-    if n_pairs > max_pairs:
-        chosen = pair_rng.choice(n_pairs, size=max_pairs, replace=False)
-        pairs = [all_pairs[int(t)] for t in sorted(chosen)]
-    else:
-        pairs = all_pairs
+    if len(first) > max_pairs:
+        keep = np.sort(pair_rng.choice(len(first), size=max_pairs, replace=False))
+        first, second = first[keep], second[keep]
+    pairs = list(zip(first.tolist(), second.tolist()))
 
     grids = {}
 

@@ -23,8 +23,9 @@ from . import packing as pk
 from . import quantizer as qz
 from . import randomfield as rf
 from .errors import (ChannelMismatch, ConfigError, EntrokitError,
-                     EpsilonTooLarge, GridMisaligned, LayoutMismatch,
-                     OutOfRange, ResolutionTooLow, SizeLimitExceeded)
+                     EpsilonTooLarge, FamilyTooLarge, GridMisaligned,
+                     LayoutMismatch, NoPacking, OutOfRange, ResolutionTooLow,
+                     SizeLimitExceeded)
 from .rng import STREAM_PARAM_GEN, stream
 
 
@@ -123,7 +124,10 @@ def codelength(ctx, space_path, eps, decoder):
     """Covering number, entropy, and minimax code length of a space file."""
     _unread(ctx, "seed", "config")
     space = _load_space(space_path)
-    report = ms.code_length_report(space, eps)
+    try:
+        report = ms.code_length_report(space, eps)
+    except SizeLimitExceeded as exc:
+        raise click.BadParameter(str(exc), param_hint="--space") from exc
     out = {"N": report["N"], "H": report["H"], "B": report["B"]}
     if decoder == "restricted":
         out["B"] = report["B_restricted"]
@@ -138,19 +142,14 @@ def codelength(ctx, space_path, eps, decoder):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.pass_context
 def hat(ctx, space_path, eps, out_path):
-    """Build and verify a hat family; print its manifest.
-
-    Families too large to compare every pair draw random pairs from the
-    group --seed (default 0).
-    """
-    _unread(ctx, "config")
+    """Build and verify a hat family; print its manifest."""
+    _unread(ctx, "seed", "config")
     space = _load_space(space_path)
     try:
         fam = pk.build_hat_family(space, eps)
-    except EpsilonTooLarge as exc:
+    except (EpsilonTooLarge, NoPacking, FamilyTooLarge) as exc:
         raise click.BadParameter(str(exc), param_hint="--eps") from exc
-    seed = ctx.obj["seed"]
-    rep = fam.verify(0 if seed is None else seed)
+    rep = fam.verify()
     manifest = fam.manifest()
     manifest["verification"] = {
         "min_pairwise_supdist": rep.min_pairwise_supdist,

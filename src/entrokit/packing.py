@@ -35,11 +35,10 @@ from .errors import (BoundNotReached, EpsilonTooLarge, FamilyTooLarge,
                      GridMisaligned, NoPacking, SizeLimitExceeded)
 from .metricspace import (EXACT_LIMIT, FiniteMetricSpace, SampledFunctional,
                           exact_packing_number, greedy_packing)
-from .rng import STREAM_HAT_PAIRS, stream
 
 HAT_MAX_LOG2_MEMBERS = 16
-PAIRWISE_EXHAUSTIVE_LOG2 = 10
-PAIRWISE_SAMPLE = 1000
+# entries of the (centers, rows, points) block the Lipschitz check holds
+HAT_BLOCK_ENTRIES = 1 << 20
 QUADRATURE_TOL = 1e-9
 # coset-weight table entries (one byte each) a sign code may use
 LEXICODE_TABLE_LIMIT = 1 << 27
@@ -69,12 +68,16 @@ class HatFamilyReport:
 
 
 class HatFamily:
-    """2^N signed sums of hat functions on a finite metric space."""
+    """2^N signed sums of hat functions on a finite metric space, from
+    centers at pairwise distance >= 6 eps: no center lies in another hat."""
 
     def __init__(self, space: FiniteMetricSpace, eps: float, centers: Sequence[int]):
         self.space = space
         self.eps = float(eps)
         self.centers = tuple(int(c) for c in centers)
+        close = space.dist[np.ix_(self.centers, self.centers)] < 6 * self.eps
+        if (close & ~np.eye(len(close), dtype=bool)).any():
+            raise ValueError(f"two centers are closer than 6 eps = {6 * self.eps}")
         # psi[j, u] = max(3 eps - d(c_j, u), 0), evaluated on every space point
         self.psi = np.maximum(3 * self.eps - space.dist[list(self.centers), :], 0.0)
 
@@ -94,51 +97,35 @@ class HatFamily:
     def member_functional(self, sigma) -> SampledFunctional:
         return SampledFunctional(tuple(self.space.points), self.member(sigma))
 
-    def all_member_values(self) -> np.ndarray:
-        """(2^N, n_points) matrix of member values, sigma enumerated by bits."""
-        n = self.n_centers
-        sigmas = ((np.arange(self.size)[:, None] >> np.arange(n)[None, :]) & 1)
-        return sigmas.astype(float) @ self.psi
+    def verify(self, tol: float = 1e-12) -> HatFamilyReport:
+        """Exact over all 2^N members without building them.  psi >= 0 and
+        the supports are disjoint, so each sum below has one nonzero term
+        and every value equals that of enumerating the members, bit for bit.
 
-    def min_pairwise_supdist(self, seed: int = 0):
-        """(min pairwise sup distance, exhaustive flag).
-
-        Exhaustive for families up to 2^PAIRWISE_EXHAUSTIVE_LOG2 members,
-        otherwise PAIRWISE_SAMPLE random distinct pairs.
+        sup_max: the member with every sign set is the largest everywhere.
+        lipschitz_max: at (u, w) with a = psi(u) - psi(w), the largest
+        |sigma . a| over sigma in {0,1}^N is max(sum a_j^+, sum a_j^-).
+        min_pairwise_supdist: members that differ in sign k differ by psi_k
+        where it peaks, a point in no other hat; one flip attains that.
         """
-        values = self.all_member_values()
-        s = len(values)
-        if s <= (1 << PAIRWISE_EXHAUSTIVE_LOG2):
-            best = math.inf
-            for i in range(s - 1):
-                d = np.max(np.abs(values[i + 1:] - values[i]), axis=1)
-                best = min(best, float(np.min(d)))
-            return best, True
-        rng = stream(seed, STREAM_HAT_PAIRS)
-        best = math.inf
-        for _ in range(PAIRWISE_SAMPLE):
-            i, j = rng.choice(s, size=2, replace=False)
-            best = min(best, float(np.max(np.abs(values[i] - values[j]))))
-        return best, False
-
-    def verify(self, seed: int = 0, tol: float = 1e-12) -> HatFamilyReport:
-        values = self.all_member_values()
-        sup_max = float(np.max(np.abs(values)))
-        iu, ju = np.triu_indices(self.space.n, k=1)
-        d = self.space.dist[iu, ju]
-        keep = d > 0
+        psi, dist, n = self.psi, self.space.dist, self.space.n
+        rows = max(1, HAT_BLOCK_ENTRIES // (self.n_centers * n))
         lip_max = 0.0
-        if keep.any():
-            ik, jk, dk = iu[keep], ju[keep], d[keep]
-            for lo in range(0, len(values), 1024):  # bounded memory at N = 16
-                block = values[lo:lo + 1024]
-                quotients = np.abs(block[:, ik] - block[:, jk]) / dk
-                lip_max = max(lip_max, float(np.max(quotients)))
-        min_pair, exhaustive = self.min_pairwise_supdist(seed)
+        for lo in range(0, n - 1, rows):  # the pairs u < w, by rows of u
+            hi = min(lo + rows, n - 1)
+            a = psi[:, lo:hi, None] - psi[:, None, lo + 1:]
+            reach = np.maximum(np.maximum(a, 0.0).sum(axis=0),
+                               np.maximum(-a, 0.0).sum(axis=0))
+            d = dist[lo:hi, lo + 1:]
+            keep = (d > 0) & (np.arange(lo + 1, n) > np.arange(lo, hi)[:, None])
+            if keep.any():
+                lip_max = max(lip_max, float(np.max(reach[keep] / d[keep])))
+        sup_max = float(np.max(psi.sum(axis=0)))
+        min_pair = float(np.min(np.max(psi, axis=1)))
         return HatFamilyReport(
-            size=len(values),
+            size=self.size,
             min_pairwise_supdist=min_pair,
-            pairwise_exhaustive=exhaustive,
+            pairwise_exhaustive=True,
             sup_max=sup_max,
             lipschitz_max=lip_max,
             separation_ok=min_pair >= 3 * self.eps - tol,
@@ -209,10 +196,6 @@ class SignCode:
             d = np.bitwise_count(ints[i + 1:] ^ ints[i])
             best = min(best, int(d.min()))
         return best
-
-    def hamming_matrix(self) -> np.ndarray:
-        ints = np.array(self.ints, dtype=np.uint64)
-        return np.bitwise_count(ints[:, None] ^ ints[None, :]).astype(int)
 
     def manifest(self) -> dict:
         return {
@@ -388,6 +371,11 @@ class BumpFamily:
         self.lam = lam
         self.scale = lam / (2 * cells)
         self._cell_l1 = self._cell_quadrature()
+        self._words = code.words
+        # cell index and profile value of every grid node, for all members
+        axes = [np.arange(grid_res + 1) / grid_res] * dim
+        nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        self._node_cells, self._node_profile = self._locate(nodes)
 
     # -- evaluation ----------------------------------------------------
 
@@ -397,24 +385,22 @@ class BumpFamily:
         r = np.max(np.abs(local - 0.5), axis=-1)
         return np.clip((0.5 - r) / (self.lam / 2), 0.0, 1.0)
 
-    def member_values(self, index: int, x: np.ndarray) -> np.ndarray:
-        """f_sigma at points x in [0,1]^d for the index-th code word."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        word = self.code.words[index]
+    def _locate(self, x: np.ndarray):
+        """(flat cell index, unit-cell profile value) of each point x."""
         cell = np.minimum((x * self.cells).astype(int), self.cells - 1)
         local = x * self.cells - cell
         flat = np.ravel_multi_index(cell.T, (self.cells,) * self.dim)
-        return self.scale * word[flat] * self._profile(local)
+        return flat, self._profile(local)
+
+    def member_values(self, index: int, x: np.ndarray) -> np.ndarray:
+        """f_sigma at points x in [0,1]^d for the index-th code word."""
+        flat, profile = self._locate(np.atleast_2d(np.asarray(x, dtype=float)))
+        return self.scale * self._words[index][flat] * profile
 
     def member_on_nodes(self, index: int) -> np.ndarray:
         """Member values on the (grid_res+1)^d node grid, as a d-dim array."""
-        pts = self._node_points()
-        return self.member_values(index, pts).reshape((self.grid_res + 1,) * self.dim)
-
-    def _node_points(self) -> np.ndarray:
-        axes = [np.arange(self.grid_res + 1) / self.grid_res] * self.dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        values = self.scale * self._words[index][self._node_cells] * self._node_profile
+        return values.reshape((self.grid_res + 1,) * self.dim)
 
     # -- quadrature ----------------------------------------------------
 
@@ -444,14 +430,9 @@ class BumpFamily:
         return self.scale * 2 * d * self._cell_l1
 
     def min_pairwise_l1(self) -> float:
-        h = self.code.hamming_matrix()
-        h_min = int(np.min(h[np.triu_indices(len(h), k=1)]))
-        return self.scale * 2 * h_min * self._cell_l1
+        return self.scale * 2 * self.code.pairwise_min_hamming() * self._cell_l1
 
     # -- member checks ---------------------------------------------------
-
-    def member_sup(self, index: int) -> float:
-        return float(np.max(np.abs(self.member_on_nodes(index))))
 
     def member_discrete_lipschitz(self, index: int) -> float:
         """Max grid difference quotient w.r.t. the sup norm over all node
@@ -467,8 +448,11 @@ class BumpFamily:
         return 1.0 / (8 * math.e * self.dim * self.cells)
 
     def verify(self) -> BumpFamilyReport:
-        sup_max = max(self.member_sup(i) for i in range(self.code.size))
-        lip_max = max(self.member_discrete_lipschitz(i) for i in range(self.code.size))
+        sup_max = lip_max = 0.0
+        for i in range(self.code.size):
+            grid = self.member_on_nodes(i)
+            sup_max = max(sup_max, float(np.max(np.abs(grid))))
+            lip_max = max(lip_max, grid_lipschitz(grid))
         return BumpFamilyReport(
             size=self.code.size,
             cell_profile_l1=self.cell_profile_l1,

@@ -22,7 +22,8 @@ STREAM_SPACE_GEN = 6      # random finite metric space generation
 STREAM_INPUT_GEN = 7      # random grid-function inputs
 STREAM_PARAM_GEN = 8      # random parameter vectors
 STREAM_TRANSPORT = 9      # Lipschitz transport pair sampling
-STREAM_HAT_PAIRS = 10     # random member pairs in large hat families
+STREAM_HAT_PAIRS = 10     # reserved, never reused: hat families drew
+                          # member pairs here before they were verified exactly
 
 
 def stream(seed: int, stream_id: int) -> np.random.Generator:

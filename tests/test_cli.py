@@ -647,7 +647,7 @@ def _command_args(tmp_path, space_file):
 
 @pytest.mark.parametrize("command,option", [
     ("codelength", "--seed"), ("codelength", "--config"),
-    ("hat", "--config"),
+    ("hat", "--seed"), ("hat", "--config"),
     ("gv", "--seed"), ("gv", "--config"),
     ("bump", "--seed"), ("bump", "--config"),
     ("fno", "--seed"), ("fno", "--config"),
@@ -669,19 +669,21 @@ def test_missing_group_config_file_is_a_usage_error(runner):
     assert "--config" in res.output
 
 
-def test_hat_verifies_with_the_group_seed(runner, space_file, monkeypatch):
-    seen = []
-    verify = ek.packing.HatFamily.verify
-
-    def recording(self, seed=0, tol=1e-12):
-        seen.append(seed)
-        return verify(self, seed, tol)
-
-    monkeypatch.setattr(ek.packing.HatFamily, "verify", recording)
-    args = ["hat", "--space", space_file, "--eps", str(1 / 6)]
-    assert runner.invoke(main, args).exit_code == 0
-    assert runner.invoke(main, ["--seed", "5"] + args).exit_code == 0
-    assert seen == [0, 5]
+@pytest.mark.parametrize("command,points,eps,option,message", [
+    # above EXACT_LIMIT points the exact cover refuses the space
+    ("codelength", 25, "0.5", "--space", "exact cover limited"),
+    # 6 eps = 1.2 exceeds the diameter 1
+    ("hat", 2, "0.2", "--eps", "separated"),
+    # all 40 points are 6 eps = 0.6 apart: 2^40 members
+    ("hat", 40, "0.1", "--eps", "2^16 cap"),
+])
+def test_spaces_a_command_cannot_handle_are_usage_errors(
+        runner, tmp_path, command, points, eps, option, message):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(ek.FiniteMetricSpace.line(points).to_json()))
+    res = runner.invoke(main, [command, "--space", str(path), "--eps", eps])
+    assert res.exit_code == 2
+    assert option in res.output and message in res.output
 
 
 def test_embed_check_reads_the_group_config(runner, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import entrokit as ek
 from entrokit import packing
 from entrokit.packing import greedy_sign_code, grid_lipschitz
+from entrokit.rng import STREAM_SPACE_GEN, stream
 
 
 # -- hat families --------------------------------------------------------
@@ -49,8 +50,65 @@ def test_hat_pairwise_matches_direct_enumeration():
         sa = np.array([(a >> j) & 1 for j in range(fam.n_centers)], dtype=float)
         sb = np.array([(b >> j) & 1 for j in range(fam.n_centers)], dtype=float)
         best = min(best, np.max(np.abs((sa - sb) @ psi)))
-    got, exhaustive = fam.min_pairwise_supdist()
-    assert exhaustive and got == pytest.approx(best)
+    rep = fam.verify()
+    assert rep.pairwise_exhaustive and rep.min_pairwise_supdist == pytest.approx(best)
+
+
+def enumerated_report(fam, tol=1e-12):
+    """Reference: every member on every point, as a 2^N x n matrix, and
+    the difference quotients and sup distances of every member pair."""
+    n = fam.n_centers
+    sigmas = (np.arange(fam.size)[:, None] >> np.arange(n)[None, :]) & 1
+    values = sigmas.astype(float) @ fam.psi
+    sup_max = float(np.max(np.abs(values)))
+    iu, ju = np.triu_indices(fam.space.n, k=1)
+    d = fam.space.dist[iu, ju]
+    keep = d > 0
+    lip_max = 0.0
+    if keep.any():
+        quotients = np.abs(values[:, iu[keep]] - values[:, ju[keep]]) / d[keep]
+        lip_max = float(np.max(quotients))
+    min_pair = min(float(np.min(np.max(np.abs(values[i + 1:] - values[i]), axis=1)))
+                   for i in range(fam.size - 1))
+    return packing.HatFamilyReport(
+        size=fam.size,
+        min_pairwise_supdist=min_pair,
+        pairwise_exhaustive=True,
+        sup_max=sup_max,
+        lipschitz_max=lip_max,
+        separation_ok=min_pair >= 3 * fam.eps - tol,
+        sup_ok=sup_max <= min(3 * fam.eps, 1.0) + tol,
+        lipschitz_ok=lip_max <= 1.0 + tol,
+    )
+
+
+def _seeded_space(kind, rng):
+    n = int(rng.integers(3, 31))
+    if kind == "line":
+        return ek.FiniteMetricSpace.line(n, float(rng.uniform(0.05, 0.5)))
+    if kind == "circle":
+        return ek.FiniteMetricSpace.circle(n, float(rng.uniform(0.5, 3.0)))
+    coords = rng.uniform(0.0, 1.0, (n, int(rng.integers(1, 4))))
+    return ek.FiniteMetricSpace.from_coords(coords, metric=kind)
+
+
+@pytest.mark.parametrize("kind", ["line", "circle", "euclidean", "chebyshev"])
+def test_hat_verify_equals_member_enumeration(kind):
+    # every field, bit for bit, on families of up to 2^10 members
+    rng = stream(11, STREAM_SPACE_GEN)
+    checked = 0
+    for _ in range(40):
+        space = _seeded_space(kind, rng)
+        eps = float(rng.uniform(0.01, 0.1))
+        try:
+            fam = ek.build_hat_family(space, eps)
+        except (ek.NoPacking, ek.FamilyTooLarge):
+            continue
+        if fam.size > 1 << 10:
+            continue
+        assert fam.verify() == enumerated_report(fam)
+        checked += 1
+    assert checked >= 20
 
 
 def test_hat_certifies_space_entropy():
@@ -64,16 +122,24 @@ def test_hat_certifies_space_entropy():
     assert 2.0**fam.n_centers >= ek.entropy_lower_bound_uniform(h)
 
 
-def test_hat_sampled_pairwise_path():
-    # 11 centers -> 2048 members: above the exhaustive cap, sampled pairs
+def test_hat_separation_is_exact_above_2_to_the_10_members():
+    # 11 centers -> 2048 members; each center's hat peaks at 3 eps
     space = ek.FiniteMetricSpace.line(11, spacing=2.0)
     fam = ek.build_hat_family(space, 1 / 6)
     assert fam.size == 2048
-    dist, exhaustive = fam.min_pairwise_supdist(seed=1)
-    assert not exhaustive
-    assert dist >= 3 * fam.eps - 1e-12
-    again, _ = fam.min_pairwise_supdist(seed=1)
-    assert again == dist  # seeded sampling is reproducible
+    rep = fam.verify()
+    assert rep.pairwise_exhaustive
+    assert rep.min_pairwise_supdist == 3 * fam.eps
+    assert rep.ok
+
+
+def test_hat_family_rejects_centers_closer_than_6_eps():
+    space = ek.FiniteMetricSpace.line(4)
+    with pytest.raises(ValueError, match="closer than 6 eps"):
+        packing.HatFamily(space, 1 / 3, [0, 3, 1])  # d(0, 1) = 1 < 2
+    with pytest.raises(ValueError, match="closer than 6 eps"):
+        packing.HatFamily(space, 1 / 6, [1, 1])
+    assert packing.HatFamily(space, 1 / 3, [0, 2]).verify().ok  # d = 2
 
 
 def test_hat_rejections():
