@@ -25,13 +25,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from . import fno as fno_mod
@@ -307,22 +307,187 @@ EMBED_CHECK_SCHEMA = {
 }
 
 
-def _integer(checker, instance) -> bool:
-    # not 8.0, which jsonschema counts as an integer: the runners pass
+# ---------------------------------------------------------------------
+# config validation: the JSON Schema keywords the schemas above use, read
+# as JSON Schema 2020-12 reads them, with jsonschema's wording
+# ---------------------------------------------------------------------
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    # not 8.0, which JSON Schema counts as an integer: the runners pass
     # these values to range() and to array shapes
-    return isinstance(instance, int) and not isinstance(instance, bool)
+    "integer": lambda value: (isinstance(value, int)
+                              and not isinstance(value, bool)),
+    "number": _is_number,
+}
 
 
-def _validator(schema: dict):
-    cls = jsonschema.validators.validator_for(schema)
-    checker = cls.TYPE_CHECKER.redefine("integer", _integer)
-    return jsonschema.validators.extend(cls, type_checker=checker)(schema)
+def _json_equal(value, scalar) -> bool:
+    """Equality as JSON sees it, against a string or number of a schema:
+    1 == 1.0, but true is not 1."""
+    return (isinstance(value, bool) == isinstance(scalar, bool)
+            and value == scalar)
 
 
-def _check(validator, cfg) -> dict:
-    error = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
+def _type(name, value, path, schema):
+    if not _TYPES[name](value):
+        yield path, f"{value!r} is not of type {name!r}"
+
+
+def _const(const, value, path, schema):
+    if not _json_equal(value, const):
+        yield path, f"{const!r} was expected"
+
+
+def _enum(options, value, path, schema):
+    if not any(_json_equal(value, option) for option in options):
+        yield path, f"{value!r} is not one of {options!r}"
+
+
+def _minimum(bound, value, path, schema):
+    if _is_number(value) and value < bound:
+        yield path, f"{value!r} is less than the minimum of {bound!r}"
+
+
+def _maximum(bound, value, path, schema):
+    if _is_number(value) and value > bound:
+        yield path, f"{value!r} is greater than the maximum of {bound!r}"
+
+
+def _exclusive_minimum(bound, value, path, schema):
+    if _is_number(value) and value <= bound:
+        yield path, (f"{value!r} is less than or equal to the minimum of "
+                     f"{bound!r}")
+
+
+def _min_items(least, value, path, schema):
+    if isinstance(value, list) and len(value) < least:
+        yield path, f"{value!r} " + ("should be non-empty" if least == 1
+                                     else "is too short")
+
+
+def _items(item_schema, value, path, schema):
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _errors(item_schema, item, path + (index,))
+
+
+def _properties(properties, value, path, schema):
+    if isinstance(value, dict):
+        for key, subschema in properties.items():
+            if key in value:
+                yield from _errors(subschema, value[key], path + (key,))
+
+
+def _no_additional_properties(allowed, value, path, schema):
+    # only `false` is implemented: a key outside "properties" is an error
+    if isinstance(value, dict):
+        known = schema.get("properties", {})
+        extras = sorted((key for key in value if key not in known), key=str)
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            yield path, ("Additional properties are not allowed (%s %s "
+                         "unexpected)" % (", ".join(map(repr, extras)), verb))
+
+
+def _required(keys, value, path, schema):
+    if isinstance(value, dict):
+        for key in keys:
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+
+
+def _property_names(name_schema, value, path, schema):
+    if isinstance(value, dict):
+        for key in value:
+            yield from _errors(name_schema, key, path)
+
+
+def _all_of(branches, value, path, schema):
+    for branch in branches:
+        yield from _errors(branch, value, path)
+
+
+def _any_of(branches, value, path, schema):
+    # the deepest error of the failed branches, the first among equals;
+    # when all of them sit at the value itself, no branch came closer to
+    # matching than another, and the message says the value matches none
+    failed = []
+    for branch in branches:
+        errors = list(_errors(branch, value, path))
+        if not errors:
+            return
+        failed += errors
+    deepest = max(failed, key=lambda error: len(error[0]))
+    if len(deepest[0]) > len(path):
+        yield deepest
+    else:
+        yield path, f"{value!r} is not valid under any of the given schemas"
+
+
+def _not(negated, value, path, schema):
+    if _valid(negated, value):
+        yield path, f"{value!r} should not be valid under {negated!r}"
+
+
+def _if(condition, value, path, schema):
+    branch = schema.get("then" if _valid(condition, value) else "else")
+    if branch is not None:
+        yield from _errors(branch, value, path)
+
+
+def _read_by_if(branch, value, path, schema):
+    return ()
+
+
+# keyword -> fn(argument, value, path, schema) yielding (path, message)
+_KEYWORDS = {
+    "type": _type, "const": _const, "enum": _enum,
+    "minimum": _minimum, "maximum": _maximum,
+    "exclusiveMinimum": _exclusive_minimum,
+    "minItems": _min_items, "items": _items,
+    "properties": _properties,
+    "additionalProperties": _no_additional_properties,
+    "required": _required, "propertyNames": _property_names,
+    "allOf": _all_of, "anyOf": _any_of, "not": _not,
+    "if": _if, "then": _read_by_if, "else": _read_by_if,
+}
+
+
+def _errors(schema: dict, value, path: tuple):
+    """(path, message) for each way value breaks schema, in schema order;
+    path holds the keys and list indices that lead to the offending value.
+    A keyword outside _KEYWORDS raises KeyError rather than pass."""
+    for keyword, argument in schema.items():
+        yield from _KEYWORDS[keyword](argument, value, path, schema)
+
+
+def _valid(schema: dict, value) -> bool:
+    return next(_errors(schema, value, ()), None) is None
+
+
+def _path_text(path: tuple) -> str:
+    """hypers[0].depth for ("hypers", 0, "depth")."""
+    text = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    return text[1:] if text.startswith(".") else text
+
+
+def _check(schema: dict, cfg):
+    """cfg, if it meets schema; else ConfigError for its shallowest error
+    (the first in schema order among equals), prefixed by the path."""
+    error = min(_errors(schema, cfg, ()), key=lambda e: len(e[0]),
+                default=None)
     if error is not None:
-        raise ConfigError(error.message)
+        path, message = error
+        raise ConfigError(f"{_path_text(path)}: {message}" if path
+                          else message)
     return cfg
 
 
@@ -349,7 +514,7 @@ def load_config(path) -> dict:
 
 
 def load_embed_check_config(path) -> dict:
-    return _check(_EMBED_CHECK_VALIDATOR, read_config(path))
+    return _check(EMBED_CHECK_SCHEMA, read_config(path))
 
 
 def _hyper(obj: dict) -> fno_mod.FnoHyper:
@@ -362,7 +527,7 @@ def _hyper(obj: dict) -> fno_mod.FnoHyper:
 
 def load_hyper(path) -> fno_mod.FnoHyper:
     """The architecture in a JSON hyper file, validated."""
-    return _hyper(_check(_HYPER_VALIDATOR, read_config(path)))
+    return _hyper(_check(_HYPER_SCHEMA, read_config(path)))
 
 
 # ---------------------------------------------------------------------
@@ -553,14 +718,11 @@ def _run_bits_accuracy(cfg: dict) -> ResultTable:
     return ResultTable(columns, rows, meta)
 
 
-# validators are built once, at import; experiment -> (validator, runner)
-_EMBED_CHECK_VALIDATOR = _validator(EMBED_CHECK_SCHEMA)
-_HYPER_VALIDATOR = _validator(_HYPER_SCHEMA)
+# experiment -> (schema, runner)
 _EXPERIMENTS = {
-    "uniform-chain": (_validator(UNIFORM_SCHEMA), _run_uniform_chain),
-    "expectation-chain": (_validator(EXPECTATION_SCHEMA),
-                          _run_expectation_chain),
-    "bits-accuracy": (_validator(BITS_SCHEMA), _run_bits_accuracy),
+    "uniform-chain": (UNIFORM_SCHEMA, _run_uniform_chain),
+    "expectation-chain": (EXPECTATION_SCHEMA, _run_expectation_chain),
+    "bits-accuracy": (BITS_SCHEMA, _run_bits_accuracy),
 }
 
 

@@ -210,7 +210,7 @@ def bump(ctx, dim, cells, grid_res, lam, out_path):
         raise click.BadParameter(f"{lam} is not in (0, 1)", param_hint="--lam")
     try:
         lam = pk.bump_lam(dim, cells, grid_res, lam)
-    except GridMisaligned as exc:
+    except (GridMisaligned, SizeLimitExceeded) as exc:
         raise click.BadParameter(str(exc), param_hint="--grid") from exc
     fam = pk.build_bump_family(dim, cells, grid_res, _sign_code(length), lam)
     rep = fam.verify()

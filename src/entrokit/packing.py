@@ -44,6 +44,9 @@ QUADRATURE_TOL = 1e-9
 LEXICODE_TABLE_LIMIT = 1 << 27
 # sign-code words are stored as uint64 bit patterns
 MAX_CODE_LENGTH = 64
+# (grid_res + 1)^d nodes a bump family may hold: at the limit a 3-D family
+# peaks near 0.15 GB, and verify scans every member's node grid
+BUMP_NODE_LIMIT = 1 << 20
 
 
 # ---------------------------------------------------------------------
@@ -477,12 +480,18 @@ class BumpFamily:
 def bump_lam(dim: int, cells: int, grid_res: int,
              lam: Optional[float]) -> float:
     """The plateau parameter (1/(1+d) when lam is None), once cells,
-    grid_res and lam are known to put every ramp breakpoint on a grid node;
-    needs no sign code, so a caller can check before building one."""
+    grid_res and lam are known to put every ramp breakpoint on a grid node
+    and the node grid within BUMP_NODE_LIMIT (SizeLimitExceeded); needs no
+    sign code, so a caller can check before building one."""
     if cells < 2:
         raise ValueError("cells must be >= 2")
     if grid_res < 1:
         raise ValueError("grid_res must be >= 1")
+    nodes = (grid_res + 1) ** dim
+    if nodes > BUMP_NODE_LIMIT:
+        raise SizeLimitExceeded(
+            f"(grid_res + 1)^{dim} = {nodes} grid nodes is above "
+            f"{BUMP_NODE_LIMIT}")
     if lam is None:
         lam = 1.0 / (1 + dim)
     if not 0 < lam < 1:

@@ -20,7 +20,6 @@ import itertools
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -432,7 +431,7 @@ class McDraws:
         self.columns = columns
         self.seeds = seeds
         self.workers = min(len(seeds), _usable_cpus())
-        self._pool: Optional[ThreadPoolExecutor] = None
+        self._pool = None   # a ThreadPoolExecutor while entered
         self._next = 0      # index of the next seed to submit
         self._jobs: dict = {}
         self._taken: set = set()
@@ -441,6 +440,8 @@ class McDraws:
     def __enter__(self) -> "McDraws":
         if self._pool is not None or self._next:
             raise RuntimeError("McDraws is entered once")
+        # imported here: nothing else in the package needs concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
         self._pool = ThreadPoolExecutor(self.workers,
                                         thread_name_prefix="entrokit-mc")
         for _ in range(self.workers + 1):

@@ -1,9 +1,14 @@
 """Experiment chains: schema validation, pass flags, byte determinism."""
 
 import csv
+import importlib.util
 import io
+import json
 import math
+import pathlib
+import random
 import struct
+import sys
 import threading
 from dataclasses import replace
 
@@ -15,6 +20,7 @@ import entrokit as ek
 from entrokit import chains
 from entrokit.chains import ResultTable, config_hash
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 UNIFORM_CFG = {
     "schema_version": 1,
@@ -77,14 +83,80 @@ def test_unhashable_experiment_rejected():
 SCHEMAS = {"uniform-chain": chains.UNIFORM_SCHEMA,
            "expectation-chain": chains.EXPECTATION_SCHEMA,
            "bits-accuracy": chains.BITS_SCHEMA,
-           "embed-check": chains.EMBED_CHECK_SCHEMA}
+           "embed-check": chains.EMBED_CHECK_SCHEMA,
+           "hyper": chains._HYPER_SCHEMA}
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
 def test_schema_constants_pass_their_metaschema(name):
-    # the validators are built once at import without this check
+    # the interpreter reads the constants without this check
     schema = SCHEMAS[name]
     jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def _integer(checker, instance) -> bool:
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
+def _oracle(schema: dict):
+    """jsonschema's validator for schema, except that 8.0 is no integer,
+    as in the package."""
+    cls = jsonschema.validators.validator_for(schema)
+    checker = cls.TYPE_CHECKER.redefine("integer", _integer)
+    return jsonschema.validators.extend(cls, type_checker=checker)(schema)
+
+
+# keywords whose value is a schema, a list of schemas or a map of them
+_SUBSCHEMA = {"items", "not", "if", "then", "else", "propertyNames"}
+_SUBSCHEMA_LISTS = {"allOf", "anyOf"}
+
+
+def _keywords(schema: dict):
+    """(keyword, value) of every keyword in schema and its subschemas."""
+    for keyword, value in schema.items():
+        yield keyword, value
+        if keyword in _SUBSCHEMA:
+            yield from _keywords(value)
+        elif keyword in _SUBSCHEMA_LISTS:
+            for branch in value:
+                yield from _keywords(branch)
+        elif keyword == "properties":
+            for subschema in value.values():
+                yield from _keywords(subschema)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_schema_constants_use_only_implemented_keywords(name):
+    # a keyword the interpreter lacks (maxItems, pattern) would otherwise
+    # be a rule no config is held to
+    found = list(_keywords(SCHEMAS[name]))
+    assert {k for k, _ in found} <= set(chains._KEYWORDS)
+    assert all(v is False for k, v in found if k == "additionalProperties")
+    assert all(v in chains._TYPES for k, v in found if k == "type")
+    # const and enum compare scalars only
+    scalars = [v for k, v in found if k == "const"]
+    scalars += [v for k, options in found if k == "enum" for v in options]
+    assert all(isinstance(v, (str, int)) and not isinstance(v, bool)
+               for v in scalars)
+
+
+def test_an_unimplemented_keyword_is_an_error_not_a_pass():
+    with pytest.raises(KeyError, match="maxItems"):
+        chains._check({"type": "array", "maxItems": 1}, [1, 2])
+
+
+@pytest.mark.parametrize("schema,value,verdict", [
+    # integer fields take JSON integers only: not 8.0, not true
+    ({"type": "integer"}, 8, True), ({"type": "integer"}, 8.0, False),
+    ({"type": "integer"}, True, False), ({"type": "integer"}, "8", False),
+    ({"const": 1}, 1, True), ({"const": 1}, 1.0, True),
+    ({"const": 1}, True, False), ({"enum": [0, "x"]}, False, False),
+    ({"enum": [0, "x"]}, 0.0, True), ({"const": 1}, [1], False),
+    ({"const": "x"}, ["x"], False), ({"type": "number"}, True, False),
+    ({"minimum": 1}, "x", True), ({"exclusiveMinimum": 0}, 0.0, False),
+])
+def test_json_scalars_get_json_verdicts(schema, value, verdict):
+    assert chains._valid(schema, value) is verdict
 
 
 BAD_CONFIGS = {
@@ -92,24 +164,186 @@ BAD_CONFIGS = {
     "missing-seed": {k: v for k, v in UNIFORM_CFG.items() if k != "seed"},
     "ladder-type": dict(UNIFORM_CFG, eps_ladder=[1 / 6, "x"]),
     # two errors at different depths, and one inside an anyOf branch: the
-    # message is the one best_match picks, not the first error found
+    # message names the shallower one, not the first error found
     "kl-law-and-cells": dict(EXPECT_CFG, cells=1,
                              kl=dict(EXPECT_CFG["kl"], law="cauchy")),
     "lambda-items": dict(EXPECT_CFG,
                          kl=dict(EXPECT_CFG["kl"], **{"lambda": [1, "a"]})),
     "hyper-depth": dict(BITS_CFG, hypers=[dict(BITS_CFG["hypers"][0], depth=0)]),
     "empty-grids": dict(BITS_CFG, grids=[]),
+    "dim-and-dim-select": dict(EXPECT_CFG, dim_select={
+        "eps": 0.25, "c1": 2.0, "c2": 1.0, "alpha": 0.5}),
 }
+
+
+def _path_text(path) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                   for k in path).lstrip(".")
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
 def test_config_error_message_matches_jsonschema_validate(name):
+    # jsonschema's best_match message, prefixed by the offending value's path
     cfg = BAD_CONFIGS[name]
     with pytest.raises(jsonschema.ValidationError) as oracle:
         jsonschema.validate(cfg, SCHEMAS[cfg["experiment"]])
     with pytest.raises(ek.ConfigError) as err:
         ek.validate_config(cfg)
-    assert str(err.value) == oracle.value.message
+    path = _path_text(oracle.value.absolute_path)
+    prefix = f"{path}: " if path else ""
+    assert str(err.value) == prefix + oracle.value.message
+
+
+def test_anyof_reports_the_deepest_branch_error_or_no_branch():
+    def message(lam):
+        with pytest.raises(ek.ConfigError) as err:
+            chains._check(chains._KL_SCHEMA, {"lambda": lam, "law": "uniform"})
+        return str(err.value)
+
+    assert message([1.0, 0.0, -1]) == (
+        "lambda[1]: 0.0 is less than or equal to the minimum of 0")
+    assert message("foo") == (
+        "lambda: 'foo' is not valid under any of the given schemas")
+
+
+# -- the oracle corpus: every config the suite, the shipped files and the
+# benchmark workloads validate, and one mutation of each at every position
+
+_REPLACEMENTS = (None, True, 0, -1, 1.5, 8.0, "x", [], {})
+
+
+def _positions(value, path=()):
+    """(path, part) of every part nested in value, value itself first."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _positions(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _positions(item, path + (index,))
+
+
+_DROP = object()
+
+
+def _replaced(value, path, make):
+    """A copy of value with the part at path swapped for make(part);
+    make returns _DROP to remove a dict entry."""
+    if not path:
+        return make(value)
+    head, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        out = dict(value)
+        item = _replaced(value[head], rest, make)
+        if item is _DROP:
+            del out[head]
+        else:
+            out[head] = item
+        return out
+    out = list(value)
+    out[head] = _replaced(value[head], rest, make)
+    return out
+
+
+def _mutations(cfg):
+    """cfg with one change at one position: an unknown key added, a key
+    dropped, or a value replaced by one of _REPLACEMENTS."""
+    for path, part in _positions(cfg):
+        if isinstance(part, dict):
+            yield _replaced(cfg, path, lambda v: dict(v, zz_unknown=1))
+        if not path:
+            continue
+        if isinstance(path[-1], str):
+            yield _replaced(cfg, path, lambda _: _DROP)
+        for new in _REPLACEMENTS:
+            yield _replaced(cfg, path, lambda _, new=new: new)
+
+
+def _workload_module():
+    spec = importlib.util.spec_from_file_location(
+        "_entrokit_bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def _base_configs():
+    """(schema name, config) of the shipped configs, this file's configs
+    and the configs both benchmark workloads generate at seeds 0 and 7."""
+    found = []
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        found.append((cfg.get("experiment", "embed-check"), cfg))
+    for cfg in ([UNIFORM_CFG, EXPECT_CFG, BITS_CFG]
+                + list(BAD_CONFIGS.values()) + list(SCHEMA_GAPS.values())
+                + list(UNTYPED_CRASHES.values())
+                + [c for c, _ in OTHER_KIND_KEYS.values()]):
+        found.append((cfg["experiment"], cfg))
+    found.append(("hyper", BITS_CFG["hypers"][0]))
+    wl = _workload_module()
+    for workload in wl.WORKLOADS:
+        for seed in (0, 7):
+            for job in wl.generate(workload, seed, str(ROOT)):
+                if "config" in job.spec:
+                    cfg = job.spec["config"]
+                    found.append((cfg["experiment"], cfg))
+                for arg in job.spec.get("args", []):
+                    if isinstance(arg, dict) and set(arg) & {"hyper", "embed"}:
+                        (kind, cfg), = arg.items()
+                        name = "hyper" if kind == "hyper" else "embed-check"
+                        found.append((name, cfg))
+    return found
+
+
+def _corpus(per_schema=800):
+    """A seeded sample of at most per_schema distinct configs per schema
+    from the base configs and all their mutations."""
+    by_schema = {}
+    for name, base in _base_configs():
+        for cfg in [base, *_mutations(base)]:
+            key = json.dumps(cfg, sort_keys=True)
+            by_schema.setdefault(name, {})[key] = cfg
+    rng = random.Random(0)
+    return [(name, cfg) for name, found in sorted(by_schema.items())
+            for cfg in rng.sample(list(found.values()),
+                                  min(per_schema, len(found)))]
+
+
+_ORACLES = {name: _oracle(schema) for name, schema in SCHEMAS.items()}
+
+
+def _oracle_messages(name: str, cfg) -> set:
+    """Every error jsonschema finds in cfg, nested anyOf errors too, as
+    this package words it: the value's path, then jsonschema's message."""
+    found, stack = set(), list(_ORACLES[name].iter_errors(cfg))
+    while stack:
+        error = stack.pop()
+        path = _path_text(error.absolute_path)
+        found.add((f"{path}: " if path else "") + error.message)
+        stack += error.context
+    return found
+
+
+def test_verdicts_match_jsonschema_on_a_mutation_corpus():
+    corpus = _corpus()
+    assert len(corpus) >= 2000
+    verdicts = []
+    for name, cfg in corpus:
+        oracle = _oracle_messages(name, cfg)
+        try:
+            chains._check(SCHEMAS[name], cfg)
+        except ek.ConfigError as err:
+            # rejected as jsonschema rejects it, for a reason it also gives
+            assert str(err) in oracle, (name, cfg, str(err))
+            verdicts.append(False)
+        else:
+            assert not oracle, (name, cfg, oracle)
+            verdicts.append(True)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_run_experiment_validates_once(monkeypatch):

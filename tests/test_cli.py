@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 from dataclasses import replace
 
 import pytest
@@ -370,6 +371,30 @@ def test_bump_checks_its_grid_before_it_builds_the_code(runner, monkeypatch):
     res = runner.invoke(main, ["bump", "--d", "1", "--n", "52", "--grid", "100"])
     assert res.exit_code == 2, res.exception
     assert "--grid" in res.output
+
+
+def test_grids_above_the_bump_node_limit_are_usage_errors(runner, tmp_path):
+    # 16001^3 nodes would need terabytes; both paths refuse them at once
+    cfg = {"schema_version": 1, "experiment": "expectation-chain", "seed": 3,
+           "kl": {"lambda": "j^-2a", "alpha": 1.0, "J": 16, "law": "gaussian"},
+           "p": 1, "dim": 3, "cells": 2, "grid_res": 16000, "mc_samples": 500}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    for args, option in (
+            (["bump", "--d", "3", "--n", "2", "--grid", "16000"], "--grid"),
+            (["chain-expectation", "--config", str(cfg_path)], "--config")):
+        start = time.perf_counter()
+        res = runner.invoke(main, args)
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 2, res.exception
+        assert option in res.output and "grid nodes" in res.output
+
+
+@pytest.mark.parametrize("d,n,grid", [(1, 4, 32), (2, 2, 48), (3, 2, 16)])
+def test_the_benchmark_bump_shapes_run(runner, d, n, grid):
+    res = runner.invoke(main, ["bump", "--d", str(d), "--n", str(n),
+                               "--grid", str(grid)])
+    assert res.exit_code == 0, res.output
 
 
 def test_chain_uniform_writes_csv_and_exits_zero(runner, tmp_path):

@@ -356,6 +356,18 @@ def test_bump_grid_misalignment_rejected():
         ek.build_bump_family(2, 2, 16, ek.gilbert_varshamov(4))  # needs 12 | G
 
 
+def test_bump_node_grid_is_bounded_before_anything_is_built():
+    # (grid_res + 1)^d nodes at most BUMP_NODE_LIMIT; one below the limit
+    # in 1-D passes, and 16001^3 nodes (terabytes) are refused
+    limit = packing.BUMP_NODE_LIMIT
+    assert packing.bump_lam(1, 2, limit - 8, None) == 0.5
+    for dim, cells, grid in ((1, 2, limit), (3, 2, 16000)):
+        with pytest.raises(ek.SizeLimitExceeded, match="grid nodes"):
+            packing.bump_lam(dim, cells, grid, None)
+    with pytest.raises(ek.SizeLimitExceeded):
+        ek.build_bump_family(3, 2, 16000, ek.gilbert_varshamov(8))
+
+
 @pytest.mark.parametrize("grid", [0, -8])
 def test_bump_grid_below_one_rejected(grid):
     # both pass the alignment checks, then failed untyped

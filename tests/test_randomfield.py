@@ -655,6 +655,14 @@ def test_import_loads_no_scipy():
         f"import sys, entrokit, entrokit.cli; print({_SCIPY_LOADED})") == "False"
 
 
+def test_import_loads_no_jsonschema_and_no_thread_pool():
+    # configs are checked by chains' own interpreter, and McDraws imports
+    # concurrent.futures when it is entered
+    assert _fresh_python(
+        "import sys, entrokit, entrokit.cli; print(sorted({m.split('.')[0] "
+        "for m in sys.modules} & {'jsonschema', 'concurrent'}))") == "[]"
+
+
 def test_cli_runs_without_ndtr_load_no_scipy(tmp_path):
     space = tmp_path / "line4.json"
     space.write_text(json.dumps(ek.FiniteMetricSpace.line(4).to_json()))
