@@ -39,7 +39,7 @@ from . import metricspace as ms
 from . import packing as pk
 from . import quantizer as qz
 from . import randomfield as rf
-from .errors import ConfigError, NoPacking
+from .errors import ConfigError, NoPacking, read_json
 from .rng import STREAM_CHAIN_PAIRS, STREAM_SPACE_GEN, stream
 
 SCHEMA_VERSION = 1
@@ -502,11 +502,7 @@ def validate_config(cfg: dict) -> dict:
 
 def read_config(path):
     """The parsed JSON file, not yet validated."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
-            raise ConfigError(f"{path}: not valid JSON: {err}") from err
+    return read_json(path)
 
 
 def load_config(path) -> dict:
@@ -537,10 +533,13 @@ def load_hyper(path) -> fno_mod.FnoHyper:
 
 def build_space(spec: dict, seed: int) -> ms.FiniteMetricSpace:
     kind = spec["kind"]
-    if kind == "circle":
-        return ms.FiniteMetricSpace.circle(spec["n"], spec.get("circumference"))
-    if kind == "line":
-        return ms.FiniteMetricSpace.line(spec["n"], spec.get("spacing", 1.0))
+    try:
+        if kind == "circle":
+            return ms.FiniteMetricSpace.circle(spec["n"], spec.get("circumference"))
+        if kind == "line":
+            return ms.FiniteMetricSpace.line(spec["n"], spec.get("spacing", 1.0))
+    except ValueError as err:  # e.g. distances that overflow a float
+        raise ConfigError(f"space: {err}") from err
     if kind == "random":
         rng = stream(seed, STREAM_SPACE_GEN)
         coords = rng.uniform(0.0, 1.0, (spec["n"], spec.get("dim", 2)))

@@ -1,8 +1,11 @@
-"""Exception hierarchy for entrokit.
+"""Exception hierarchy for entrokit, and the JSON file reader whose
+failures are ConfigError.
 
 Every operational failure mode gets its own class so callers can react
 precisely; plain ValueError is reserved for malformed arguments.
 """
+
+import json
 
 
 class EntrokitError(Exception):
@@ -72,3 +75,18 @@ class BudgetExceeded(EntrokitError):
 
 class ConfigError(EntrokitError):
     """Experiment configuration or input data file failed validation."""
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def read_json(path):
+    """The parsed JSON file at path.  Invalid JSON, and the constants NaN,
+    Infinity and -Infinity that Python's json module reads beyond the
+    standard, raise ConfigError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_constant=_refuse_constant)
+        except ValueError as err:  # JSONDecodeError, UnicodeDecodeError, a constant
+            raise ConfigError(f"{path}: not valid JSON: {err}") from err

@@ -15,7 +15,6 @@ ceil(log2 N(A; eps)), realized constructively by indexing a minimal cover.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -23,15 +22,40 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SampleMismatch, SizeLimitExceeded
+from .errors import ConfigError, SampleMismatch, SizeLimitExceeded, read_json
 
 EXACT_LIMIT = 20
 VALIDATION_ATOL = 1e-12
+# Relative slack of the triangle check, d_ij <= (d_ik + d_kj) * (1 + r).
+# With unit roundoff u = 2^-53 (Higham, "Accuracy and Stability of
+# Numerical Algorithms", 2nd ed., SIAM 2002, ch. 2), distances that each
+# lie within relative error c u of a true metric pass whenever
+# r >= (2 c + 2) u + O(u^2): 2 c u when d_ij and d_ik + d_kj err in
+# opposite directions, u for the check's rounded addition and u for its
+# rounded scaling.  A to_json round trip adds nothing: json writes each
+# float as the shortest repr that reads back to the same bits.  line,
+# circle and Chebyshev from_coords err by c = 1 (one product, or one
+# subtraction); Euclidean from_coords in m dimensions by c = (m + 4) / 2
+# (a subtraction and a square per coordinate, m - 1 additions, a square
+# root).  r = 16 u covers all of them up to m = 8.
+TRIANGLE_RTOL = 2.0**-49
 TRIANGLE_BLOCK_ENTRIES = 1 << 20
+# A Euclidean distance below this may sum squares that left the normal
+# range, each off by up to 2^-1075 absolute, which is not small beside
+# it.  At or above it that error is below m 2^-75 of the sum, far inside
+# TRIANGLE_RTOL.
+_EUCLIDEAN_SAFE = 2.0**-500
 
 
 class FiniteMetricSpace:
-    """A finite point set with an explicit, validated distance matrix."""
+    """A finite point set with an explicit, validated distance matrix.
+
+    `__init__` (and so `from_json` and `from_file`) checks every metric
+    axiom of an outside matrix.  `from_coords`, `line` and `circle` build
+    metrics by construction and check only what construction can get
+    wrong: non-finite inputs, a size that is not positive and finite,
+    and overflow.
+    """
 
     def __init__(self, points: Sequence, dist) -> None:
         self.points = list(points)
@@ -48,13 +72,13 @@ class FiniteMetricSpace:
         if np.max(np.abs(self.dist - self.dist.T)) > VALIDATION_ATOL:
             raise ValueError("asymmetric distance matrix")
         # triangle inequality for every (i, j, k), in blocks of k sized so
-        # that each block's slack array stays near TRIANGLE_BLOCK_ENTRIES
+        # that each block's bound array stays near TRIANGLE_BLOCK_ENTRIES
         block = max(1, TRIANGLE_BLOCK_ENTRIES // max(1, n * n))
         for lo in range(0, n, block):
             ks = slice(lo, min(lo + block, n))
-            slack = self.dist[None, :, :] - (self.dist[:, ks].T[:, :, None]
-                                             + self.dist[ks, :][:, None, :])
-            if np.max(slack) > VALIDATION_ATOL:
+            bound = self.dist[:, ks].T[:, :, None] + self.dist[ks, :][:, None, :]
+            bound *= 1.0 + TRIANGLE_RTOL
+            if (self.dist[None, :, :] > bound).any():
                 self._raise_first_violation(lo)
         self.dist.setflags(write=False)
 
@@ -62,13 +86,31 @@ class FiniteMetricSpace:
         """Name the first k from start (and its worst (i, j)) that breaks
         the triangle inequality."""
         for k in range(start, self.n):
-            slack = self.dist - (self.dist[:, k][:, None] + self.dist[k, :][None, :])
-            if np.max(slack) > VALIDATION_ATOL:
+            bound = self.dist[:, k][:, None] + self.dist[k, :][None, :]
+            slack = self.dist - bound * (1.0 + TRIANGLE_RTOL)
+            if np.max(slack) > 0:
                 i, j = np.unravel_index(np.argmax(slack), slack.shape)
                 raise ValueError(
                     f"triangle inequality violated for ({i}, {j}, {k}): "
                     f"d={self.dist[i, j]} > {self.dist[i, k] + self.dist[k, j]}"
                 )
+
+    @classmethod
+    def _built(cls, points: list, dist: np.ndarray) -> "FiniteMetricSpace":
+        """A space over a fresh matrix that a constructor below built as a
+        metric: symmetric, zero on the diagonal and within TRIANGLE_RTOL of
+        the triangle inequality by construction.  Checks the shape and that
+        no entry overflowed or came from a non-finite input."""
+        if dist.shape != (len(points), len(points)):
+            raise ValueError(f"distance matrix shape {dist.shape} != "
+                             f"({len(points)}, {len(points)})")
+        if not np.isfinite(dist).all():
+            raise ValueError("distance matrix contains non-finite entries")
+        space = object.__new__(cls)
+        space.points = points
+        space.dist = dist
+        dist.setflags(write=False)
+        return space
 
     @property
     def n(self) -> int:
@@ -82,6 +124,14 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_coords(cls, coords, labels=None, metric: str = "euclidean") -> "FiniteMetricSpace":
+        """Points in R^m under the Euclidean or Chebyshev metric.
+
+        A non-finite coordinate or an overflowing distance raises
+        ValueError.  The triangle inequality holds by construction, except
+        for Euclidean pairs nearer than 2^-500 that are not repeated
+        points, whose squares may lose their relative precision: a space
+        with such a pair gets the full check of __init__.
+        """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         diff = coords[:, None, :] - coords[None, :, :]
         if metric == "euclidean":
@@ -90,26 +140,34 @@ class FiniteMetricSpace:
             dist = np.max(np.abs(diff), axis=-1)
         else:
             raise ValueError(f"unknown metric {metric!r}")
-        if labels is None:
-            labels = list(range(len(coords)))
-        return cls(labels, dist)
+        labels = list(range(len(coords))) if labels is None else list(labels)
+        if metric == "euclidean":
+            # repeated points (the diagonal among them) are exactly 0 apart
+            near = np.count_nonzero(dist < _EUCLIDEAN_SAFE)
+            if near > len(dist) and near > np.count_nonzero(~diff.any(axis=-1)):
+                return cls(labels, dist)
+        return cls._built(labels, dist)
 
     @classmethod
     def line(cls, n: int, spacing: float = 1.0) -> "FiniteMetricSpace":
         """n points on a line at the given spacing, d(i, j) = spacing * |i - j|."""
+        _require_positive("n", n)
+        _require_positive("spacing", spacing)
         idx = np.arange(n, dtype=float)
-        return cls(list(range(n)), spacing * np.abs(idx[:, None] - idx[None, :]))
+        return cls._built(list(range(n)), spacing * np.abs(idx[:, None] - idx[None, :]))
 
     @classmethod
     def circle(cls, n: int, circumference: Optional[float] = None) -> "FiniteMetricSpace":
         """n equispaced points on a circle with the arc-length metric."""
+        _require_positive("n", n)
         if circumference is None:
             circumference = float(n)
+        _require_positive("circumference", circumference)
         step = circumference / n
         idx = np.arange(n)
         hops = np.abs(idx[:, None] - idx[None, :])
         hops = np.minimum(hops, n - hops)
-        return cls(list(range(n)), step * hops)
+        return cls._built(list(range(n)), step * hops)
 
     # -- serialization -------------------------------------------------
 
@@ -131,12 +189,12 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_file(cls, path) -> "FiniteMetricSpace":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
-                raise ConfigError(f"{path}: not valid JSON: {err}") from err
-        return cls.from_json(obj)
+        return cls.from_json(read_json(path))
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -185,18 +243,31 @@ def _resolve(space: FiniteMetricSpace, subset, ambient):
     return subset, ambient
 
 
+def _whole(space: FiniteMetricSpace, idx: list) -> bool:
+    """Whether the sorted distinct indices idx are all of space's points."""
+    return len(idx) == space.n and idx[0] == 0 and idx[-1] == space.n - 1
+
+
+# bit values of the columns of one chunk; 63 of them sum below 2^63
+_CHUNK_BITS = np.left_shift(1, np.arange(63, dtype=np.int64))
+
+
 def _bitmasks(rows: np.ndarray) -> list:
     """Each row of a boolean matrix as an int whose bit pos is set when
-    column pos is."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    width, buf = packed.shape[1], packed.tobytes()
-    return [int.from_bytes(buf[i:i + width], "little")
-            for i in range(0, len(buf), width)]
+    column pos is: one integer product per chunk of 63 columns."""
+    width = rows.shape[1]
+    masks = [0] * len(rows)
+    for lo in range(0, width, 63):
+        values = (rows[:, lo:lo + 63] @ _CHUNK_BITS[:width - lo]).tolist()
+        masks = values if lo == 0 else [m | v << lo for m, v in zip(masks, values)]
+    return masks
 
 
 def _cover_masks(space, subset, ambient, eps) -> list:
     """One bitmask over subset positions per ambient center: the subset
     points in its closed eps-ball."""
+    if _whole(space, subset):  # and so ambient too
+        return _bitmasks(space.dist <= eps)
     return _bitmasks((space.dist.take(ambient, 0) <= eps).take(subset, 1))
 
 
@@ -296,7 +367,8 @@ def greedy_covering(space: FiniteMetricSpace, eps: float,
 def _conflict_masks(space, subset, eps) -> list:
     """One bitmask over subset positions per subset point: the other
     points closer than eps to it."""
-    conflict = (space.dist.take(subset, 0) < eps).take(subset, 1)
+    conflict = (space.dist < eps if _whole(space, subset)
+                else (space.dist.take(subset, 0) < eps).take(subset, 1))
     np.fill_diagonal(conflict, False)
     return _bitmasks(conflict)
 
@@ -312,6 +384,57 @@ def _first_fit(adj: list) -> list:
     return kept
 
 
+def _clique_count(candidates: int, adj: list, cap: int) -> int:
+    """Cliques in a greedy partition of candidates in the conflict graph
+    adj, each grown from its lowest position, counted up to cap + 1.  A
+    separated set takes at most one point of each clique."""
+    count = 0
+    while candidates and count <= cap:
+        count += 1
+        pool = candidates
+        while pool:
+            low = pool & -pool
+            candidates ^= low
+            pool &= adj[low.bit_length() - 1]
+    return count
+
+
+def _max_separated(adj: list) -> tuple:
+    """(positions, nodes): the first maximum independent set of the
+    conflict graph adj in include-lowest-first order, and the number of
+    search nodes visited.
+
+    A branch is cut when the points it could still add, bounded by their
+    count and then by a clique partition (Tomita and Seki, DMTCS 2003),
+    cannot beat the best set so far.  Only strictly larger sets replace
+    it, so any valid bound yields the same set.
+    """
+    best = _first_fit(adj)
+    best_size = len(best)
+    nodes = 0
+
+    def recurse(candidates, chosen):
+        nonlocal best, best_size, nodes
+        nodes += 1
+        if not candidates:
+            if len(chosen) > best_size:
+                best_size = len(chosen)
+                best = list(chosen)
+            return
+        room = best_size - len(chosen)  # points that only tie the best
+        if (candidates.bit_count() <= room
+                or _clique_count(candidates, adj, room) <= room):
+            return
+        v = (candidates & -candidates).bit_length() - 1  # lowest candidate index
+        chosen.append(v)
+        recurse(candidates & ~(1 << v) & ~adj[v], chosen)
+        chosen.pop()
+        recurse(candidates & ~(1 << v), chosen)
+
+    recurse((1 << len(adj)) - 1, [])
+    return best, nodes
+
+
 def exact_packing_number(space: FiniteMetricSpace, eps: float,
                          subset=None) -> PackResult:
     """Maximum eps-separated subset: a maximum independent set in the
@@ -322,27 +445,7 @@ def exact_packing_number(space: FiniteMetricSpace, eps: float,
     if len(subset) > EXACT_LIMIT:
         raise SizeLimitExceeded(
             f"exact packing limited to {EXACT_LIMIT} points, got {len(subset)}")
-    k = len(subset)
-    adj = _conflict_masks(space, subset, eps)
-    best = _first_fit(adj)
-    best_size = len(best)
-
-    def recurse(candidates, chosen):
-        nonlocal best, best_size
-        if not candidates:
-            if len(chosen) > best_size:
-                best_size = len(chosen)
-                best = list(chosen)
-            return
-        if len(chosen) + candidates.bit_count() <= best_size:
-            return
-        v = (candidates & -candidates).bit_length() - 1  # lowest candidate index
-        chosen.append(v)
-        recurse(candidates & ~(1 << v) & ~adj[v], chosen)
-        chosen.pop()
-        recurse(candidates & ~(1 << v), chosen)
-
-    recurse((1 << k) - 1, [])
+    best, _ = _max_separated(_conflict_masks(space, subset, eps))
     return PackResult(tuple(subset[i] for i in sorted(best)), eps, exact=True)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import time
 from dataclasses import replace
 
@@ -189,6 +190,53 @@ def test_malformed_json_config_is_a_config_error(runner, tmp_path, command):
     res = runner.invoke(main, [command, "--config", str(path)])
     assert res.exit_code == 2
     assert "--config" in res.output and "not valid JSON" in res.output
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_constants_are_config_errors(runner, tmp_path,
+                                                     constant):
+    # json.load reads these; every numeric bound of a schema is false for
+    # NaN, which would then reach the solvers
+    path = tmp_path / "nan.json"
+    path.write_text('{"schema_version": 1, "experiment": "uniform-chain", '
+                    '"seed": 7, "space": {"kind": "circle", "n": 8}, '
+                    '"eps_ladder": [%s]}' % constant)
+    with pytest.raises(ek.ConfigError, match=re.escape(str(path))):
+        ek.chains.read_config(path)
+    res = runner.invoke(main, ["chain-uniform", "--config", str(path)])
+    assert res.exit_code == 2, res.exception
+    assert "--config" in res.output and f"{constant} is not a JSON number" in res.output
+
+
+def _uniform_line(tmp_path, n, spacing):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "experiment": "uniform-chain", "seed": 7,
+        "space": {"kind": "line", "n": n, "spacing": spacing},
+        "eps_ladder": [1 / 6]}))
+    return path
+
+
+def test_chain_uniform_runs_on_lines_whose_sums_round(runner, tmp_path):
+    # from 11 points on, this spacing breaks the triangle inequality by
+    # rounding by more than an absolute 1e-12
+    res = runner.invoke(main, ["chain-uniform", "--config",
+                               str(_uniform_line(tmp_path, 16, 33333.333333333336))])
+    assert res.exit_code == 0, res.exception
+    # every one of 20 points is a hat center at every eps up to 1/3
+    res = runner.invoke(main, ["chain-uniform", "--config",
+                               str(_uniform_line(tmp_path, 20, 33333.333333333336))])
+    assert res.exit_code == 2, res.exception
+    assert "--config" in res.output and "2^20 members exceeds" in res.output
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_chain_uniform_on_a_line_that_overflows_is_a_usage_error(runner,
+                                                                 tmp_path):
+    res = runner.invoke(main, ["chain-uniform", "--config",
+                               str(_uniform_line(tmp_path, 20, 1e307))])
+    assert res.exit_code == 2, res.exception
+    assert "--config" in res.output and "non-finite" in res.output
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**63)])

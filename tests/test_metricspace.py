@@ -102,6 +102,195 @@ def test_json_round_trip(tmp_path):
     assert np.array_equal(back.dist, space.dist)
 
 
+def _round_trip(space, tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space.to_json()))
+    return ek.FiniteMetricSpace.from_file(path)
+
+
+def _collinear(scale, direction, metric):
+    t = np.arange(30)[:, None] / 29
+    return ek.FiniteMetricSpace.from_coords(
+        scale * t * np.array(direction) / 3, metric=metric)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ek.FiniteMetricSpace.line(50, spacing=1e5 / 3),
+    lambda: _collinear(1e4, [1.0, 2.0, 3.0], "euclidean"),
+    lambda: _collinear(1e6, [0.6, 0.8], "chebyshev"),
+], ids=["line-1e5/3", "collinear-euclidean-1e4", "collinear-chebyshev-1e6"])
+def test_files_of_library_built_spaces_load(tmp_path, make):
+    # each breaks the triangle inequality by rounding by more than an
+    # absolute 1e-12, but within the relative slack
+    space = make()
+    back = _round_trip(space, tmp_path)
+    assert back.points == space.points
+    assert np.array_equal(back.dist, space.dist)
+
+
+def test_violation_at_tiny_scale_is_rejected(tmp_path):
+    # every side is far below an absolute slack of 1e-12
+    tiny = {"points": [0, 1, 2],
+            "dist": [[0.0, 1e-300, 3e-300], [1e-300, 0.0, 1e-300],
+                     [3e-300, 1e-300, 0.0]]}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(tiny))
+    with pytest.raises(ek.ConfigError, match=r"violated for \(0, 2, 1\)"):
+        ek.FiniteMetricSpace.from_file(path)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-6, 1.0, 1e9, 1e300])
+def test_triangle_slack_is_relative(scale):
+    def space(excess):
+        d = scale * (2 + excess)
+        return ek.FiniteMetricSpace(
+            [0, 1, 2], [[0.0, scale, d], [scale, 0.0, scale], [d, scale, 0.0]])
+
+    space(0.5 * ek.metricspace.TRIANGLE_RTOL)
+    with pytest.raises(ValueError, match="triangle"):
+        space(4 * ek.metricspace.TRIANGLE_RTOL)
+
+
+@st.composite
+def _tied_spaces(draw):
+    """(points, dist, eps): integer Chebyshev distances times eps, so many
+    pairs sit at eps or 3 eps, each pair apart then moved by at most 4
+    units in the last place."""
+    n = draw(st.integers(1, 7), label="n")
+    coords = np.array(draw(st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        min_size=n, max_size=n), label="coords"))
+    eps = draw(st.sampled_from([1.0, 0.1, 1 / 3, 1e5 / 3, 1e-300, 7e300 / 3]),
+               label="eps")
+    hops = np.max(np.abs(coords[:, None, :] - coords[None, :, :]), axis=-1)
+    dist = eps * hops
+    for i, j in zip(*np.nonzero(np.triu(hops))):
+        ulps = draw(st.integers(-4, 4), label="ulps")
+        for _ in range(abs(ulps)):
+            dist[i, j] = np.nextafter(dist[i, j], np.inf * ulps)
+        dist[j, i] = dist[i, j]
+    return list(range(n)), dist, eps
+
+
+@given(_tied_spaces())
+def test_sandwich_holds_on_accepted_spaces_at_ties(instance):
+    # the proof of M(3 eps) <= N(eps) needs the triangle inequality only
+    # up to a slack of eps, so no space the relative check accepts breaks it
+    points, dist, eps = instance
+    try:
+        space = ek.FiniteMetricSpace(points, dist)
+    except ValueError:
+        return  # a move of a few ulps may break a triangle beyond the slack
+    rep = ek.sandwich_check(space, eps)
+    assert rep.holds
+    assert rep.m_3eps == brute_pack(space, 3 * eps)
+    assert rep.n_eps == brute_cover(space, eps)
+    assert rep.m_eps == brute_pack(space, eps)
+
+
+def test_unmoved_tied_spaces_are_accepted():
+    coords = np.array(list(itertools.product(range(4), range(4))))
+    hops = np.max(np.abs(coords[:, None, :] - coords[None, :, :]), axis=-1)
+    for eps in (1.0, 0.1, 1 / 3, 1e5 / 3, 1e-300, 7e300 / 3):
+        ek.FiniteMetricSpace(list(range(len(coords))), eps * hops)
+
+
+@st.composite
+def _constructed_spaces(draw):
+    """A space from from_coords (either metric, 1-3 dims, coordinate
+    scales 1e-6 to 1e9, some sets collinear), line or circle."""
+    kind = draw(st.sampled_from(["coords", "collinear", "line", "circle"]),
+                label="kind")
+    scale = 10.0 ** draw(st.integers(-6, 9), label="log10 scale")
+    if kind in ("line", "circle"):
+        n = draw(st.integers(1, 40), label="n")
+        size = scale * draw(st.floats(0.01, 100.0), label="size")
+        return (ek.FiniteMetricSpace.line(n, size) if kind == "line"
+                else ek.FiniteMetricSpace.circle(n, size))
+    dim = draw(st.integers(1, 3), label="dim")
+    n = draw(st.integers(1, 12), label="n")
+    # no two coordinates nearer than about 1e-25, far above where a
+    # Euclidean square leaves the normal range
+    unit = st.one_of(st.just(0.0), st.floats(-1.0, -1e-3), st.floats(1e-3, 1.0))
+    if kind == "coords":
+        coords = np.array(draw(st.lists(st.lists(unit, min_size=dim, max_size=dim),
+                                        min_size=n, max_size=n), label="coords"))
+    else:
+        origin = np.array(draw(st.lists(unit, min_size=dim, max_size=dim)))
+        direction = np.array(draw(st.lists(unit, min_size=dim, max_size=dim)))
+        steps = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+        coords = origin + steps[:, None] * direction
+    metric = draw(st.sampled_from(["euclidean", "chebyshev"]), label="metric")
+    return ek.FiniteMetricSpace.from_coords(scale * coords, metric=metric)
+
+
+@given(_constructed_spaces())
+def test_constructed_spaces_pass_the_full_check(space):
+    checked = ek.FiniteMetricSpace(space.points, space.dist)
+    assert np.array_equal(checked.dist, space.dist)
+    assert not space.dist.flags.writeable
+
+
+@pytest.mark.parametrize("make", [ek.FiniteMetricSpace.line,
+                                  ek.FiniteMetricSpace.circle])
+@pytest.mark.parametrize("size", [0, 0.0, -1.0, -2.0, math.nan, math.inf,
+                                  -math.inf])
+def test_line_and_circle_refuse_sizes_that_are_not_positive_and_finite(make, size):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        make(5, size)
+
+
+@pytest.mark.parametrize("make", [ek.FiniteMetricSpace.line,
+                                  ek.FiniteMetricSpace.circle])
+@pytest.mark.parametrize("n", [0, -3])
+def test_line_and_circle_need_a_point(make, n):
+    with pytest.raises(ValueError, match="n must be positive"):
+        make(n, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("metric", ["euclidean", "chebyshev"])
+@pytest.mark.parametrize("coords", [
+    [[0.0, 0.0], [math.nan, 1.0]], [[math.inf, 0.0], [0.0, 1.0]],
+    [[-math.inf]], [[1e308], [-1e308]]])
+def test_from_coords_refuses_non_finite_input_and_overflow(coords, metric):
+    with pytest.raises(ValueError, match="non-finite"):
+        ek.FiniteMetricSpace.from_coords(coords, metric=metric)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_euclidean_from_coords_refuses_squares_that_overflow():
+    with pytest.raises(ValueError, match="non-finite"):
+        ek.FiniteMetricSpace.from_coords([[0.0, 0.0], [1e200, 1e200]])
+
+
+def test_from_coords_checks_pairs_too_near_for_relative_rounding():
+    # 2^-538 squares to below the least subnormal, so that pair reads as
+    # 0 apart and the third side exceeds the other two by 2^-38 of itself
+    coords = [[0.0], [2.0**-538], [2.0**-500 + 2.0**-538]]
+    with pytest.raises(ValueError, match="triangle"):
+        ek.FiniteMetricSpace.from_coords(coords)
+    # repeated points are exactly 0 apart and need no check
+    space = ek.FiniteMetricSpace.from_coords([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]])
+    assert space.dist[0, 2] == 0.0
+
+
+def test_from_coords_labels_must_match_the_points():
+    with pytest.raises(ValueError, match="shape"):
+        ek.FiniteMetricSpace.from_coords([[0.0], [1.0]], labels=["a"])
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_space_files_refuse_non_finite_constants(tmp_path, constant):
+    path = tmp_path / "space.json"
+    path.write_text('{"points": [0, 1], "dist": [[0.0, %s], [1.0, 0.0]]}'
+                    % constant)
+    with pytest.raises(ek.ConfigError,
+                       match=re.escape(f"{path}: not valid JSON: {constant}")):
+        ek.FiniteMetricSpace.from_file(path)
+
+
 # -- covering -----------------------------------------------------------
 
 
@@ -271,6 +460,104 @@ def test_greedy_packing_below_exact():
         for a, b in itertools.combinations(greedy.members, 2):
             assert space.dist[a, b] >= eps
         assert greedy.count <= ek.exact_packing_number(space, eps).count
+
+
+def _packbits_reference(rows):
+    """Row bitmasks through packbits, a byte string and int.from_bytes."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def test_bitmasks_match_packbits():
+    # every width from 1 to 130 crosses the 63-column chunks (62, 63, 64,
+    # 126, 127) and the 8-bit bytes of packbits
+    rng = stream(130, 6)
+    for width in range(1, 131):
+        rows = rng.random((7, width)) < rng.uniform(0.05, 0.95)
+        rows[0] = True  # every bit of the widest mask
+        rows[1] = False
+        assert ek.metricspace._bitmasks(rows) == _packbits_reference(rows), width
+
+
+def _conflict_ints(space, eps):
+    """Conflict masks read off the distances one pair at a time."""
+    return [sum(1 << j for j in range(space.n) if j != i and space.dist[i, j] < eps)
+            for i in range(space.n)]
+
+
+def _max_separated_by_enumeration(space, eps):
+    """Largest separated set size over all 2^n subsets, vectorised."""
+    adj = _conflict_ints(space, eps)
+    subsets = np.arange(1 << space.n, dtype=np.int64)
+    separated = np.ones(subsets.shape, dtype=bool)
+    for i, nbrs in enumerate(adj):
+        separated &= ~((subsets >> i & 1).astype(bool) & (subsets & nbrs != 0))
+    return int(np.max(np.bitwise_count(subsets[separated])))
+
+
+def _popcount_only_search(adj):
+    """The exact packing search bounded by the candidate count alone, with
+    its node count: the first maximum set in include-lowest-first order."""
+    best, nodes = ek.metricspace._first_fit(adj), 0
+
+    def recurse(candidates, chosen):
+        nonlocal best, nodes
+        nodes += 1
+        if not candidates:
+            if len(chosen) > len(best):
+                best = list(chosen)
+            return
+        if len(chosen) + candidates.bit_count() <= len(best):
+            return
+        v = (candidates & -candidates).bit_length() - 1
+        recurse(candidates & ~(1 << v) & ~adj[v], chosen + [v])
+        recurse(candidates & ~(1 << v), chosen)
+
+    recurse((1 << len(adj)) - 1, [])
+    return best, nodes
+
+
+def _packing_spaces(seed, count, max_n):
+    """(space, eps): Euclidean points in 1-3 dims, integer Chebyshev grids,
+    lines and circles, with eps at a quantile of the distances or a
+    multiple of the line's spacing."""
+    rng = stream(seed, 6)
+    for i in range(count):
+        n = int(rng.integers(2, max_n + 1))
+        kind = i % 5
+        if kind < 3:
+            space = ek.FiniteMetricSpace.from_coords(rng.uniform(0, 1, (n, kind + 1)))
+        elif kind == 3:
+            space = ek.FiniteMetricSpace.from_coords(
+                rng.integers(0, 5, (n, 2)), metric="chebyshev")
+        else:
+            space = (ek.FiniteMetricSpace.line(n, 0.5) if i % 2
+                     else ek.FiniteMetricSpace.circle(n))
+        positive = space.dist[space.dist > 0]
+        eps = (float(np.quantile(positive, rng.uniform(0.05, 0.9)))
+               if positive.size else 1.0)
+        yield space, eps
+
+
+def test_exact_packing_matches_enumeration_up_to_14_points():
+    for space, eps in _packing_spaces(141, 60, 14):
+        got = ek.exact_packing_number(space, eps)
+        assert got.count == _max_separated_by_enumeration(space, eps)
+        for a, b in itertools.combinations(got.members, 2):
+            assert space.dist[a, b] >= eps
+
+
+def test_clique_bound_keeps_the_witness_and_never_adds_nodes():
+    fewer = 0
+    for space, eps in _packing_spaces(201, 120, 20):
+        adj = ek.metricspace._conflict_masks(space, list(range(space.n)), eps)
+        assert adj == _conflict_ints(space, eps)
+        best, nodes = ek.metricspace._max_separated(adj)
+        ref_best, ref_nodes = _popcount_only_search(adj)
+        assert best == ref_best
+        assert nodes <= ref_nodes
+        fewer += nodes < ref_nodes
+    assert fewer >= 100, fewer  # 104 of 120 when the bound landed
 
 
 # -- sandwich and monotonicity -------------------------------------------

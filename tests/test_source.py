@@ -113,3 +113,35 @@ def test_no_module_reads_a_private_name_of_a_sibling():
                     and not node.attr.startswith("__")):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+# FiniteMetricSpace._built skips the metric check, so it may be reached
+# only from constructors that compute the metric from their own arguments
+_BUILDERS = {"FiniteMetricSpace.from_coords", "FiniteMetricSpace.line",
+             "FiniteMetricSpace.circle"}
+
+
+def _uses_of(name, node, scope, found):
+    """(dotted scope of enclosing classes and functions, line) for every
+    reference to name below node."""
+    for child in ast.iter_child_nodes(node):
+        if ((isinstance(child, ast.Attribute) and child.attr == name)
+                or (isinstance(child, ast.Name) and child.id == name)):
+            found.append((".".join(scope), child.lineno))
+        inner = (scope + [child.name] if isinstance(
+            child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            else scope)
+        _uses_of(name, child, inner, found)
+
+
+def test_only_the_space_constructors_skip_validation():
+    # a space over outside input (__init__, from_json, from_file) always
+    # gets the full metric check
+    found, bad = 0, []
+    for path in sorted(SOURCE.glob("*.py")):
+        uses = []
+        _uses_of("_built", ast.parse(path.read_text(encoding="utf-8")), [], uses)
+        found += len(uses)
+        bad += [f"{path.name}:{line} {scope or '<module>'}" for scope, line in uses
+                if path.name != "metricspace.py" or scope not in _BUILDERS]
+    assert found and not bad, bad
