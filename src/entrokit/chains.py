@@ -587,9 +587,7 @@ def _run_uniform_chain(cfg: dict) -> ResultTable:
         passed = rep.ok and fam.n_centers >= n6
         rows.append((eps, n6, h, predicted, float(fam.n_centers),
                      rep.min_pairwise_supdist, "ok", passed))
-    meta = {"seed": seed, "config_hash": config_hash(cfg),
-            "experiment": "uniform-chain", "version": __version__}
-    return ResultTable(columns, rows, meta)
+    return ResultTable(columns, rows, {})
 
 
 def _expectation_dim(cfg: dict) -> int:
@@ -610,14 +608,12 @@ def _run_expectation_chain(cfg: dict) -> ResultTable:
     if dim > 3:
         raise ConfigError(f"bump families need dimension 1, 2 or 3, not {dim}")
     cells = cfg["cells"]
-    length = cells**dim
-    if length > pk.MAX_CODE_LENGTH:
-        raise ConfigError(
-            f"cells^dim = {length} is above {pk.MAX_CODE_LENGTH}, the "
-            "longest sign code")
     # check the grid before building the code, which can take seconds
     lam = pk.bump_lam(dim, cells, cfg["grid_res"], None)
-    code = pk.gilbert_varshamov(length)
+    try:
+        code = pk.gilbert_varshamov(cells**dim)
+    except ValueError as err:  # longer than MAX_CODE_LENGTH
+        raise ConfigError(f"cells^dim: {err}") from err
     family = pk.build_bump_family(dim, cells, cfg["grid_res"], code, lam)
 
     lam_d = float(measure.eigenvalues[dim - 1])
@@ -634,14 +630,6 @@ def _run_expectation_chain(cfg: dict) -> ResultTable:
         first, second = first[keep], second[keep]
     pairs = list(zip(first.tolist(), second.tolist()))
 
-    grids = {}
-
-    def member_grid(idx: int) -> rf.GridFunction01:
-        if idx not in grids:
-            grids[idx] = rf.GridFunction01(dim, family.member_on_nodes(idx),
-                                           lipschitz=1.0)
-        return grids[idx]
-
     columns = ["code_size", "log2_size_bound", "dim", "cells",
                "predicted_min_sep", "pair_a", "pair_b", "mc_dist", "mc_stderr",
                "quad_dist", "zscore", "passed"]
@@ -650,8 +638,8 @@ def _run_expectation_chain(cfg: dict) -> ResultTable:
     rows = []
     with rf.draw_ahead(measure, cfg["mc_samples"],
                        [seed + t for t in range(len(pairs))], dim) as draws:
-        diffs = [rf.GridFunction01(dim, member_grid(a).values
-                                   - member_grid(b).values)
+        diffs = [rf.GridFunction01(dim, family.member_on_nodes(a)
+                                   - family.member_on_nodes(b))
                  for a, b in pairs]
         quad_moments = [scale**p * diff.quadrature_abs_pow(p)
                         for diff in diffs]
@@ -660,15 +648,14 @@ def _run_expectation_chain(cfg: dict) -> ResultTable:
             emb = rf.embed(diff, measure).scaled(scale)
             mc = rf.lp_norm_mc(emb, measure, p, cfg["mc_samples"], seed + t,
                                draws=draw)
-            z = rf.moment_zscore(mc.moment, quad_moment, mc.moment_stderr)
-            passed = (mc.estimate >= predicted_min - 3 * mc.stderr) and abs(z) <= 3
+            report = rf.IsometryReport.from_mc(mc, quad_moment)
+            passed = (mc.estimate >= predicted_min - 3 * mc.stderr
+                      and report.consistent)
             rows.append((code.size, log2_size_bound, dim, cells, predicted_min,
                          a, b, mc.estimate, mc.stderr,
-                         quad_moment ** (1.0 / p), z, passed))
-    meta = {"seed": seed, "config_hash": config_hash(cfg),
-            "experiment": "expectation-chain", "version": __version__,
-            "code_size_ok": code.size >= code.target_size}
-    return ResultTable(columns, rows, meta)
+                         quad_moment ** (1.0 / p), report.zscore, passed))
+    return ResultTable(columns, rows,
+                       {"code_size_ok": code.size >= code.target_size})
 
 
 def _run_bits_accuracy(cfg: dict) -> ResultTable:
@@ -711,10 +698,8 @@ def _run_bits_accuracy(cfg: dict) -> ResultTable:
                    "entropy_floor"]
         rows = [(r.bits, r.minimax_err, r.hyper_id, r.grid_id, r.seed,
                  entropy_floor) for r in front]
-    meta = {"seed": seed, "config_hash": config_hash(cfg),
-            "experiment": "bits-accuracy", "version": __version__,
-            "random_search_rows": sum(1 for r in front if not r.exhaustive)}
-    return ResultTable(columns, rows, meta)
+    return ResultTable(columns, rows, {
+        "random_search_rows": sum(1 for r in front if not r.exhaustive)})
 
 
 # experiment -> (schema, runner)
@@ -726,5 +711,11 @@ _EXPERIMENTS = {
 
 
 def run_experiment(cfg: dict) -> ResultTable:
+    """Validate cfg and run its experiment; the table's metadata holds the
+    seed, config hash, experiment and version, and the runner's own keys."""
     validate_config(cfg)
-    return _EXPERIMENTS[cfg["experiment"]][1](cfg)
+    table = _EXPERIMENTS[cfg["experiment"]][1](cfg)
+    table.metadata = {"seed": cfg["seed"], "config_hash": config_hash(cfg),
+                      "experiment": cfg["experiment"],
+                      "version": __version__, **table.metadata}
+    return table

@@ -163,11 +163,11 @@ def hat(ctx, space_path, eps, out_path):
 
 
 def _sign_code(n: int) -> pk.SignCode:
-    """The volume-bound code of length n; one whose coset table is too
-    large is a usage error of the option --n."""
+    """The volume-bound code of length n; one that is too long, or whose
+    coset table is too large, is a usage error of the option --n."""
     try:
         return pk.gilbert_varshamov(n)
-    except SizeLimitExceeded as exc:
+    except (ValueError, SizeLimitExceeded) as exc:
         raise click.BadParameter(str(exc), param_hint="--n") from exc
 
 
@@ -201,18 +201,15 @@ def gv(ctx, n, out_path):
 def bump(ctx, dim, cells, grid_res, lam, out_path):
     """Build and verify a bump family; print its manifest and report."""
     _unread(ctx, "seed", "config")
-    length = cells**dim
-    if length > pk.MAX_CODE_LENGTH:
-        raise click.BadParameter(
-            f"{cells}^{dim} cells need a sign code longer than "
-            f"{pk.MAX_CODE_LENGTH}", param_hint="--n")
-    if lam is not None and not 0 < lam < 1:
-        raise click.BadParameter(f"{lam} is not in (0, 1)", param_hint="--lam")
+    # the grid and lam are checked before the code, which can take seconds
     try:
         lam = pk.bump_lam(dim, cells, grid_res, lam)
     except (GridMisaligned, SizeLimitExceeded) as exc:
         raise click.BadParameter(str(exc), param_hint="--grid") from exc
-    fam = pk.build_bump_family(dim, cells, grid_res, _sign_code(length), lam)
+    except ValueError as exc:  # lam outside (0, 1), or NaN
+        raise click.BadParameter(str(exc), param_hint="--lam") from exc
+    fam = pk.build_bump_family(dim, cells, grid_res, _sign_code(cells**dim),
+                               lam)
     rep = fam.verify()
     manifest = fam.manifest()
     manifest["verification"] = {
@@ -307,12 +304,9 @@ def fno_eval(ctx, hyper_path, params_path, input_path):
 def quantize_cmd(ctx, hyper_path, delta, box, seed, n_inputs, probes, c_override):
     """End-to-end quantization certificate for a random parameter vector."""
     _unread(ctx, "config")
-    if delta > 2 * box:
-        raise click.BadParameter(f"{delta} is above 2 M = {2 * box}",
-                                 param_hint="--delta")
     try:
         grid = qz.QuantGrid(box, delta)
-    except OutOfRange as exc:
+    except (ValueError, OutOfRange) as exc:  # delta above 2 M, or 2^63 points
         raise click.BadParameter(str(exc),
                                  param_hint=["--m", "--delta"]) from exc
     hyper = _forward_hyper(hyper_path)
@@ -333,16 +327,13 @@ def quantize_cmd(ctx, hyper_path, delta, box, seed, n_inputs, probes, c_override
         bound = 2.0**log2_bound
     except OverflowError:
         bound = math.inf
-    hint = ["--m"] if c_override is None else ["--m", "--c"]
-    if math.isinf(bound):
-        raise click.BadParameter(
-            f"the Lipschitz bound 2^{log2_bound:.6g} overflows a float",
-            param_hint=hint)
-    # QuantCertificate.bound, which a pass flag must not compare when infinite
+    # QuantCertificate.bound, which a pass flag must not compare when
+    # infinite; checked before any parameter is drawn from the box
     if math.isinf(bound * delta / 2.0):
         raise click.BadParameter(
             f"the certified bound 2^{log2_bound:.6g} * {delta} / 2 overflows "
-            "a float", param_hint=hint + ["--delta"])
+            "a float", param_hint=["--m", "--delta"]
+            + ([] if c_override is None else ["--c"]))
     rng = stream(seed, STREAM_PARAM_GEN)
     params = fno_mod.FnoParams.random(hyper, box, rng)
     cert = qz.certify_quantization(params, grid, inputs, bound)

@@ -389,14 +389,12 @@ class GridFunction:
 
 
 def random_grid_function(dim: int, resolution: int, channels: int,
-                         rng: np.random.Generator,
-                         normalize: bool = True) -> GridFunction:
-    """Gaussian node values, optionally sup-normalized to the unit ball."""
+                         rng: np.random.Generator) -> GridFunction:
+    """Gaussian node values, sup-normalized to the unit ball."""
     vals = rng.standard_normal((resolution,) * dim + (channels,))
-    if normalize:
-        peak = np.max(np.abs(vals))
-        if peak > 0:
-            vals = vals / peak
+    peak = np.max(np.abs(vals))
+    if peak > 0:
+        vals = vals / peak
     return GridFunction(dim, vals)
 
 

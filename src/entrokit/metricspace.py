@@ -79,21 +79,16 @@ class FiniteMetricSpace:
             bound = self.dist[:, ks].T[:, :, None] + self.dist[ks, :][:, None, :]
             bound *= 1.0 + TRIANGLE_RTOL
             if (self.dist[None, :, :] > bound).any():
-                self._raise_first_violation(lo)
-        self.dist.setflags(write=False)
-
-    def _raise_first_violation(self, start: int) -> None:
-        """Name the first k from start (and its worst (i, j)) that breaks
-        the triangle inequality."""
-        for k in range(start, self.n):
-            bound = self.dist[:, k][:, None] + self.dist[k, :][None, :]
-            slack = self.dist - bound * (1.0 + TRIANGLE_RTOL)
-            if np.max(slack) > 0:
+                # name the block's first failing k and its worst (i, j)
+                first = int(np.argmax((self.dist > bound).any(axis=(1, 2))))
+                slack = self.dist - bound[first]
                 i, j = np.unravel_index(np.argmax(slack), slack.shape)
+                k = lo + first
                 raise ValueError(
                     f"triangle inequality violated for ({i}, {j}, {k}): "
                     f"d={self.dist[i, j]} > {self.dist[i, k] + self.dist[k, j]}"
                 )
+        self.dist.setflags(write=False)
 
     @classmethod
     def _built(cls, points: list, dist: np.ndarray) -> "FiniteMetricSpace":

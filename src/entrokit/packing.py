@@ -39,15 +39,18 @@ from .metricspace import (EXACT_LIMIT, FiniteMetricSpace, SampledFunctional,
 HAT_MAX_LOG2_MEMBERS = 16
 # entries of the (centers, rows, points) block the Lipschitz check holds
 HAT_BLOCK_ENTRIES = 1 << 20
+# absolute slack of HatFamily.verify's separation, sup and Lipschitz checks
+HAT_VERIFY_TOL = 1e-12
 QUADRATURE_TOL = 1e-9
 # coset-weight table entries (one byte each) a sign code may use
 LEXICODE_TABLE_LIMIT = 1 << 27
 # sign-code words are stored as uint64 bit patterns
 MAX_CODE_LENGTH = 64
-# the leading bit at which gilbert_varshamov(n)'s coset table would pass
-# LEXICODE_TABLE_LIMIT, for each length that does: found by building the
-# tables of n = 56..64, and refused before any table is built
-_GV_TABLE_LIMIT_LEAD = {56: 37, **dict.fromkeys(range(57, 65), 33)}
+# the leading bit at which the coset table passes LEXICODE_TABLE_LIMIT, by
+# (min_distance, basis words needed): the table does not depend on the
+# length, which only bounds the leading bit.  Found by building the tables
+# of gilbert_varshamov(56..64), and refused before any table is built
+_TABLE_LIMIT_LEAD = {(14, 11): 37, (15, 11): 33, (16, 12): 33}
 # (grid_res + 1)^d nodes a bump family may hold: at the limit a 3-D family
 # peaks near 0.15 GB, and verify scans every member's node grid
 BUMP_NODE_LIMIT = 1 << 20
@@ -104,7 +107,7 @@ class HatFamily:
     def member_functional(self, sigma) -> SampledFunctional:
         return SampledFunctional(tuple(self.space.points), self.member(sigma))
 
-    def verify(self, tol: float = 1e-12) -> HatFamilyReport:
+    def verify(self) -> HatFamilyReport:
         """Exact over all 2^N members without building them.  psi >= 0 and
         the supports are disjoint, so each sum below has one nonzero term
         and every value equals that of enumerating the members, bit for bit.
@@ -135,9 +138,9 @@ class HatFamily:
             pairwise_exhaustive=True,
             sup_max=sup_max,
             lipschitz_max=lip_max,
-            separation_ok=min_pair >= 3 * self.eps - tol,
-            sup_ok=sup_max <= min(3 * self.eps, 1.0) + tol,
-            lipschitz_ok=lip_max <= 1.0 + tol,
+            separation_ok=min_pair >= 3 * self.eps - HAT_VERIFY_TOL,
+            sup_ok=sup_max <= min(3 * self.eps, 1.0) + HAT_VERIFY_TOL,
+            lipschitz_ok=lip_max <= 1.0 + HAT_VERIFY_TOL,
         )
 
     def manifest(self) -> dict:
@@ -290,15 +293,25 @@ def _table_too_large(n: int, min_dist: int, lead: int) -> SizeLimitExceeded:
         f"table above {LEXICODE_TABLE_LIMIT} entries at leading bit {lead}")
 
 
+def _require_code_length(length: int) -> None:
+    if not 1 <= length <= MAX_CODE_LENGTH:
+        raise ValueError(
+            f"a sign code's length must lie in [1, {MAX_CODE_LENGTH}], "
+            f"got {length}")
+
+
 def greedy_sign_code(length: int, min_distance: int,
                      target_size: int) -> SignCode:
     """Greedy code with explicit distance and size targets; no range gate,
-    so degenerate short lengths (distance-1 codes) are allowed."""
-    if not 1 <= length <= MAX_CODE_LENGTH:
-        raise ValueError(
-            f"length must lie in [1, {MAX_CODE_LENGTH}], got {length}")
+    so degenerate short lengths (distance-1 codes) are allowed.  A code
+    whose coset table is known to pass LEXICODE_TABLE_LIMIT below leading
+    bit length raises SizeLimitExceeded before any table is built."""
+    _require_code_length(length)
     if min_distance < 1 or target_size < 1:
         raise ValueError("min_distance and target_size must be >= 1")
+    lead = _TABLE_LIMIT_LEAD.get((min_distance, (target_size - 1).bit_length()))
+    if lead is not None and lead < length:
+        raise _table_too_large(length, min_distance, lead)
     return _greedy_sign_code(length, min_distance, target_size)
 
 
@@ -309,11 +322,9 @@ def gilbert_varshamov(n: int) -> SignCode:
     grow like the coset table, 2^(L - k) entries for the leading bit L of
     the last of k basis words: 2^18 at n = 40, 2^27 at n = 53..55.  Longer
     codes need more than LEXICODE_TABLE_LIMIT entries and raise
-    SizeLimitExceeded before any table is built."""
-    min_dist = math.ceil(n / 4)
-    if n in _GV_TABLE_LIMIT_LEAD:
-        raise _table_too_large(n, min_dist, _GV_TABLE_LIMIT_LEAD[n])
-    return greedy_sign_code(n, min_dist, math.ceil(math.exp(n / 8)))
+    SizeLimitExceeded before any table is built (see greedy_sign_code)."""
+    _require_code_length(n)  # before e^(n/8) can overflow a float
+    return greedy_sign_code(n, math.ceil(n / 4), math.ceil(math.exp(n / 8)))
 
 
 # ---------------------------------------------------------------------

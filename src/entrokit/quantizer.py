@@ -290,14 +290,13 @@ def accuracy_bits_sweep(targets: Sequence[SampledFunctional],
                         grids: Sequence[QuantGrid],
                         input_set: Sequence[GridFunction],
                         seed: int,
-                        max_random: int = 1 << 12,
-                        eval_cap: int = EVALUATION_CAP) -> List[SweepRow]:
+                        max_random: int = 1 << 12) -> List[SweepRow]:
     """Pareto front of (total bits, minimax error) over quantized dictionaries.
 
     Exhaustive enumeration below EXHAUSTIVE_DICT_LIMIT candidates, seeded
     random search above it; random rows are upper bounds on the true
     minimax error and carry exhaustive=False.  Raises BudgetExceeded when a
-    cell would need more than eval_cap forward evaluations.
+    cell would need more than EVALUATION_CAP forward evaluations.
     """
     sample_ids = targets[0].sample_ids
     if len(sample_ids) != len(input_set):
@@ -309,9 +308,9 @@ def accuracy_bits_sweep(targets: Sequence[SampledFunctional],
             size = grid.points_per_coord ** q
             exhaustive = size <= EXHAUSTIVE_DICT_LIMIT
             n_eval = (size if exhaustive else max_random) * len(input_set)
-            if n_eval > eval_cap:  # refused before any theta is drawn
-                raise BudgetExceeded(
-                    f"cell ({hi}, {gi}) needs {n_eval} evaluations > {eval_cap}")
+            if n_eval > EVALUATION_CAP:  # refused before any theta is drawn
+                raise BudgetExceeded(f"cell ({hi}, {gi}) needs {n_eval} "
+                                     f"evaluations > {EVALUATION_CAP}")
             thetas = _dictionary_thetas(q, grid, exhaustive, seed + hi,
                                         max_random)
             # row t holds theta t's functional on the input set

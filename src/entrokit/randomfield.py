@@ -538,8 +538,15 @@ class IsometryReport:
     zscore: float
     mc: McEstimate
 
+    @classmethod
+    def from_mc(cls, mc: McEstimate, reference: float) -> "IsometryReport":
+        """mc's p-th moment scored against a reference moment."""
+        z = moment_zscore(mc.moment, reference, mc.moment_stderr)
+        return cls(mc.moment, reference, z, mc)
+
     @property
     def consistent(self) -> bool:
+        """The isometry gate: the moments agree within 3 standard errors."""
         return abs(self.zscore) <= 3.0
 
 
@@ -552,9 +559,7 @@ def isometry_check(f: GridFunction01, measure: KLMeasure, p: float,
     """
     emb = embed(f, measure)
     mc = lp_norm_mc(emb, measure, p, n_samples, seed)
-    quad = f.quadrature_abs_pow(p, refine=refine)
-    z = moment_zscore(mc.moment, quad, mc.moment_stderr)
-    return IsometryReport(mc.moment, quad, z, mc)
+    return IsometryReport.from_mc(mc, f.quadrature_abs_pow(p, refine=refine))
 
 
 def moment_zscore(mc_moment: float, reference: float, stderr: float) -> float:

@@ -666,6 +666,57 @@ def test_expectation_chain_checks_its_grid_before_it_builds_the_code(
         ek.run_experiment(dict(EXPECT_CFG, dim=2, cells=7, grid_res=50))
 
 
+def test_expectation_chain_refuses_a_code_longer_than_the_limit():
+    # 10,000 cells pass the grid checks; the code length is refused by
+    # packing, before e^(n/8) overflows a float
+    cfg = dict(EXPECT_CFG, cells=10_000, grid_res=40_000)
+    with pytest.raises(ek.ConfigError, match="length must lie in"):
+        ek.run_experiment(cfg)
+
+
+def test_expectation_chain_rows_pass_through_the_isometry_gate(monkeypatch):
+    # IsometryReport.consistent is the one gate: closed, every row fails
+    # while the CSV keeps its z-scores
+    full = ek.run_experiment(EXPECT_CFG)
+    assert full.all_passed
+    monkeypatch.setattr(ek.IsometryReport, "consistent",
+                        property(lambda self: False))
+    t = ek.run_experiment(EXPECT_CFG)
+    assert t.column("passed") == [False] * len(t.rows)
+    assert not t.all_passed
+    assert t.column("zscore") == full.column("zscore")
+
+
+@pytest.mark.parametrize("cfg,items", [
+    (UNIFORM_CFG, [
+        ("seed", 7),
+        ("config_hash", "46f4350a295f9c08c6ad8bd2516bb6cc"
+                        "2267749dbb09365fe5700ef894c8a8bd"),
+        ("experiment", "uniform-chain")]),
+    (EXPECT_CFG, [
+        ("seed", 3),
+        ("config_hash", "9a9806b4eefe1cde9271137711f9bc7c"
+                        "0ef178a0716e02e5b25de4b594205487"),
+        ("experiment", "expectation-chain"), ("code_size_ok", True)]),
+    (BITS_CFG, [
+        ("seed", 5),
+        ("config_hash", "0f3cf6aed17b739e3d61d4f86551797b"
+                        "3e842ea60647d3c30e3d11d34affd50d"),
+        ("experiment", "bits-accuracy"), ("random_search_rows", 0)]),
+    (dict(BITS_CFG, max_random=64, grids=[{"m": 1.0, "delta": 0.0625}],
+          hypers=[dict(BITS_CFG["hypers"][0], depth=2)]), [
+        ("seed", 5),
+        ("config_hash", "049439526b8e49d9eb9ce2e7f2de145a"
+                        "d97daad9bf29c5f5c78af370c8382671"),
+        ("experiment", "bits-accuracy"), ("random_search_rows", 1)]),
+], ids=["uniform", "expectation", "bits", "bits-random-search"])
+def test_metadata_keys_values_and_order(cfg, items):
+    # run_experiment writes the shared keys, the runner its own one last
+    meta = ek.run_experiment(cfg).metadata
+    shared, own = items[:3], items[3:]
+    assert list(meta.items()) == shared + [("version", ek.__version__)] + own
+
+
 class _QuadratureFailed(Exception):
     pass
 

@@ -124,6 +124,23 @@ def test_embed_check_command(runner, tmp_path):
     assert out["consistent"] and abs(out["zscore"]) <= 3
 
 
+def test_embed_check_exits_one_when_the_isometry_gate_fails(
+        runner, tmp_path, monkeypatch):
+    # embed-check reports and exits on IsometryReport.consistent, the gate
+    # the expectation chain's rows also pass through
+    cfg = {"kl": {"lambda": "j^-2a", "alpha": 1.0, "J": 16, "law": "gaussian"},
+           "f": {"kind": "coordinate", "grid_res": 16},
+           "p": 2, "samples": 20000, "seed": 5}
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(ek.IsometryReport, "consistent",
+                        property(lambda self: False))
+    res = runner.invoke(main, ["embed-check", "--config", str(path)])
+    assert res.exit_code == 1
+    out = json.loads(res.output)
+    assert out["consistent"] is False and abs(out["zscore"]) <= 3
+
+
 def test_embed_check_seed_zero_overrides_config(runner, tmp_path):
     # --seed 0 is a seed like any other, not "no seed given"
     cfg = {"kl": {"lambda": "j^-2a", "alpha": 1.0, "J": 16, "law": "gaussian"},
@@ -370,6 +387,29 @@ def test_sweep_grids_that_cannot_exist_are_usage_errors(runner, tmp_path,
     assert res.exit_code == 2
     assert "--config" in res.output and message in res.output
 
+@pytest.mark.parametrize("opts,hint", [
+    ({"--m": "1e100", "--delta": "1e99"}, "'--m' / '--delta':"),
+    ({"--m": "1", "--delta": "0.1", "--c": "1e308"},
+     "'--m' / '--delta' / '--c':"),
+    ({"--m": "1e308", "--delta": "1e307", "--c": "1"},
+     "'--m' / '--delta' / '--c':"),
+], ids=["certified-overflows", "c-overflows", "infinite-lip"])
+def test_quantize_refuses_an_overflowing_bound_before_drawing(
+        runner, tmp_path, monkeypatch, opts, hint):
+    # one message for the certified bound Lip * delta / 2, an infinite Lip
+    # included, given before the parameter vector is drawn from the box
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a parameter vector was drawn")
+
+    monkeypatch.setattr("entrokit.cli.stream", no_draw)
+    path = tmp_path / "hyper.json"
+    path.write_text(json.dumps(HYPER))
+    args = _quantize(**opts)
+    res = runner.invoke(main, [str(path) if a is None else a for a in args])
+    assert res.exit_code == 2, res.output
+    assert hint in res.output and "certified bound" in res.output
+
+
 def test_quantize_a_large_finite_box_runs(runner, tmp_path):
     # (2 d_c M)^(L+2) = 8e150, the bound 2^503.4 and the certified bound
     # 2^503.4 * delta / 2 still fit in a float
@@ -396,9 +436,15 @@ def test_quantize_a_large_finite_box_runs(runner, tmp_path):
     (["bump", "--d", "1", "--n", "4", "--grid", "20"], "--grid"),
     (["bump", "--d", "2", "--n", "8", "--grid", "48"], "--n"),
     (["gv", "--n", "56"], "--n"),
+    (["bump", "--d", "2", "--n", "9", "--grid", "10"], "--grid"),
+    (["bump", "--d", "1", "--n", "10000", "--grid", "40000"], "--n"),
+    (["bump", "--d", "1", "--n", "4", "--grid", "16", "--lam", "inf"],
+     "--lam"),
 ], ids=["code-above-64", "lam-2", "lam-negative", "lam-nan", "grid-0",
         "grid-negative", "grid-negative-aligned", "grid-not-a-multiple",
-        "breakpoints-off-grid", "coset-table-too-large", "gv-n-56"])
+        "breakpoints-off-grid", "coset-table-too-large", "gv-n-56",
+        "grid-before-code-length", "code-whose-e^(n/8)-overflows",
+        "lam-infinite"])
 def test_bump_and_gv_inputs_that_cannot_run_are_usage_errors(
         runner, monkeypatch, args, option):
     # the coset tables of lengths 56 to 64 reach the limit only after

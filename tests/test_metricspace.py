@@ -93,6 +93,31 @@ def test_triangle_violation_named_as_by_a_scan_over_k():
         ek.FiniteMetricSpace(list(range(n)), dist)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_triangle_message_equals_a_scan_over_k(seed):
+    # up to 200 points check k in up to eight blocks; the message, distances
+    # included, is the one a scan over every k writes
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 200))
+    x = rng.uniform(size=(n, 2))
+    dist = np.sqrt(((x[:, None] - x[None]) ** 2).sum(-1))
+    for i, j in rng.choice(n, (3, 2)):
+        dist[i, j] = dist[j, i] = dist[i, j] * rng.uniform(1.5, 4.0)
+    expected = None
+    for k in range(n):
+        bound = dist[:, k][:, None] + dist[k, :][None, :]
+        slack = dist - bound * (1.0 + ek.metricspace.TRIANGLE_RTOL)
+        if np.max(slack) > 0:
+            i, j = np.unravel_index(np.argmax(slack), slack.shape)
+            expected = (f"triangle inequality violated for ({i}, {j}, {k}): "
+                        f"d={dist[i, j]} > {dist[i, k] + dist[k, j]}")
+            break
+    assert expected is not None
+    with pytest.raises(ValueError) as err:
+        ek.FiniteMetricSpace(list(range(n)), dist)
+    assert str(err.value) == expected
+
+
 def test_json_round_trip(tmp_path):
     space = ek.FiniteMetricSpace.circle(5)
     path = tmp_path / "space.json"

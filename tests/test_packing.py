@@ -184,6 +184,9 @@ def test_gv_range_validation():
         ek.gilbert_varshamov(0)
     with pytest.raises(ValueError):
         ek.gilbert_varshamov(65)
+    # e^(n/8) overflows a float past n = 5678; the length is checked first
+    with pytest.raises(ValueError):
+        ek.gilbert_varshamov(10_000)
     assert ek.gilbert_varshamov(3).ints == scan_sign_code(3, 1, 2)
 
 
@@ -265,6 +268,31 @@ def test_gv_refuses_lengths_past_the_table_limit_before_building(monkeypatch):
     for n in range(1, 56):
         with pytest.raises(AssertionError, match=f"length {n} was built"):
             ek.gilbert_varshamov(n)
+
+
+def test_greedy_sign_code_refuses_the_table_limit_triples_before_building(
+        monkeypatch):
+    # the public entry with gilbert_varshamov's targets raises the message a
+    # built table raises at the limit (leading bit 37 at distance 14, 33 at
+    # distances 15 and 16), without building it
+    def no_table(n, min_dist, target):
+        raise AssertionError(f"the coset table of length {n} was built")
+
+    monkeypatch.setattr(packing, "_greedy_sign_code", no_table)
+    for n in range(56, 65):
+        d, target = math.ceil(n / 4), math.ceil(math.exp(n / 8))
+        lead = 37 if n == 56 else 33
+        start = time.perf_counter()
+        with pytest.raises(ek.SizeLimitExceeded) as err:
+            greedy_sign_code(n, d, target)
+        assert time.perf_counter() - start < 0.1
+        assert str(err.value) == (
+            f"the lexicode of length {n} at distance {d} needs a coset table "
+            f"above {packing.LEXICODE_TABLE_LIMIT} entries at leading bit "
+            f"{lead}")
+    # a length that stops below the recorded leading bit builds its table
+    with pytest.raises(AssertionError, match="length 33 was built"):
+        greedy_sign_code(33, 16, 2981)
 
 # -- bump families -----------------------------------------------------------
 
