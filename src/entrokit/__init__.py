@@ -25,9 +25,9 @@ from .randomfield import (EmbeddedFunctional, GridFunction01, IsometryReport,
                           embed, isometry_check, lp_norm_mc, sample,
                           synthesize_torus, transport_quotient_max)
 from .fno import (ACTIVATIONS, FnoHyper, FnoParams, GridFunction, ParamCount,
-                  canonical_modes, empirical_lipschitz, forward, param_count,
-                  random_grid_function, random_inputs, super_arch,
-                  zero_pad_embed)
+                  canonical_modes, empirical_lipschitz, forward,
+                  forward_batch, param_count, random_grid_function,
+                  random_inputs, super_arch, zero_pad_embed)
 from .quantizer import (BitBudget, LipBoundInputs, QuantCertificate,
                         QuantGrid, SweepRow, accuracy_bits_sweep,
                         bit_budget_asymptotic, bit_budget_sweep, calibrate_c,

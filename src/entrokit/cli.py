@@ -36,9 +36,20 @@ def _echo(text: str, path=None) -> None:
         chains.write_atomic(path, (text + "\n").encode("utf-8"))
 
 
+def _finite_or_null(obj):
+    """obj with each non-finite float, in nested dicts and lists, as None."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _emit(obj, path=None) -> None:
-    """Print obj as JSON, and write it to path as _echo does."""
-    _echo(json.dumps(obj, indent=2, sort_keys=True), path)
+    """Print obj as standard JSON, a non-finite float as null (the exit
+    status carries the verdict), and write it to path as _echo does."""
+    _echo(json.dumps(_finite_or_null(obj), indent=2, sort_keys=True,
+                     allow_nan=False), path)
 
 
 def _finish(ok: bool) -> None:
@@ -117,10 +128,8 @@ def _load_space(path) -> ms.FiniteMetricSpace:
 @main.command()
 @click.option("--space", "space_path", type=click.Path(exists=True), required=True)
 @click.option("--eps", type=_POSITIVE, required=True)
-@click.option("--decoder", type=click.Choice(["ambient", "restricted", "both"]),
-              default="ambient", show_default=True)
 @click.pass_context
-def codelength(ctx, space_path, eps, decoder):
+def codelength(ctx, space_path, eps):
     """Covering number, entropy, and minimax code length of a space file."""
     _unread(ctx, "seed", "config")
     space = _load_space(space_path)
@@ -128,12 +137,8 @@ def codelength(ctx, space_path, eps, decoder):
         report = ms.code_length_report(space, eps)
     except SizeLimitExceeded as exc:
         raise click.BadParameter(str(exc), param_hint="--space") from exc
-    out = {"N": report["N"], "H": report["H"], "B": report["B"]}
-    if decoder == "restricted":
-        out["B"] = report["B_restricted"]
-    elif decoder == "both":
-        out["B_restricted"] = report["B_restricted"]
-    _emit(out, _resolve(ctx, "out", None))
+    _emit({"N": report["N"], "H": report["H"], "B": report["B"]},
+          _resolve(ctx, "out", None))
 
 
 @main.command()

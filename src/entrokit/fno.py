@@ -32,15 +32,16 @@ transform of a lone zero mode is that mode broadcast over the grid, so
 `forward` adds the mode's channel mix as a constant instead of running
 the inverse FFT; the bits are those of the full round trip.
 
-Per-call cost.  `forward` is called once per (theta, input), tens of
-thousands of times per sweep on tiny grids, so each call does only the
-arithmetic.  The input checks, the activation, the per-axis FFT specs
-and the forward scale 1/n are decided once per (architecture object,
-grid shape) in a `_Plan`.  The FFTs call numpy's pocketfft gufuncs, the
-ones `np.fft.fft` and `np.fft.ifft` reach, with the scale and the
-complex output buffer that `np.fft` would pass, so the bits are those of
-`np.fft`.  Each `FnoParams` builds its transposed blocks once, and at
-kappa > 1 its complex multiplier stacks on first use.
+Per-call cost.  `forward_batch`, the library's one evaluation path,
+calls `forward` once per (theta, input), tens of thousands of times per
+sweep on tiny grids, so each call does only the arithmetic.  The input
+checks, the activation, the per-axis FFT specs and the forward scale 1/n
+are decided once per (architecture object, grid shape) in a `_Plan`.
+The FFTs call numpy's pocketfft gufuncs, the ones `np.fft.fft` and
+`np.fft.ifft` reach, with the scale and the complex output buffer that
+`np.fft` would pass, so the bits are those of `np.fft`.  Each `FnoParams`
+builds its transposed blocks once, and at kappa > 1 its complex
+multiplier stacks on first use.
 
 Bias.  "constant" (the default) stores d_c reals added pointwise and is
 what the parameter-count formula assumes; "spectral" stores one
@@ -56,7 +57,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -224,31 +225,6 @@ class FnoParams:
         self._forward_views = (views[-1].T,
                                tuple((w.T, m[0].T, b) for w, m, b in layers),
                                views[0].T)
-
-    @classmethod
-    def rows(cls, hyper: FnoHyper, thetas) -> Iterator["FnoParams"]:
-        """One FnoParams per row of a dictionary matrix, made as it is
-        needed.  Each row's theta and blocks are views of the matrix,
-        reshaped once for the whole batch; a writeable matrix is copied
-        once to a read-only one."""
-        thetas = np.asarray(thetas, dtype=float)
-        storage = _storage(hyper)
-        expected = storage[-1][0].stop
-        if thetas.ndim != 2 or thetas.shape[1] != expected:
-            raise ValueError(f"thetas have shape {thetas.shape}, layout "
-                             f"needs rows of {expected}")
-        if thetas.flags.writeable:
-            thetas = thetas.copy()
-            thetas.setflags(write=False)
-        count = len(thetas)
-        batch = [thetas[:, sl].reshape((count,) + shape)
-                 for sl, shape, _ in storage]
-        for t in range(count):
-            params = cls.__new__(cls)
-            params.hyper = hyper
-            params.theta = thetas[t]
-            params._bind([block[t] for block in batch])
-            yield params
 
     # -- structured access ----------------------------------------------
 
@@ -549,6 +525,33 @@ def forward(params: FnoParams, u: GridFunction) -> float:
     return float(np.add.reduce(out, axis=None) / out.size)
 
 
+def forward_batch(hyper: FnoHyper, thetas, inputs: Sequence[GridFunction]
+                  ) -> np.ndarray:
+    """out[t, i] = forward of row t of thetas on inputs[i]: the library's
+    one evaluation path.  Each row's theta and blocks are read-only views
+    of the matrix, reshaped once for the batch, so the matrix is neither
+    copied nor written; forward runs once per (row, input), rows in order.
+    """
+    thetas = np.asarray(thetas, dtype=float).view()
+    storage = _storage(hyper)
+    expected = storage[-1][0].stop
+    if thetas.ndim != 2 or thetas.shape[1] != expected:
+        raise ValueError(f"thetas have shape {thetas.shape}, layout needs "
+                         f"rows of {expected}")
+    thetas.setflags(write=False)
+    count = len(thetas)
+    batch = [thetas[:, sl].reshape((count,) + shape)
+             for sl, shape, _ in storage]
+    out = np.empty((count, len(inputs)))
+    for t, row in enumerate(out):
+        params = FnoParams.__new__(FnoParams)
+        params.hyper = hyper
+        params.theta = thetas[t]
+        params._bind([block[t] for block in batch])
+        row[:] = [forward(params, u) for u in inputs]
+    return out
+
+
 # ---------------------------------------------------------------------
 # super architecture and zero-padding
 # ---------------------------------------------------------------------
@@ -621,23 +624,24 @@ def empirical_lipschitz(hyper: FnoHyper, box: float, probes: int,
     """Lower estimate of the Lipschitz constant of theta -> Phi(.; theta).
 
     Max over random canonical parameter pairs in [-box, box]^q and over the
-    input family of |Phi(u; theta) - Phi(u; theta')| / ||theta - theta'||_inf.
+    input family of |Phi(u; theta) - Phi(u; theta')| / ||theta - theta'||_inf;
+    a NaN on any pair and input makes it NaN.
     """
     if probes < 100:
         raise ValueError("need at least 100 probes")
     if not input_set:
         raise ValueError("empty input set")
     rng = stream(seed, STREAM_FNO_PROBE)
-    best = 0.0
-    for _ in range(probes):
-        a = FnoParams.random(hyper, box, rng)
-        b = FnoParams.random(hyper, box, rng)
-        denom = float(np.max(np.abs(a.theta - b.theta)))
-        if denom == 0:
-            continue
-        gap = max(abs(forward(a, u) - forward(b, u)) for u in input_set)
-        best = max(best, gap / denom)
-    return best
+    # each probe's a and b draws in turn, as FnoParams.random draws them
+    pairs = rng.uniform(-box, box, (probes, 2, layout_length(hyper)))
+    pairs = pairs * active_mask(hyper)
+    denom = np.max(np.abs(pairs[:, 0] - pairs[:, 1]), axis=1)
+    keep = denom != 0  # a probe with a zero denominator is not evaluated
+    pairs, denom = pairs[keep], denom[keep]
+    values = forward_batch(hyper, pairs.reshape(-1, pairs.shape[-1]),
+                           input_set)
+    gaps = np.max(np.abs(values[0::2] - values[1::2]), axis=1)
+    return float(np.max(gaps / denom, initial=0.0))
 
 
 # ---------------------------------------------------------------------

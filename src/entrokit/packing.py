@@ -46,11 +46,16 @@ QUADRATURE_TOL = 1e-9
 LEXICODE_TABLE_LIMIT = 1 << 27
 # sign-code words are stored as uint64 bit patterns
 MAX_CODE_LENGTH = 64
-# the leading bit at which the coset table passes LEXICODE_TABLE_LIMIT, by
-# (min_distance, basis words needed): the table does not depend on the
-# length, which only bounds the leading bit.  Found by building the tables
-# of gilbert_varshamov(56..64), and refused before any table is built
-_TABLE_LIMIT_LEAD = {(14, 11): 37, (15, 11): 33, (16, 12): 33}
+# min_distance -> (leading bit at which the coset table reaches
+# LEXICODE_TABLE_LIMIT, basis words found below it), measured by running
+# the basis loop to length 64 once per distance: the table grows with the
+# distance alone.  Below 11 no length reaches the limit; from 29 up (and
+# past 64) no word has a leading bit below d - 1 > 27
+_TABLE_LIMIT_RECORD = {
+    11: (52, 25), 12: (50, 23), 13: (38, 11), 14: (37, 10), 15: (33, 6),
+    16: (33, 6), 17: (29, 2), 18: (29, 2), 19: (29, 2),
+    **dict.fromkeys(range(20, 29), (28, 1)),
+    **dict.fromkeys(range(29, MAX_CODE_LENGTH + 1), (27, 0))}
 # (grid_res + 1)^d nodes a bump family may hold: at the limit a 3-D family
 # peaks near 0.15 GB, and verify scans every member's node grid
 BUMP_NODE_LIMIT = 1 << 20
@@ -304,13 +309,15 @@ def greedy_sign_code(length: int, min_distance: int,
                      target_size: int) -> SignCode:
     """Greedy code with explicit distance and size targets; no range gate,
     so degenerate short lengths (distance-1 codes) are allowed.  A code
-    whose coset table is known to pass LEXICODE_TABLE_LIMIT below leading
-    bit length raises SizeLimitExceeded before any table is built."""
+    needing more basis words than its distance finds below the recorded
+    leading bit, at a length past that bit, would reach
+    LEXICODE_TABLE_LIMIT: it raises SizeLimitExceeded before any table."""
     _require_code_length(length)
     if min_distance < 1 or target_size < 1:
         raise ValueError("min_distance and target_size must be >= 1")
-    lead = _TABLE_LIMIT_LEAD.get((min_distance, (target_size - 1).bit_length()))
-    if lead is not None and lead < length:
+    lead, words = _TABLE_LIMIT_RECORD.get(min(min_distance, MAX_CODE_LENGTH),
+                                          (MAX_CODE_LENGTH, 0))
+    if (target_size - 1).bit_length() > words and length > lead:
         raise _table_too_large(length, min_distance, lead)
     return _greedy_sign_code(length, min_distance, target_size)
 
@@ -321,8 +328,8 @@ def gilbert_varshamov(n: int) -> SignCode:
     volume bound guarantees for any n.  Deterministic.  Work and memory
     grow like the coset table, 2^(L - k) entries for the leading bit L of
     the last of k basis words: 2^18 at n = 40, 2^27 at n = 53..55.  Longer
-    codes need more than LEXICODE_TABLE_LIMIT entries and raise
-    SizeLimitExceeded before any table is built (see greedy_sign_code)."""
+    codes reach LEXICODE_TABLE_LIMIT and raise SizeLimitExceeded before
+    any table is built (see greedy_sign_code)."""
     _require_code_length(n)  # before e^(n/8) can overflow a float
     return greedy_sign_code(n, math.ceil(n / 4), math.ceil(math.exp(n / 8)))
 

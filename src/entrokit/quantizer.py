@@ -25,8 +25,10 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, OutOfRange
+# forward is not called here; bench/tests/test_bench_spans.py traces it here
 from .fno import (FnoHyper, FnoParams, GridFunction, empirical_lipschitz,
-                  forward, layout_length, param_count, super_arch)
+                  forward, forward_batch, layout_length, param_count,
+                  super_arch)
 from .metricspace import SampledFunctional, dictionary_minimax_error
 from .rng import STREAM_SWEEP_DICT, stream
 
@@ -241,10 +243,11 @@ def certify_quantization(params: FnoParams, grid: QuantGrid,
 
     lip_estimate is a linear-scale Lipschitz value; callers pass either the
     exponentiated theoretical bound or a safety-factored empirical one.
+    A NaN deviation on any input makes measured_err NaN, which fails.
     """
-    rounded = FnoParams(params.hyper, quantize(params.theta, grid))
-    measured = max(abs(forward(params, u) - forward(rounded, u))
-                   for u in input_set)
+    pair = [params.theta, quantize(params.theta, grid)]
+    values = forward_batch(params.hyper, pair, input_set)
+    measured = float(np.max(np.abs(values[0] - values[1])))
     return QuantCertificate(measured, lip_estimate, grid.delta)
 
 
@@ -314,9 +317,7 @@ def accuracy_bits_sweep(targets: Sequence[SampledFunctional],
             thetas = _dictionary_thetas(q, grid, exhaustive, seed + hi,
                                         max_random)
             # row t holds theta t's functional on the input set
-            dictionary = np.empty((len(thetas), len(input_set)))
-            for params, row in zip(FnoParams.rows(hyper, thetas), dictionary):
-                row[:] = [forward(params, u) for u in input_set]
+            dictionary = forward_batch(hyper, thetas, input_set)
             err = dictionary_minimax_error(targets, dictionary, norm="sup")
             rows.append(SweepRow(bits=q * grid.bits_per_coord, minimax_err=err,
                                  hyper_id=hi, grid_id=gi, seed=seed,

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, JSON/CSV outputs, exit codes."""
 
 import json
+import math
 import pathlib
 import re
 import time
@@ -34,11 +35,13 @@ def test_codelength(runner, space_file):
     assert out == {"N": 4, "H": 2.0, "B": 2}
 
 
-def test_codelength_both_decoders(runner, space_file):
+@pytest.mark.parametrize("decoder", ["ambient", "restricted", "both"])
+def test_codelength_has_no_decoder_option(runner, space_file, decoder):
+    # the command covers the whole space with itself, where both decoders
+    # give the same B, so the option could not change the report
     res = runner.invoke(main, ["codelength", "--space", space_file,
-                               "--eps", "0.5", "--decoder", "both"])
-    out = json.loads(res.output)
-    assert out["B_restricted"] >= out["B"]
+                               "--eps", "0.5", "--decoder", decoder])
+    assert res.exit_code == 2 and "No such option" in res.output
 
 
 def test_gv_command(runner):
@@ -139,6 +142,31 @@ def test_embed_check_exits_one_when_the_isometry_gate_fails(
     assert res.exit_code == 1
     out = json.loads(res.output)
     assert out["consistent"] is False and abs(out["zscore"]) <= 3
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_reports_print_standard_json(runner, tmp_path):
+    # a constant of 1e308 overflows the moments to inf and the z-score to
+    # NaN; each non-finite value prints as null, and the exit status still
+    # carries the verdict
+    cfg = {"kl": {"lambda": "j^-2a", "alpha": 1e-300, "J": 3,
+                  "law": "gaussian"},
+           "p": 1, "samples": 100, "seed": 0,
+           "f": {"kind": "constant", "value": 1e308}}
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps(cfg))
+    res = runner.invoke(main, ["embed-check", "--config", str(path)])
+    assert res.exit_code == 1
+    out = json.loads(res.output, parse_constant=_refuse_constant)
+    assert out["consistent"] is False
+    assert None in out.values()
+    assert all(value is None or math.isfinite(value) for key, value
+               in out.items() if key != "consistent")
 
 
 def test_embed_check_seed_zero_overrides_config(runner, tmp_path):

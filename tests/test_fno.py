@@ -1,7 +1,6 @@
 """Output-averaged operator: parameter accounting, forward identities,
 zero-padding, and the empirical parameter-to-operator Lipschitz estimate."""
 
-import inspect
 import itertools
 from dataclasses import replace
 
@@ -374,7 +373,7 @@ ORACLE_RESOLUTIONS = (2, 3, 4, 5, 6, 7, 8, 9, 11, 13)
 def test_lean_forward_matches_the_np_fft_oracle_on_random_architectures():
     # 204 seeded architectures, each at two resolutions >= 2 kappa, called
     # in the order a, b, a so one architecture holds two cached plans; a
-    # batch of three thetas goes through FnoParams.rows as well
+    # batch of three thetas goes through forward_batch as well
     rng = stream(90, 8)
     combos = list(itertools.product(sorted(ek.ACTIVATIONS),
                                     ("constant", "spectral"))) * 34
@@ -389,12 +388,14 @@ def test_lean_forward_matches_the_np_fft_oracle_on_random_architectures():
             for _ in range(2))
         thetas = rng.uniform(-1.0, 1.0, (3, layout_length(h)))
         thetas.setflags(write=False)
-        for theta, row in zip(thetas, ek.FnoParams.rows(h, thetas)):
+        inputs = (first, second, first)
+        batch = ek.forward_batch(h, thetas, inputs)
+        for theta, values in zip(thetas, batch):
             single = ek.FnoParams(h, theta)
-            for u in (first, second, first):
+            for u, value in zip(inputs, values):
                 want = _reference_forward(single, u)
                 assert ek.forward(single, u) == want
-                assert ek.forward(row, u) == want
+                assert value == want
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -433,14 +434,45 @@ def test_plan_cache_keeps_no_failure():
         assert (id(h), bad.values.shape) not in ek.fno._PLANS
 
 
-def test_rows_is_a_lazy_generator_of_read_only_views():
+def test_forward_batch_equals_a_forward_loop_on_random_architectures():
+    # 102 seeded architectures: dim 1-3, kappa 1-3, both bias modes, every
+    # activation, 0-3 rows and 1-3 inputs; bit for bit, signed zeros too
+    rng = stream(96, 8)
+    combos = list(itertools.product(sorted(ek.ACTIVATIONS),
+                                    ("constant", "spectral"))) * 17
+    shapes = set()
+    for act, bias_mode in combos:
+        dim, kappa = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        d_c = int(rng.integers(1, 5))
+        h = ek.FnoHyper(dim, int(rng.integers(1, d_c + 1)), 1, d_c, kappa,
+                        int(rng.integers(1, 3)), act, bias_mode)
+        inputs = [ek.random_grid_function(dim, 2 * kappa + int(rng.integers(3)),
+                                          h.d_in, rng)
+                  for _ in range(int(rng.integers(1, 4)))]
+        thetas = rng.uniform(-1.0, 1.0, (int(rng.integers(4)), layout_length(h)))
+        got = ek.forward_batch(h, thetas, inputs)
+        want = np.array([[ek.forward(ek.FnoParams(h, theta), u) for u in inputs]
+                         for theta in thetas]).reshape(len(thetas), len(inputs))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        shapes.add((min(len(thetas), 1), min(len(inputs), 2)))
+    assert shapes == {(0, 1), (0, 2), (1, 1), (1, 2)}  # no rows, one input
+
+
+def test_forward_batch_rows_are_read_only_views_of_the_matrix(monkeypatch):
     h = ek.FnoHyper(2, 1, 1, 2, 2, 2, bias_mode="spectral")
     thetas = stream(96, 8).uniform(-1.0, 1.0, (4, layout_length(h)))
-    thetas.setflags(write=False)
-    rows = ek.FnoParams.rows(h, thetas)
-    assert inspect.isgenerator(rows)
+    before = thetas.copy()
     u = rand_input(2, 5, 1, 97)
-    for theta, row in zip(thetas, rows):
+    seen, real = [], ek.fno.forward
+
+    def recording(params, u):
+        seen.append(params)
+        return real(params, u)
+
+    monkeypatch.setattr(ek.fno, "forward", recording)
+    values = ek.forward_batch(h, thetas, [u])[:, 0]
+    assert len(seen) == len(thetas)
+    for theta, row, value in zip(thetas, seen, values):
         single = ek.FnoParams(h, theta)
         assert np.array_equal(row.theta, single.theta)
         assert np.shares_memory(row.theta, thetas)  # no copy of the matrix
@@ -450,13 +482,13 @@ def test_rows_is_a_lazy_generator_of_read_only_views():
             assert np.array_equal(a, b) and np.shares_memory(a, thetas)
             with pytest.raises(ValueError):
                 a.flat[0] = 1.0
-        assert ek.forward(row, u) == ek.forward(single, u)
-    # a writeable matrix is copied once, so later writes change no row
-    writeable = np.array(thetas)
-    first = next(ek.FnoParams.rows(h, writeable))
-    assert not np.shares_memory(first.theta, writeable)
-    with pytest.raises(ValueError):
-        next(ek.FnoParams.rows(h, thetas[:, :-1]))
+        assert value == real(single, u)
+    # the caller's writeable matrix is read through a read-only view:
+    # neither written nor frozen
+    assert thetas.flags.writeable and np.array_equal(thetas, before)
+    for bad in (thetas[:, :-1], thetas[0], thetas[None]):
+        with pytest.raises(ValueError, match="layout needs rows of"):
+            ek.forward_batch(h, bad, [u])
 
 
 def test_blocks_are_views_of_theta_built_once():

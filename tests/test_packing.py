@@ -294,6 +294,40 @@ def test_greedy_sign_code_refuses_the_table_limit_triples_before_building(
     with pytest.raises(AssertionError, match="length 33 was built"):
         greedy_sign_code(33, 16, 2981)
 
+
+
+def test_greedy_sign_code_refuses_every_recorded_distance_before_building(
+        monkeypatch):
+    # at each distance's recorded (leading bit, basis words), one word more
+    # at one bit longer is refused at once; one word fewer, or one bit
+    # shorter, reaches the builder.  Distances above 64 find no word, as 64
+    def no_table(n, min_dist, target):
+        raise AssertionError(f"the coset table of length {n} was built")
+
+    monkeypatch.setattr(packing, "_greedy_sign_code", no_table)
+    record = packing._TABLE_LIMIT_RECORD
+    assert sorted(record) == list(range(11, 65))
+    for d in list(record) + [65, 100]:
+        lead, words = record[min(d, 64)]
+        start = time.perf_counter()
+        with pytest.raises(ek.SizeLimitExceeded) as err:
+            greedy_sign_code(lead + 1, d, (1 << words) + 1)
+        assert time.perf_counter() - start < 0.1
+        assert str(err.value) == (
+            f"the lexicode of length {lead + 1} at distance {d} needs a coset "
+            f"table above {packing.LEXICODE_TABLE_LIMIT} entries at leading "
+            f"bit {lead}")
+        for n, target in ((lead + 1, 1 << words), (lead, (1 << words) + 1)):
+            with pytest.raises(AssertionError, match=f"length {n} was built"):
+                greedy_sign_code(n, d, target)
+    # which once built 322 MB of table for 0.5 s before it raised
+    with pytest.raises(ek.SizeLimitExceeded, match="leading bit 29$"):
+        greedy_sign_code(64, 18, 4096)
+    # below distance 11 the limit is never reached at any length
+    for d in range(1, 11):
+        with pytest.raises(AssertionError, match="length 64 was built"):
+            greedy_sign_code(64, d, 1 << 63)
+
 # -- bump families -----------------------------------------------------------
 
 

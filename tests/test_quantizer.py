@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entrokit as ek
-from entrokit.rng import STREAM_SWEEP_DICT, stream
+from entrokit.rng import STREAM_FNO_PROBE, STREAM_SWEEP_DICT, stream
 
 
 REF_HYPER = ek.FnoHyper(1, 1, 1, 1, 1, 1)
@@ -265,6 +265,96 @@ def test_certificate_with_a_bound_that_is_not_finite_fails(lip_estimate,
     assert not cert.passed
 
 
+# -- the per-(theta, input) loops that forward_batch replaced ---------------------
+
+
+def _loop_lipschitz(hyper, box, probes, input_set, seed):
+    """empirical_lipschitz as one loop per probe pair and input."""
+    rng = stream(seed, STREAM_FNO_PROBE)
+    best = 0.0
+    for _ in range(probes):
+        a = ek.FnoParams.random(hyper, box, rng)
+        b = ek.FnoParams.random(hyper, box, rng)
+        denom = float(np.max(np.abs(a.theta - b.theta)))
+        if denom == 0:
+            continue
+        gap = max(abs(ek.forward(a, u) - ek.forward(b, u)) for u in input_set)
+        best = max(best, gap / denom)
+    return best
+
+
+def _loop_certificate(params, grid, input_set, lip_estimate):
+    """certify_quantization as one loop over the inputs."""
+    rounded = ek.FnoParams(params.hyper, ek.quantize(params.theta, grid))
+    measured = max(abs(ek.forward(params, u) - ek.forward(rounded, u))
+                   for u in input_set)
+    return ek.QuantCertificate(measured, lip_estimate, grid.delta)
+
+
+def _seeded_architectures(seed, count):
+    rng = stream(seed, 8)
+    for act, bias_mode in itertools.islice(itertools.cycle(itertools.product(
+            sorted(ek.ACTIVATIONS), ("constant", "spectral"))), count):
+        dim, kappa = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        d_c = int(rng.integers(1, 3))
+        yield ek.FnoHyper(dim, 1, 1, d_c, kappa, int(rng.integers(1, 3)), act,
+                          bias_mode), rng
+
+
+def test_empirical_lipschitz_equals_the_per_probe_loop():
+    for i, (hyper, rng) in enumerate(_seeded_architectures(30, 12)):
+        inputs = ek.random_inputs(hyper, int(rng.integers(1, 4)), seed=i)
+        box = float(rng.choice([0.5, 1.0, 2.0]))
+        got = ek.empirical_lipschitz(hyper, box, 100, inputs, seed=i)
+        assert got > 0 and got == _loop_lipschitz(hyper, box, 100, inputs, i)
+
+
+def test_empirical_lipschitz_evaluates_no_probe_with_a_zero_denominator(
+        monkeypatch):
+    # at box 0 every pair is (0, 0): the loop skipped each probe
+    calls = _counting(monkeypatch, [ek.fno])
+    inputs = ek.random_inputs(REF_HYPER, 2, seed=1)
+    assert ek.empirical_lipschitz(REF_HYPER, 0.0, 100, inputs, seed=1) == 0.0
+    assert _loop_lipschitz(REF_HYPER, 0.0, 100, inputs, 1) == 0.0
+    assert not calls
+
+
+def test_certificate_equals_the_per_input_loop():
+    for i, (hyper, rng) in enumerate(_seeded_architectures(31, 12)):
+        inputs = ek.random_inputs(hyper, int(rng.integers(1, 5)), seed=i)
+        params = ek.FnoParams.random(hyper, 1.0, rng)
+        grid = ek.QuantGrid(1.0, float(rng.choice([0.01, 0.1, 0.5])))
+        lip = float(rng.uniform(0.0, 2.0))
+        got = ek.certify_quantization(params, grid, inputs, lip)
+        assert got == _loop_certificate(params, grid, inputs, lip)
+
+
+def _overflow_case():
+    """An identity network, three sup-normalized inputs and one whose
+    values overflow the forward pass, so its deviation is inf - inf."""
+    hyper = ek.FnoHyper(1, 1, 1, 1, 1, 1, activation="identity")
+    params = ek.FnoParams.random(hyper, 1.0, stream(3, 8))
+    inputs = ek.random_inputs(hyper, 3, seed=3)
+    big = ek.GridFunction(1, np.full((4, 1), 1e308))
+    return hyper, params, inputs, big
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_a_nan_deviation_fails_the_certificate_in_any_input_order():
+    hyper, params, inputs, big = _overflow_case()
+    grid = ek.QuantGrid(1.0, 0.1)
+    assert ek.certify_quantization(params, grid, inputs, 10.0).passed
+    # the per-input loop kept the first of max(nan, x) and max(x, nan), so
+    # it passed when the overflowing input came last
+    assert _loop_certificate(params, grid, inputs + [big], 10.0).passed
+    for order in ([big] + inputs, inputs + [big]):
+        cert = ek.certify_quantization(params, grid, order, 10.0)
+        assert math.isnan(cert.measured_err) and not cert.passed
+    assert math.isnan(ek.empirical_lipschitz(hyper, 1.0, 100, inputs + [big],
+                                             seed=0))
+
+
 # -- bits versus accuracy -----------------------------------------------------------
 
 
@@ -346,7 +436,7 @@ def _counting(monkeypatch, modules):
 
 
 def test_sweep_calls_forward_once_per_theta_and_input(monkeypatch):
-    calls = _counting(monkeypatch, [ek.quantizer])
+    calls = _counting(monkeypatch, [ek.fno])
     targets, inputs = _hat_targets_and_inputs()
     exhaustive = ek.FnoHyper(1, 1, 1, 1, 1, 1, activation="identity")  # 3^6
     random = ek.FnoHyper(1, 1, 1, 1, 1, 2, activation="identity")  # 3^10

@@ -139,17 +139,20 @@ _BUILDERS = {"FiniteMetricSpace.from_coords", "FiniteMetricSpace.line",
              "FiniteMetricSpace.circle"}
 
 
-def _uses_of(name, node, scope, found):
-    """(dotted scope of enclosing classes and functions, line) for every
-    reference to name below node."""
+def _scoped(node, scope=()):
+    """(dotted scope of enclosing classes and functions, node) for every
+    node below node."""
     for child in ast.iter_child_nodes(node):
-        if ((isinstance(child, ast.Attribute) and child.attr == name)
-                or (isinstance(child, ast.Name) and child.id == name)):
-            found.append((".".join(scope), child.lineno))
-        inner = (scope + [child.name] if isinstance(
+        yield ".".join(scope), child
+        inner = (scope + (child.name,) if isinstance(
             child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
             else scope)
-        _uses_of(name, child, inner, found)
+        yield from _scoped(child, inner)
+
+
+def _names(node, name):
+    return ((isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.Name) and node.id == name))
 
 
 def test_only_the_space_constructors_skip_validation():
@@ -157,9 +160,27 @@ def test_only_the_space_constructors_skip_validation():
     # gets the full metric check
     found, bad = 0, []
     for path in sorted(SOURCE.glob("*.py")):
-        uses = []
-        _uses_of("_built", ast.parse(path.read_text(encoding="utf-8")), [], uses)
+        uses = [(scope, node.lineno) for scope, node
+                in _scoped(ast.parse(path.read_text(encoding="utf-8")))
+                if _names(node, "_built")]
         found += len(uses)
         bad += [f"{path.name}:{line} {scope or '<module>'}" for scope, line in uses
                 if path.name != "metricspace.py" or scope not in _BUILDERS]
     assert found and not bad, bad
+
+
+# the one path by which the library evaluates operators, and the command
+# that evaluates one input on one parameter file
+_FORWARD_CALLERS = {("fno.py", "forward_batch"), ("cli.py", "fno_eval")}
+
+
+def test_forward_is_called_only_by_forward_batch_and_the_fno_command():
+    found, bad = 0, []
+    for path in sorted(SOURCE.glob("*.py")):
+        calls = [(scope, node.lineno) for scope, node
+                 in _scoped(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call) and _names(node.func, "forward")]
+        found += len(calls)
+        bad += [f"{path.name}:{line} {scope or '<module>'}" for scope, line
+                in calls if (path.name, scope) not in _FORWARD_CALLERS]
+    assert found == len(_FORWARD_CALLERS) and not bad, bad
