@@ -3,8 +3,9 @@
 Subcommands mirror the library surface: codelength, hat, gv, bump,
 embed-check, fno, quantize, sweep, chain-uniform, chain-expectation.
 Reports print as JSON on stdout (fno prints its scalar), and with --out
-the same text also goes to that file; tables write CSV via --out.  The
-process exits 0 only when every pass flag in the run is true.
+the same text also goes to that file; tables write CSV via --out.  Each
+subcommand declares every option it reads, so any other option is a usage
+error.  The process exits 0 only when every pass flag in the run is true.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import sys
 
 import click
+import numpy as np
 
 from . import __version__
 from . import chains
@@ -68,41 +70,20 @@ class _FiniteFloat(click.FloatRange):
 
 _POSITIVE = _FiniteFloat(min=0, min_open=True)
 
+_SEED = click.option("--seed", type=click.IntRange(0, chains.SEED_MAX),
+                     default=None, help="Root seed; overrides the config's.")
+_CONFIG = click.option("--config", "config_path", required=True,
+                       type=click.Path(exists=True, dir_okay=False))
+_OUT = click.option("--out", "out_path", type=click.Path(), default=None,
+                    help="Output file: a table's CSV, or a copy of the "
+                         "printed report.")
+
 
 @click.group()
 @click.version_option(__version__)
-@click.option("--seed", type=click.IntRange(0, chains.SEED_MAX), default=None,
-              help="Root seed override.")
-@click.option("--config", "config_path",
-              type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Default config file for subcommands that accept one.")
-@click.option("--out", "out_path", type=click.Path(), default=None,
-              help="Default output file: the CSV of a table, or the printed "
-                   "report of any other subcommand.")
-@click.pass_context
-def main(ctx, seed, config_path, out_path):
+def main():
     """Metric-entropy constructions, packings, embeddings, and quantized
     output-averaged Fourier neural operators."""
-    ctx.obj = {"seed": seed, "config": config_path, "out": out_path}
-
-
-def _resolve(ctx, key, local):
-    return local if local is not None else ctx.obj.get(key)
-
-
-def _config_path(ctx, local):
-    path = _resolve(ctx, "config", local)
-    if path is None:
-        raise click.UsageError("a config file is required (--config)")
-    return path
-
-
-def _unread(ctx, *keys) -> None:
-    """Reject the group options named by keys: this subcommand reads none."""
-    for key in keys:
-        if ctx.obj.get(key) is not None:
-            raise click.UsageError(
-                f"{ctx.info_name} does not read the group --{key}")
 
 
 def _forward_hyper(path) -> fno_mod.FnoHyper:
@@ -128,27 +109,23 @@ def _load_space(path) -> ms.FiniteMetricSpace:
 @main.command()
 @click.option("--space", "space_path", type=click.Path(exists=True), required=True)
 @click.option("--eps", type=_POSITIVE, required=True)
-@click.pass_context
-def codelength(ctx, space_path, eps):
+@_OUT
+def codelength(space_path, eps, out_path):
     """Covering number, entropy, and minimax code length of a space file."""
-    _unread(ctx, "seed", "config")
     space = _load_space(space_path)
     try:
         report = ms.code_length_report(space, eps)
     except SizeLimitExceeded as exc:
         raise click.BadParameter(str(exc), param_hint="--space") from exc
-    _emit({"N": report["N"], "H": report["H"], "B": report["B"]},
-          _resolve(ctx, "out", None))
+    _emit({"N": report["N"], "H": report["H"], "B": report["B"]}, out_path)
 
 
 @main.command()
 @click.option("--space", "space_path", type=click.Path(exists=True), required=True)
 @click.option("--eps", type=_POSITIVE, required=True)
-@click.option("--out", "out_path", type=click.Path(), default=None)
-@click.pass_context
-def hat(ctx, space_path, eps, out_path):
+@_OUT
+def hat(space_path, eps, out_path):
     """Build and verify a hat family; print its manifest."""
-    _unread(ctx, "seed", "config")
     space = _load_space(space_path)
     try:
         fam = pk.build_hat_family(space, eps)
@@ -163,7 +140,7 @@ def hat(ctx, space_path, eps, out_path):
         "lipschitz_max": rep.lipschitz_max,
         "ok": rep.ok,
     }
-    _emit(manifest, _resolve(ctx, "out", out_path))
+    _emit(manifest, out_path)
     _finish(rep.ok)
 
 
@@ -179,18 +156,16 @@ def _sign_code(n: int) -> pk.SignCode:
 @main.command()
 @click.option("--n", type=click.IntRange(4, pk.MAX_CODE_LENGTH),
               required=True)
-@click.option("--out", "out_path", type=click.Path(), default=None)
-@click.pass_context
-def gv(ctx, n, out_path):
+@_OUT
+def gv(n, out_path):
     """Greedy sign code of length n; print its manifest."""
-    _unread(ctx, "seed", "config")
     code = _sign_code(n)
     manifest = code.manifest()
     manifest["measured_min_distance"] = code.pairwise_min_hamming()
     ok = (manifest["measured_min_distance"] >= code.min_distance
           and code.size >= code.target_size)
     manifest["ok"] = ok
-    _emit(manifest, _resolve(ctx, "out", out_path))
+    _emit(manifest, out_path)
     _finish(ok)
 
 
@@ -201,11 +176,9 @@ def gv(ctx, n, out_path):
 @click.option("--grid", "grid_res", type=click.IntRange(min=1), required=True)
 @click.option("--lam", type=float, default=None,
               help="Plateau parameter; defaults to 1/(1+d).")
-@click.option("--out", "out_path", type=click.Path(), default=None)
-@click.pass_context
-def bump(ctx, dim, cells, grid_res, lam, out_path):
+@_OUT
+def bump(dim, cells, grid_res, lam, out_path):
     """Build and verify a bump family; print its manifest and report."""
-    _unread(ctx, "seed", "config")
     # the grid and lam are checked before the code, which can take seconds
     try:
         lam = pk.bump_lam(dim, cells, grid_res, lam)
@@ -226,23 +199,22 @@ def bump(ctx, dim, cells, grid_res, lam, out_path):
         "cell_profile_l1": rep.cell_profile_l1,
         "ok": rep.ok,
     }
-    _emit(manifest, _resolve(ctx, "out", out_path))
+    _emit(manifest, out_path)
     _finish(rep.ok)
 
 
 @main.command("embed-check")
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None)
-@click.pass_context
-def embed_check(ctx, config_path):
+@_CONFIG
+@_SEED
+@_OUT
+def embed_check(config_path, seed, out_path):
     """Isometry report for an embedded grid function (JSON config).
 
     Config keys (chains.EMBED_CHECK_SCHEMA): kl (measure block), f
     ("constant"|"coordinate" with optional value/grid_res), p, samples, seed.
     """
-    path = _config_path(ctx, config_path)
     try:
-        cfg = chains.load_embed_check_config(path)
+        cfg = chains.load_embed_check_config(config_path)
         measure = rf.KLMeasure.from_config(cfg["kl"])
         fspec = cfg.get("f", {"kind": "coordinate"})
         if fspec["kind"] == "constant":
@@ -250,11 +222,9 @@ def embed_check(ctx, config_path):
         else:
             f = rf.GridFunction01.from_callable(
                 lambda x: x[:, 0], 1, fspec.get("grid_res", 16), lipschitz=1.0)
-        seed = _resolve(ctx, "seed", None)
-        if seed is None:
-            seed = cfg.get("seed", 0)
-        report = rf.isometry_check(f, measure, cfg.get("p", 2),
-                                   cfg.get("samples", 100000), seed)
+        report = rf.isometry_check(
+            f, measure, cfg.get("p", 2), cfg.get("samples", 100000),
+            cfg.get("seed", 0) if seed is None else seed)
     except EntrokitError as exc:
         raise click.BadParameter(str(exc), param_hint="--config") from exc
     _emit({
@@ -264,7 +234,7 @@ def embed_check(ctx, config_path):
         "estimate": report.mc.estimate,
         "stderr": report.mc.stderr,
         "consistent": report.consistent,
-    }, _resolve(ctx, "out", None))
+    }, out_path)
     _finish(report.consistent)
 
 
@@ -272,10 +242,9 @@ def embed_check(ctx, config_path):
 @click.option("--hyper", "hyper_path", type=click.Path(exists=True), required=True)
 @click.option("--params", "params_path", type=click.Path(exists=True), required=True)
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.pass_context
-def fno_eval(ctx, hyper_path, params_path, input_path):
+@_OUT
+def fno_eval(hyper_path, params_path, input_path, out_path):
     """Evaluate an output-averaged operator; print the scalar."""
-    _unread(ctx, "seed", "config")
     hyper = _forward_hyper(hyper_path)
     try:
         params = fno_mod.load_params(hyper, params_path)
@@ -286,10 +255,16 @@ def fno_eval(ctx, hyper_path, params_path, input_path):
     except ConfigError as exc:
         raise click.BadParameter(str(exc), param_hint="--input") from exc
     try:
-        value = fno_mod.forward(params, u)
+        # forward keeps a NaN or inf for its callers; here it is refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = fno_mod.forward(params, u)
     except (ChannelMismatch, ResolutionTooLow) as exc:  # u does not fit hyper
         raise click.BadParameter(str(exc), param_hint="--input") from exc
-    _echo("%.17g" % value, _resolve(ctx, "out", None))
+    if not math.isfinite(value):
+        raise click.BadParameter(
+            f"the operator's value on this input is {value}, not finite",
+            param_hint="--input")
+    _echo("%.17g" % value, out_path)
 
 
 @main.command("quantize")
@@ -298,26 +273,24 @@ def fno_eval(ctx, hyper_path, params_path, input_path):
               help="Grid spacing, at most 2 M.")
 @click.option("--m", "--M", "box", type=_POSITIVE, required=True,
               help="Parameter range M.")
-@click.option("--seed", type=click.IntRange(0, chains.SEED_MAX), default=None)
+@click.option("--seed", type=click.IntRange(0, chains.SEED_MAX), default=0,
+              show_default=True)
 @click.option("--n-inputs", type=click.IntRange(min=1), default=64,
               show_default=True)
 @click.option("--probes", type=click.IntRange(min=100), default=128,
               show_default=True)
 @click.option("--c", "c_override", type=_FiniteFloat(min=0), default=None,
               help="Skip calibration and use this C in the bound.")
-@click.pass_context
-def quantize_cmd(ctx, hyper_path, delta, box, seed, n_inputs, probes, c_override):
+@_OUT
+def quantize_cmd(hyper_path, delta, box, seed, n_inputs, probes, c_override,
+                 out_path):
     """End-to-end quantization certificate for a random parameter vector."""
-    _unread(ctx, "config")
     try:
         grid = qz.QuantGrid(box, delta)
     except (ValueError, OutOfRange) as exc:  # delta above 2 M, or 2^63 points
         raise click.BadParameter(str(exc),
                                  param_hint=["--m", "--delta"]) from exc
     hyper = _forward_hyper(hyper_path)
-    seed = _resolve(ctx, "seed", seed)
-    if seed is None:
-        seed = 0
     inputs = fno_mod.random_inputs(hyper, n_inputs, seed)
     if c_override is None:
         try:
@@ -350,28 +323,26 @@ def quantize_cmd(ctx, hyper_path, delta, box, seed, n_inputs, probes, c_override
         "delta": cert.delta,
         "bound": cert.bound,
         "passed": cert.passed,
-    }, _resolve(ctx, "out", None))
+    }, out_path)
     _finish(cert.passed)
 
 
-def _run_table(ctx, config, out, experiment):
+def _run_table(config_path, seed, out_path, experiment):
     try:
-        cfg = chains.read_config(_config_path(ctx, config))
+        cfg = chains.read_config(config_path)
     except ConfigError as exc:
         raise click.BadParameter(str(exc), param_hint="--config") from exc
     kind = cfg.get("experiment") if isinstance(cfg, dict) else None
     if kind != experiment:
         raise click.UsageError(f"config is for {kind!r}, expected {experiment!r}")
-    seed = _resolve(ctx, "seed", None)
     if seed is not None:
         cfg = dict(cfg, seed=seed)
     try:
         table = chains.run_experiment(cfg)
     except EntrokitError as exc:
         raise click.BadParameter(str(exc), param_hint="--config") from exc
-    path = _resolve(ctx, "out", out)
-    if path:
-        table.write(path)
+    if out_path:
+        table.write(out_path)
     else:
         click.echo(table.to_csv_bytes().decode("utf-8"), nl=False)
     _emit({"metadata": table.metadata, "rows": len(table.rows),
@@ -380,30 +351,30 @@ def _run_table(ctx, config, out, experiment):
 
 
 @main.command()
-@click.option("--config", type=click.Path(exists=True), default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def sweep(ctx, config, out):
+@_CONFIG
+@_SEED
+@_OUT
+def sweep(config_path, seed, out_path):
     """Bits-versus-accuracy Pareto sweep (CSV)."""
-    _run_table(ctx, config, out, "bits-accuracy")
+    _run_table(config_path, seed, out_path, "bits-accuracy")
 
 
 @main.command("chain-uniform")
-@click.option("--config", type=click.Path(exists=True), default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def chain_uniform(ctx, config, out):
+@_CONFIG
+@_SEED
+@_OUT
+def chain_uniform(config_path, seed, out_path):
     """Uniform-setting entropy chain (CSV)."""
-    _run_table(ctx, config, out, "uniform-chain")
+    _run_table(config_path, seed, out_path, "uniform-chain")
 
 
 @main.command("chain-expectation")
-@click.option("--config", type=click.Path(exists=True), default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def chain_expectation(ctx, config, out):
+@_CONFIG
+@_SEED
+@_OUT
+def chain_expectation(config_path, seed, out_path):
     """Expectation-setting packing chain (CSV)."""
-    _run_table(ctx, config, out, "expectation-chain")
+    _run_table(config_path, seed, out_path, "expectation-chain")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,10 @@ import math
 import pathlib
 import re
 import time
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -179,7 +181,8 @@ def test_embed_check_seed_zero_overrides_config(runner, tmp_path):
                                  ("cli0", 5, ["--seed", "0"])):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(dict(cfg, seed=seed)))
-        res = runner.invoke(main, override + ["embed-check", "--config", str(path)])
+        res = runner.invoke(main, ["embed-check", "--config", str(path)]
+                            + override)
         assert res.exit_code == 0
         reports[name] = json.loads(res.output)
     assert reports["cfg0"] != reports["cfg5"]
@@ -285,18 +288,17 @@ def test_chain_uniform_on_a_line_that_overflows_is_a_usage_error(runner,
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**63)])
-@pytest.mark.parametrize("where", ["global", "quantize"])
-def test_seed_range_is_enforced_by_the_cli(runner, tmp_path, seed, where):
+@pytest.mark.parametrize("command", ["quantize", "embed-check", "sweep",
+                                     "chain-uniform", "chain-expectation"])
+def test_seed_range_is_enforced_by_the_cli(runner, tmp_path, seed, command):
     hyper = ek.FnoHyper(1, 1, 1, 1, 1, 1)
     (tmp_path / "hyper.json").write_text(json.dumps(hyper.to_json()))
-    args = ["quantize", "--hyper", str(tmp_path / "hyper.json"),
-            "--delta", "0.01", "--m", "1.0", "--n-inputs", "2",
-            "--probes", "100"]
-    if where == "global":
-        args = ["--seed", seed] + args
-    else:
-        args = args + ["--seed", seed]
-    res = runner.invoke(main, args)
+    if command == "quantize":
+        args = ["--hyper", str(tmp_path / "hyper.json"), "--delta", "0.01",
+                "--m", "1.0", "--n-inputs", "2", "--probes", "100"]
+    else:  # the range is checked before the config is read
+        args = ["--config", str(tmp_path / "hyper.json")]
+    res = runner.invoke(main, [command] + args + ["--seed", seed])
     assert res.exit_code == 2
     assert "--seed" in res.output
 
@@ -631,17 +633,24 @@ def test_sweep_command_header(runner, tmp_path):
         "bits,minimax_err,hyper_id,grid_id,seed"
 
 
-def test_global_seed_override(runner, tmp_path):
+def test_table_seed_override(runner, tmp_path):
+    # --seed runs the table as a config holding that seed would
     cfg = {"schema_version": 1, "experiment": "uniform-chain", "seed": 7,
-           "space": {"kind": "circle", "n": 8}, "eps_ladder": [1 / 6]}
-    cfg_path = tmp_path / "uni.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out_path = tmp_path / "o.csv"
-    res = runner.invoke(main, ["--seed", "99", "chain-uniform", "--config",
-                               str(cfg_path), "--out", str(out_path)])
-    assert res.exit_code == 0
-    summary = json.loads(res.output[res.output.index("{"):])
-    assert summary["metadata"]["seed"] == 99
+           "space": {"kind": "random", "n": 10, "dim": 2},
+           "eps_ladder": [0.2]}
+    runs = {}
+    for name, seed, override in (("cli", 7, ["--seed", "99"]),
+                                 ("cfg", 99, [])):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(dict(cfg, seed=seed)))
+        out_path = tmp_path / f"{name}.csv"
+        res = runner.invoke(main, ["chain-uniform", "--config", str(cfg_path),
+                                   "--out", str(out_path)] + override)
+        assert res.exit_code == 0
+        summary = json.loads(res.output[res.output.index("{"):])
+        assert summary["metadata"]["seed"] == 99
+        runs[name] = out_path.read_bytes()
+    assert runs["cli"] == runs["cfg"]
 
 
 def test_bad_config_fails(runner, tmp_path):
@@ -711,7 +720,7 @@ def test_malformed_grid_files_are_usage_errors(runner, tmp_path, grid):
     assert "--input" in res.output
 
 
-def _group_out_cases(tmp_path, space_file):
+def _out_cases(tmp_path, space_file):
     (tmp_path / "hyper.json").write_text(json.dumps(HYPER))
     hyper = ek.FnoHyper(**HYPER)
     ek.fno.save_theta(ek.FnoParams.random(hyper, 1.0, stream(2, 8)),
@@ -733,11 +742,10 @@ def _group_out_cases(tmp_path, space_file):
 
 @pytest.mark.parametrize("command", ["codelength", "embed-check", "quantize",
                                      "fno"])
-def test_group_out_file_is_the_printed_text(runner, tmp_path, space_file,
-                                            command):
-    args = _group_out_cases(tmp_path, space_file)[command]
+def test_out_file_is_the_printed_text(runner, tmp_path, space_file, command):
+    args = _out_cases(tmp_path, space_file)[command]
     out_path = tmp_path / "out.txt"
-    res = runner.invoke(main, ["--out", str(out_path)] + args)
+    res = runner.invoke(main, args + ["--out", str(out_path)])
     assert res.exit_code == 0
     assert out_path.read_text(encoding="utf-8") == res.output
     assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
@@ -762,6 +770,25 @@ def test_fno_inputs_that_do_not_fit_the_hyper_are_usage_errors(
     assert "--input" in res.output
 
 
+def test_fno_refuses_an_input_the_operator_overflows_on(runner, tmp_path):
+    # finite values of 1e308 overflow the forward pass to -inf; the command
+    # refuses the input, and numpy's overflow warnings stay silent
+    hyper = ek.FnoHyper(**dict(HYPER, activation="identity"))
+    (tmp_path / "hyper.json").write_text(json.dumps(hyper.to_json()))
+    theta = np.random.default_rng(2).uniform(-1, 1, 6)
+    ek.fno.save_theta(ek.FnoParams(hyper, theta), tmp_path / "theta.bin")
+    (tmp_path / "input.json").write_text(json.dumps(
+        {"dim": 1, "resolution": 4, "channels": 1, "values": [1e308] * 4}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = runner.invoke(main, ["fno", "--hyper", str(tmp_path / "hyper.json"),
+                                   "--params", str(tmp_path / "theta.bin"),
+                                   "--input", str(tmp_path / "input.json")])
+    assert res.exit_code == 2, res.exception
+    assert "--input" in res.output and "not finite" in res.output
+    assert "RuntimeWarning" not in res.output
+
+
 @pytest.mark.parametrize("command", ["fno", "quantize"])
 def test_hyper_with_several_outputs_is_a_usage_error(runner, tmp_path,
                                                      command):
@@ -782,8 +809,8 @@ def test_hyper_with_several_outputs_is_a_usage_error(runner, tmp_path,
 
 
 def _command_args(tmp_path, space_file):
-    """A run of each subcommand that needs no group option."""
-    cases = _group_out_cases(tmp_path, space_file)
+    """A run of each subcommand that takes neither --seed nor --config."""
+    cases = _out_cases(tmp_path, space_file)
     cases.update({
         "hat": ["hat", "--space", space_file, "--eps", str(1 / 6)],
         "gv": ["gv", "--n", "8"],
@@ -802,18 +829,35 @@ def _command_args(tmp_path, space_file):
 ])
 def test_group_option_a_command_does_not_read_is_a_usage_error(
         runner, tmp_path, space_file, command, option):
+    # the group has no such option, and the command declares none: both
+    # spellings are refused before anything runs
     args = _command_args(tmp_path, space_file)[command]
     value = "5" if option == "--seed" else space_file
-    res = runner.invoke(main, [option, value] + args)
-    assert res.exit_code == 2
-    assert f"group {option}" in res.output
+    for spelling in ([option, value] + args, args + [option, value]):
+        res = runner.invoke(main, spelling)
+        assert res.exit_code == 2
+        assert "No such option" in res.output and option in res.output
 
 
-def test_missing_group_config_file_is_a_usage_error(runner):
-    res = runner.invoke(main, ["--config", "no-such-file.json", "--seed", "5",
-                               "gv", "--n", "8"])
+@pytest.mark.parametrize("command", ["embed-check", "sweep", "chain-uniform",
+                                     "chain-expectation"])
+def test_missing_config_file_is_a_usage_error(runner, command):
+    res = runner.invoke(main, [command, "--config", "no-such-file.json",
+                               "--seed", "5"])
     assert res.exit_code == 2
-    assert "--config" in res.output
+    assert "--config" in res.output and "does not exist" in res.output
+
+
+def test_the_group_declares_only_version(runner, tmp_path):
+    assert [param.opts for param in main.params] == [["--version"]]
+    (tmp_path / "emb.json").write_text(json.dumps(EMBED_CFG))
+    for args in (["--seed", "0", "sweep", "--config", str(tmp_path / "emb.json")],
+                 ["--config", str(tmp_path / "emb.json"), "embed-check"],
+                 ["--out", str(tmp_path / "gv.json"), "gv", "--n", "8"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert "No such option" in res.output and args[0] in res.output
+    assert not (tmp_path / "gv.json").exists()
 
 
 @pytest.mark.parametrize("command,points,eps,option,message", [
@@ -833,13 +877,9 @@ def test_spaces_a_command_cannot_handle_are_usage_errors(
     assert option in res.output and message in res.output
 
 
-def test_embed_check_reads_the_group_config(runner, tmp_path):
-    path = tmp_path / "emb.json"
-    path.write_text(json.dumps(EMBED_CFG))
-    local = runner.invoke(main, ["embed-check", "--config", str(path)])
-    group = runner.invoke(main, ["--config", str(path), "embed-check"])
-    assert local.exit_code == group.exit_code == 0
-    assert group.output == local.output
-    res = runner.invoke(main, ["embed-check"])
+@pytest.mark.parametrize("command", ["embed-check", "sweep", "chain-uniform",
+                                     "chain-expectation"])
+def test_config_is_required(runner, command):
+    res = runner.invoke(main, [command])
     assert res.exit_code == 2
-    assert "--config" in res.output
+    assert "Missing option '--config'" in res.output
