@@ -594,8 +594,11 @@ def _expectation_dim(cfg: dict) -> int:
     if "dim" in cfg:
         return cfg["dim"]
     sel = cfg["dim_select"]
-    return pk.select_embedding_dimension(sel["eps"], sel["c1"], sel["c2"],
-                                         sel["alpha"])
+    try:
+        return pk.select_embedding_dimension(sel["eps"], sel["c1"], sel["c2"],
+                                             sel["alpha"])
+    except (ValueError, OverflowError) as err:  # c1 <= c2, or past a float
+        raise ConfigError(f"dim_select: {err}") from err
 
 
 def _run_expectation_chain(cfg: dict) -> ResultTable:

@@ -72,8 +72,8 @@ _POSITIVE = _FiniteFloat(min=0, min_open=True)
 
 _SEED = click.option("--seed", type=click.IntRange(0, chains.SEED_MAX),
                      default=None, help="Root seed; overrides the config's.")
-_CONFIG = click.option("--config", "config_path", required=True,
-                       type=click.Path(exists=True, dir_okay=False))
+_FILE = click.Path(exists=True, dir_okay=False)
+_CONFIG = click.option("--config", "config_path", required=True, type=_FILE)
 _OUT = click.option("--out", "out_path", type=click.Path(), default=None,
                     help="Output file: a table's CSV, or a copy of the "
                          "printed report.")
@@ -107,7 +107,7 @@ def _load_space(path) -> ms.FiniteMetricSpace:
 
 
 @main.command()
-@click.option("--space", "space_path", type=click.Path(exists=True), required=True)
+@click.option("--space", "space_path", type=_FILE, required=True)
 @click.option("--eps", type=_POSITIVE, required=True)
 @_OUT
 def codelength(space_path, eps, out_path):
@@ -121,7 +121,7 @@ def codelength(space_path, eps, out_path):
 
 
 @main.command()
-@click.option("--space", "space_path", type=click.Path(exists=True), required=True)
+@click.option("--space", "space_path", type=_FILE, required=True)
 @click.option("--eps", type=_POSITIVE, required=True)
 @_OUT
 def hat(space_path, eps, out_path):
@@ -239,9 +239,9 @@ def embed_check(config_path, seed, out_path):
 
 
 @main.command("fno")
-@click.option("--hyper", "hyper_path", type=click.Path(exists=True), required=True)
-@click.option("--params", "params_path", type=click.Path(exists=True), required=True)
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
+@click.option("--hyper", "hyper_path", type=_FILE, required=True)
+@click.option("--params", "params_path", type=_FILE, required=True)
+@click.option("--input", "input_path", type=_FILE, required=True)
 @_OUT
 def fno_eval(hyper_path, params_path, input_path, out_path):
     """Evaluate an output-averaged operator; print the scalar."""
@@ -268,7 +268,7 @@ def fno_eval(hyper_path, params_path, input_path, out_path):
 
 
 @main.command("quantize")
-@click.option("--hyper", "hyper_path", type=click.Path(exists=True), required=True)
+@click.option("--hyper", "hyper_path", type=_FILE, required=True)
 @click.option("--delta", type=_POSITIVE, required=True,
               help="Grid spacing, at most 2 M.")
 @click.option("--m", "--M", "box", type=_POSITIVE, required=True,

@@ -82,10 +82,14 @@ def _refuse_constant(name: str):
 
 
 def read_json(path):
-    """The parsed JSON file at path.  Invalid JSON, and the constants NaN,
-    Infinity and -Infinity that Python's json module reads beyond the
-    standard, raise ConfigError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The parsed JSON file at path.  A file that cannot be opened, invalid
+    JSON, and the constants NaN, Infinity and -Infinity that Python's json
+    module reads beyond the standard, raise ConfigError naming the file."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as err:  # missing, a directory, unreadable
+        raise ConfigError(f"{path}: cannot open: {err.strerror}") from err
+    with fh:
         try:
             return json.load(fh, parse_constant=_refuse_constant)
         except ValueError as err:  # JSONDecodeError, UnicodeDecodeError, a constant

@@ -24,9 +24,11 @@ Three constructions:
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Optional, Sequence
 
 import numpy as np
@@ -555,11 +557,18 @@ def select_embedding_dimension(eps: float, c1: float, c2: float,
                                alpha: float) -> int:
     """Largest d with eps * d^(1+alpha) <= c2, where c2 = c1 e^(-beta).
 
-    The returned d also satisfies c2 < eps (2d)^(1+alpha) and the growth
-    bound beta d > c eps^(-1/(1+alpha)) with c = beta c2^(1/(1+alpha)) / 2,
-    the constant the two defining inequalities actually imply; all three
-    are re-verified in 50-digit arithmetic.
+    Each argument is read as its shortest decimal, so 0.01 means 1/100 and
+    not its binary neighbor, and the boundary eps * d^(1+alpha) == c2 is
+    decided exactly whenever 1 + alpha is an integer (otherwise to about 50
+    significant digits).  The returned d also
+    satisfies c2 < eps (2d)^(1+alpha) and the growth bound
+    beta d > c eps^(-1/(1+alpha)) with c = beta c2^(1/(1+alpha)) / 2, the
+    constant the two defining inequalities actually imply; all three are
+    re-verified in the same decimal arithmetic.
     """
+    eps, c1, c2, alpha = (float(v) for v in (eps, c1, c2, alpha))
+    if not all(map(math.isfinite, (eps, c1, c2, alpha))):
+        raise ValueError("eps, c1, c2 and alpha must be finite")
     if not (c1 > c2 > 0):
         raise ValueError("need c1 > c2 > 0 so that beta = ln(c1/c2) > 0")
     if alpha <= 0:
@@ -569,26 +578,31 @@ def select_embedding_dimension(eps: float, c1: float, c2: float,
     if eps > c2:
         raise EpsilonTooLarge(f"eps = {eps} exceeds eps_0 = c2 = {c2}")
 
-    import mpmath as mp
+    e, top, bound, a = (Decimal(repr(v)) for v in (eps, c1, c2, alpha))
+    # 50 digits beyond those of c2/eps >= d^(1+alpha) >= d: d and d + 1
+    # stay distinct, each loop below steps at most once, and near c2 the
+    # product eps * n^(1+alpha) is exact when 1 + alpha is an integer.  A
+    # product far above c2 may overflow to Infinity, which compares right.
+    ctx = decimal.Context(
+        prec=51 + math.ceil(math.log10(c2) - math.log10(eps)),
+        Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero])
+    with decimal.localcontext(ctx):
+        k = 1 + a
 
-    with mp.workdps(50):
-        # shortest-decimal reading, so 0.01 means 1/100 and not its binary
-        # neighbor; boundary cases like eps * d^(1+alpha) == c2 then resolve
-        # the way the decimal inputs intend
-        e, a, bound = (mp.mpf(repr(float(v))) for v in (eps, alpha, c2))
-        d = int(mp.floor((bound / e) ** (1 / (1 + a))))
-        d = max(d, 1)
-        while e * mp.mpf(d + 1) ** (1 + a) <= bound:
+        def fits(n: int) -> bool:
+            return e * Decimal(n) ** k <= bound
+
+        d = max(int((bound / e) ** (1 / k)), 1)
+        while fits(d + 1):
             d += 1
-        while d > 1 and e * mp.mpf(d) ** (1 + a) > bound:
+        while d > 1 and not fits(d):
             d -= 1
-        beta = mp.log(mp.mpf(repr(float(c1))) / bound)
-        c = beta * bound ** (1 / (1 + a)) / 2
-        ok = (e * mp.mpf(d) ** (1 + a) <= bound
-              and bound < e * mp.mpf(2 * d) ** (1 + a)
-              and beta * d > c * e ** (-1 / (1 + a)))
-        if not ok:
-            raise RuntimeError(f"dimension selection self-check failed at d={d}")
+        beta = (top / bound).ln()
+        c = beta * bound ** (1 / k) / 2
+        ok = fits(d) and not fits(2 * d) and beta * d > c * e ** (-1 / k)
+    if not ok:
+        raise RuntimeError(f"dimension selection self-check failed at d={d}")
     return d
 
 

@@ -524,10 +524,9 @@ def lp_norm_mc(functional: Callable, measure: KLMeasure, p: float,
         return McEstimate(moment ** (1.0 / p), 0.0, moment, 0.0, n_samples)
     moment_se = float(np.std(y, ddof=1) / math.sqrt(n_samples))
     estimate = moment ** (1.0 / p)
-    if moment > 0:
-        stderr = (1.0 / p) * moment ** (1.0 / p - 1.0) * moment_se
-    else:
-        stderr = 0.0
+    # past the early return a finite y has max(y) > 1e-14, so its mean is
+    # positive
+    stderr = (1.0 / p) * moment ** (1.0 / p - 1.0) * moment_se
     return McEstimate(estimate, stderr, moment, moment_se, n_samples)
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import pathlib
 import random
+import re
 import struct
 import sys
 import threading
@@ -415,6 +416,10 @@ UNTYPED_CRASHES = {
     "selected-dim-above-3": dict(
         {k: v for k, v in EXPECT_CFG.items() if k != "dim"},
         dim_select={"eps": 0.1, "c1": 2.0, "c2": 1.0, "alpha": 0.5}),
+    # beta = ln(c1/c2) must be positive
+    "dim-select-c1-below-c2": dict(
+        {k: v for k, v in EXPECT_CFG.items() if k != "dim"},
+        dim_select={"eps": 0.1, "c1": 1.0, "c2": 2.0, "alpha": 0.5}),
 }
 
 
@@ -625,6 +630,30 @@ def test_expectation_chain_reference():
     assert row["mc_dist"] >= row["predicted_min_sep"] - 3 * row["mc_stderr"]
     assert abs(row["zscore"]) <= 3
     assert row["log2_size_bound"] == pytest.approx((2 / 8) * math.log2(math.e))
+
+
+def test_dimension_above_an_explicit_lambda_list_is_a_config_error():
+    cfg = dict(EXPECT_CFG, dim=3, kl={"lambda": [1.0, 0.5], "law": "gaussian"})
+    with pytest.raises(ek.ConfigError,
+                       match="embedding dimension exceeds the KL truncation"):
+        ek.run_experiment(cfg)
+
+
+def test_file_space_runs_as_the_space_it_holds(tmp_path):
+    spec = {"kind": "random", "n": 10, "dim": 2}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(chains.build_space(spec, 7).to_json()))
+    tables = [ek.run_experiment(dict(UNIFORM_CFG, space=space,
+                                     eps_ladder=[0.1, 0.2]))
+              for space in (spec, {"kind": "file", "path": str(path)})]
+    assert tables[0].to_csv_bytes() == tables[1].to_csv_bytes()
+
+
+def test_file_space_that_cannot_be_opened_is_a_config_error(tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        cfg = dict(UNIFORM_CFG, space={"kind": "file", "path": str(path)})
+        with pytest.raises(ek.ConfigError, match=re.escape(str(path))):
+            ek.run_experiment(cfg)
 
 
 def test_expectation_chain_dim_select():

@@ -883,3 +883,56 @@ def test_config_is_required(runner, command):
     res = runner.invoke(main, [command])
     assert res.exit_code == 2
     assert "Missing option '--config'" in res.output
+
+
+@pytest.mark.parametrize("command,option", [
+    ("codelength", "--space"), ("hat", "--space"), ("fno", "--hyper"),
+    ("fno", "--params"), ("fno", "--input"), ("quantize", "--hyper"),
+])
+def test_file_options_refuse_a_directory(runner, tmp_path, space_file,
+                                         command, option):
+    # a directory used to reach open() and end in IsADirectoryError, exit 1
+    args = _command_args(tmp_path, space_file)[command]
+    args[args.index(option) + 1] = str(tmp_path)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.exception
+    assert option in res.output and "is a directory" in res.output
+
+
+def test_file_space_that_is_missing_is_a_usage_error(runner, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "schema_version": 1, "experiment": "uniform-chain", "seed": 7,
+        "space": {"kind": "file", "path": str(tmp_path / "missing.json")},
+        "eps_ladder": [0.2]}))
+    res = runner.invoke(main, ["chain-uniform", "--config", str(cfg_path)])
+    assert res.exit_code == 2, res.exception
+    assert "--config" in res.output and "missing.json" in res.output
+
+
+def test_table_command_refuses_a_config_for_another_experiment(runner,
+                                                               tmp_path):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "schema_version": 1, "experiment": "bits-accuracy", "seed": 5,
+        "targets": {"kind": "singleton-constant", "value": 0.0},
+        "hypers": [HYPER], "grids": [{"m": 1.0, "delta": 1.0}]}))
+    res = runner.invoke(main, ["chain-uniform", "--config", str(cfg_path)])
+    assert res.exit_code == 2
+    assert ("config is for 'bits-accuracy', expected 'uniform-chain'"
+            in res.output)
+
+
+def test_dim_select_with_a_huge_dimension_is_refused_quickly(runner,
+                                                             tmp_path):
+    # d = 10^60 used to hold the dimension search in an endless loop
+    cfg = json.loads((pathlib.Path(__file__).resolve().parent.parent / "configs"
+                      / "expectation-d2-select.json").read_text())
+    cfg["dim_select"] = {"eps": 1e-120, "c1": 2.0, "c2": 1.0, "alpha": 1.0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    start = time.monotonic()
+    res = runner.invoke(main, ["chain-expectation", "--config", str(cfg_path)])
+    assert time.monotonic() - start < 1.0
+    assert res.exit_code == 2, res.exception
+    assert "exceeds the KL truncation" in res.output

@@ -424,6 +424,12 @@ def test_cover_size_limit():
         ek.exact_covering_number(space, 1.0)
 
 
+def test_pack_size_limit():
+    space = ek.FiniteMetricSpace.line(21)
+    with pytest.raises(ek.SizeLimitExceeded, match="exact packing limited"):
+        ek.exact_packing_number(space, 1.0)
+
+
 def test_greedy_cover_valid_and_dominates_exact():
     rng = stream(55, 6)
     for _ in range(10):

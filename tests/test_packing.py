@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import random
+import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -481,6 +484,90 @@ def test_select_dimension_matches_direct_scan():
                 scan += 1
             assert got == scan
             assert 1.0 < eps * (2 * got) ** (1 + alpha)
+
+
+def _largest_fitting_d(eps, c2, k):
+    """Largest d with eps * d^k <= c2, in exact fractions of the shortest
+    decimals of eps and c2."""
+    e, c = Fraction(repr(eps)), Fraction(repr(c2))
+    lo, hi = 1, 2
+    while e * hi**k <= c:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if e * mid**k <= c else (lo, mid)
+    return lo
+
+
+def _selection_cases(count, seed):
+    """(eps, c2, k) with decimal eps <= c2 and integer k = 1 + alpha; every
+    other case sits on a boundary eps * d^k == c2."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        k = rng.randint(2, 5)
+        eps = rng.randint(1, 999) * Fraction(10) ** rng.randint(-12, 0)
+        if len(cases) % 2:
+            c2 = eps * rng.randint(1, 10 ** rng.randint(1, 4)) ** k
+        else:
+            c2 = rng.randint(1, 9999) * Fraction(10) ** rng.randint(-4, 2)
+        # keep c2 only where a float's shortest decimal is c2 itself
+        if eps <= c2 and Fraction(repr(float(c2))) == c2:
+            cases.append((float(eps), float(c2), k))
+    return cases
+
+
+def test_select_dimension_matches_an_exact_fraction_oracle():
+    cases = _selection_cases(1200, seed=25)
+    on_boundary = sum(Fraction(repr(eps)) * _largest_fitting_d(eps, c2, k)**k
+                      == Fraction(repr(c2)) for eps, c2, k in cases)
+    assert on_boundary >= 600
+    bad = [(eps, c2, k) for eps, c2, k in cases
+           if ek.select_embedding_dimension(eps, 2 * c2, c2, k - 1.0)
+           != _largest_fitting_d(eps, c2, k)]
+    assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("args,expected", [
+    # each an exact boundary eps * d^(1+alpha) == c2 that binary 50-digit
+    # arithmetic put one below d
+    ((0.001, 1.0, 0.009, 1.0), 3),
+    ((3e-7, 1.0, 0.3, 1.0), 1000),
+    ((0.006759805803772235, 10.0, 2.703922321508894, 1.0), 20),
+    ((9.44e-06, 20.0, 9.44, 2.0), 100),
+])
+def test_select_dimension_decides_boundaries_exactly(args, expected):
+    eps, _, c2, alpha = args
+    assert _largest_fitting_d(eps, c2, int(1 + alpha)) == expected
+    assert ek.select_embedding_dimension(*args) == expected
+
+
+def test_select_dimension_needs_no_mpmath(monkeypatch):
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    assert ek.select_embedding_dimension(0.001, 1.0, 0.009, 1.0) == 3
+
+
+@pytest.mark.parametrize("args", [
+    (math.nan, 2.0, 1.0, 1.0), (math.inf, 2.0, 1.0, 1.0),
+    (0.1, math.inf, 1.0, 1.0), (0.1, 2.0, math.nan, 1.0),
+    (0.1, 2.0, 1.0, math.inf), (0.1, 2.0, 1.0, -math.inf),
+])
+def test_select_dimension_refuses_non_finite_arguments(args):
+    with pytest.raises(ValueError, match="finite"):
+        ek.select_embedding_dimension(*args)
+
+
+@pytest.mark.parametrize("args,digits", [
+    # d = 10^60, past the 50 digits that used to hold d and d + 1 apart
+    ((1e-120, 2.0, 1.0, 1.0), 61),
+    # the widest finite ratio c2/eps and an alpha near zero
+    ((5e-324, 1.79e308, 1e308, 1e-300), 632),
+])
+def test_select_dimension_on_extreme_inputs_ends_quickly(args, digits):
+    start = time.monotonic()
+    d = ek.select_embedding_dimension(*args)
+    assert time.monotonic() - start < 1.0
+    assert len(str(d)) == digits
 
 
 def test_entropy_lower_bound():

@@ -2,8 +2,13 @@
 
 import ast
 import pathlib
+import re
+import sys
 
-SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "entrokit"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "entrokit"
 
 
 def test_no_assert_statements():
@@ -184,3 +189,23 @@ def test_forward_is_called_only_by_forward_batch_and_the_fno_command():
         bad += [f"{path.name}:{line} {scope or '<module>'}" for scope, line
                 in calls if (path.name, scope) not in _FORWARD_CALLERS]
     assert found == len(_FORWARD_CALLERS) and not bad, bad
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    # every import statement, function-level ones included, against
+    # [project].dependencies: nothing imported goes undeclared, and
+    # nothing declared goes unimported
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    imported = set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"entrokit"}
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    assert third_party == {re.match(r"[A-Za-z0-9_.-]+", spec).group()
+                           for spec in declared}
+    assert third_party == {"numpy", "scipy", "click"}
