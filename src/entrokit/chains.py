@@ -22,6 +22,7 @@ bytes.  Configs are versioned JSON; unknown keys are errors.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -29,7 +30,7 @@ import numbers
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -128,12 +129,15 @@ def config_hash(cfg: dict) -> str:
 _SEED_SCHEMA = {"type": "integer", "minimum": 0, "maximum": SEED_MAX}
 
 
-def _kind_rule(kind: str, keys: list, required: Sequence[str] = ()) -> dict:
-    """When "kind" is `kind`, allow only `keys` beside it and require
-    `required`: a key of another kind is an error, not ignored."""
+def _kind_rule(kind: str, keys: list, required: Sequence[str] = (),
+               **defaults) -> dict:
+    """When "kind" is `kind`, allow only `keys` beside it, require
+    `required` and fill `defaults`: a key of another kind is an error."""
     then = {"propertyNames": {"enum": ["kind"] + keys}}
     if required:
         then["required"] = list(required)
+    if defaults:
+        then["properties"] = {k: {"default": v} for k, v in defaults.items()}
     return {"if": {"required": ["kind"],
                    "properties": {"kind": {"const": kind}}},
             "then": then}
@@ -153,8 +157,8 @@ _SPACE_SCHEMA = {
     },
     "allOf": [
         _kind_rule("circle", ["n", "circumference"], ["n"]),
-        _kind_rule("line", ["n", "spacing"], ["n"]),
-        _kind_rule("random", ["n", "dim"], ["n"]),
+        _kind_rule("line", ["n", "spacing"], ["n"], spacing=1.0),
+        _kind_rule("random", ["n", "dim"], ["n"], dim=2),
         _kind_rule("file", ["path"], ["path"]),
     ],
 }
@@ -189,8 +193,10 @@ _HYPER_SCHEMA = {
         "d_c": {"type": "integer", "minimum": 1},
         "kappa": {"type": "integer", "minimum": 1},
         "depth": {"type": "integer", "minimum": 1},
-        "activation": {"enum": ["relu", "gelu", "identity"]},
-        "bias_mode": {"enum": ["constant", "spectral"]},
+        "activation": {"enum": ["relu", "gelu", "identity"],
+                       "default": "relu"},
+        "bias_mode": {"enum": ["constant", "spectral"],
+                      "default": "constant"},
     },
 }
 
@@ -244,7 +250,7 @@ EXPECTATION_SCHEMA = {
         "cells": {"type": "integer", "minimum": 2},
         "grid_res": {"type": "integer", "minimum": 2},
         "mc_samples": {"type": "integer", "minimum": 100},
-        "max_pairs": {"type": "integer", "minimum": 1},
+        "max_pairs": {"type": "integer", "minimum": 1, "default": 16},
     },
     # dim or dim_select, not both
     "if": {"required": ["dim_select"]},
@@ -272,13 +278,14 @@ BITS_SCHEMA = {
                 "eps": {"type": "number", "exclusiveMinimum": 0},
                 "value": {"type": "number"},
             },
-            "allOf": [_kind_rule("hat-on-constants", ["levels", "eps"]),
-                      _kind_rule("singleton-constant", ["value"])],
+            "allOf": [_kind_rule("hat-on-constants", ["levels", "eps"],
+                                 levels=[0.0, 1.0], eps=1.0 / 6.0),
+                      _kind_rule("singleton-constant", ["value"], value=0.0)],
         },
         "hypers": {"type": "array", "minItems": 1, "items": _HYPER_SCHEMA},
         "grids": {"type": "array", "minItems": 1, "items": _GRID_SCHEMA},
-        "input_resolution": {"type": "integer", "minimum": 2},
-        "max_random": {"type": "integer", "minimum": 1},
+        "input_resolution": {"type": "integer", "minimum": 2, "default": 8},
+        "max_random": {"type": "integer", "minimum": 1, "default": 4096},
     },
 }
 
@@ -297,12 +304,13 @@ EMBED_CHECK_SCHEMA = {
                 "value": {"type": "number"},
                 "grid_res": {"type": "integer", "minimum": 1},
             },
-            "allOf": [_kind_rule("constant", ["value"]),
-                      _kind_rule("coordinate", ["grid_res"])],
+            "allOf": [_kind_rule("constant", ["value"], value=1.0),
+                      _kind_rule("coordinate", ["grid_res"], grid_res=16)],
+            "default": {"kind": "coordinate"},
         },
-        "p": {"type": "number", "minimum": 1},
-        "samples": {"type": "integer", "minimum": 100},
-        "seed": _SEED_SCHEMA,
+        "p": {"type": "number", "minimum": 1, "default": 2},
+        "samples": {"type": "integer", "minimum": 100, "default": 100000},
+        "seed": dict(_SEED_SCHEMA, default=0),
     },
 }
 
@@ -443,7 +451,8 @@ def _if(condition, value, path, schema):
         yield from _errors(branch, value, path)
 
 
-def _read_by_if(branch, value, path, schema):
+def _no_errors(argument, value, path, schema):
+    # "then" and "else" are read by "if"; "default" is an annotation
     return ()
 
 
@@ -457,7 +466,7 @@ _KEYWORDS = {
     "additionalProperties": _no_additional_properties,
     "required": _required, "propertyNames": _property_names,
     "allOf": _all_of, "anyOf": _any_of, "not": _not,
-    "if": _if, "then": _read_by_if, "else": _read_by_if,
+    "if": _if, "then": _no_errors, "else": _no_errors, "default": _no_errors,
 }
 
 
@@ -500,17 +509,31 @@ def validate_config(cfg: dict) -> dict:
     return _check(_EXPERIMENTS[kind][0], cfg)
 
 
-def read_config(path):
-    """The parsed JSON file, not yet validated."""
-    return read_json(path)
+def _with_defaults(schema: dict, cfg):
+    """A deep copy of cfg, valid under schema, with each absent key whose
+    schema has a "default" set to it, through properties, items, allOf and
+    the if branch taken, so a kind's default reaches only that kind."""
+    cfg = copy.deepcopy(cfg)
+    todo = [(schema, cfg)]
+    while todo:
+        schema, value = todo.pop()
+        if isinstance(value, dict):
+            for key, subschema in schema.get("properties", {}).items():
+                if key not in value and "default" in subschema:
+                    value[key] = copy.deepcopy(subschema["default"])
+                if key in value:
+                    todo.append((subschema, value[key]))
+        if isinstance(value, list) and "items" in schema:
+            todo += [(schema["items"], item) for item in value]
+        todo += [(branch, value) for branch in schema.get("allOf", ())]
+        if "if" in schema:
+            branch = "then" if _valid(schema["if"], value) else "else"
+            todo.append((schema.get(branch, {}), value))
+    return cfg
 
 
 def load_config(path) -> dict:
-    return validate_config(read_config(path))
-
-
-def load_embed_check_config(path) -> dict:
-    return _check(EMBED_CHECK_SCHEMA, read_config(path))
+    return validate_config(read_json(path))
 
 
 def _hyper(obj: dict) -> fno_mod.FnoHyper:
@@ -523,7 +546,8 @@ def _hyper(obj: dict) -> fno_mod.FnoHyper:
 
 def load_hyper(path) -> fno_mod.FnoHyper:
     """The architecture in a JSON hyper file, validated."""
-    return _hyper(_check(_HYPER_SCHEMA, read_config(path)))
+    return _hyper(_with_defaults(_HYPER_SCHEMA,
+                                 _check(_HYPER_SCHEMA, read_json(path))))
 
 
 # ---------------------------------------------------------------------
@@ -537,19 +561,19 @@ def build_space(spec: dict, seed: int) -> ms.FiniteMetricSpace:
         if kind == "circle":
             return ms.FiniteMetricSpace.circle(spec["n"], spec.get("circumference"))
         if kind == "line":
-            return ms.FiniteMetricSpace.line(spec["n"], spec.get("spacing", 1.0))
+            return ms.FiniteMetricSpace.line(spec["n"], spec["spacing"])
     except ValueError as err:  # e.g. distances that overflow a float
         raise ConfigError(f"space: {err}") from err
     if kind == "random":
         rng = stream(seed, STREAM_SPACE_GEN)
-        coords = rng.uniform(0.0, 1.0, (spec["n"], spec.get("dim", 2)))
+        coords = rng.uniform(0.0, 1.0, (spec["n"], spec["dim"]))
         return ms.FiniteMetricSpace.from_coords(coords)
     if kind == "file":
         return ms.FiniteMetricSpace.from_file(spec["path"])
     raise ConfigError(f"unknown space kind {kind!r}")
 
 
-def constant_input_space(levels: Sequence[float], resolution: int = 8):
+def constant_input_space(levels: Sequence[float], resolution: int):
     """Constant grid inputs u_i = c_i; their sup distances are |c_i - c_j|.
 
     Returns (metric space over the levels, list of matching grid inputs).
@@ -626,7 +650,7 @@ def _run_expectation_chain(cfg: dict) -> ResultTable:
 
     # every pair (i, j), i < j, in row-major order
     first, second = np.triu_indices(code.size, 1)
-    max_pairs = cfg.get("max_pairs", 16)
+    max_pairs = cfg["max_pairs"]
     pair_rng = stream(seed, STREAM_CHAIN_PAIRS)
     if len(first) > max_pairs:
         keep = np.sort(pair_rng.choice(len(first), size=max_pairs, replace=False))
@@ -664,26 +688,22 @@ def _run_expectation_chain(cfg: dict) -> ResultTable:
 def _run_bits_accuracy(cfg: dict) -> ResultTable:
     seed = cfg["seed"]
     tspec = cfg["targets"]
-    resolution = cfg.get("input_resolution", 8)
-    entropy_floor: Optional[float] = None
-
-    if tspec["kind"] == "hat-on-constants":
-        levels = tspec.get("levels", [0.0, 1.0])
-        eps = tspec.get("eps", 1.0 / 6.0)
-        space, inputs = constant_input_space(levels, resolution)
+    hat = tspec["kind"] == "hat-on-constants"
+    space, inputs = constant_input_space(
+        tspec["levels"] if hat else [0.0, 1.0], cfg["input_resolution"])
+    ids = tuple(range(len(inputs)))
+    if hat:
+        eps = tspec["eps"]
         fam = pk.build_hat_family(space, eps)
-        ids = tuple(range(len(inputs)))
         targets = [ms.SampledFunctional(ids, fam.member(
             [(s >> j) & 1 for j in range(fam.n_centers)]))
             for s in range(fam.size)]
         n6 = ms.exact_covering_number(space, 6 * eps).count
-        entropy_floor = pk.entropy_lower_bound_uniform(math.log2(n6))
+        floor = (pk.entropy_lower_bound_uniform(math.log2(n6)),)
     else:  # singleton-constant
-        value = tspec.get("value", 0.0)
-        levels = [0.0, 1.0]
-        _, inputs = constant_input_space(levels, resolution)
-        ids = tuple(range(len(inputs)))
-        targets = [ms.SampledFunctional(ids, np.full(len(inputs), value))]
+        targets = [ms.SampledFunctional(ids, np.full(len(inputs),
+                                                     tspec["value"]))]
+        floor = ()
 
     hypers = [_hyper(h) for h in cfg["hypers"]]
     try:
@@ -691,16 +711,11 @@ def _run_bits_accuracy(cfg: dict) -> ResultTable:
     except ValueError as err:  # delta above 2 M
         raise ConfigError(f"grid: {err}") from err
     front = qz.accuracy_bits_sweep(targets, hypers, grids, inputs, seed,
-                                   max_random=cfg.get("max_random", 1 << 12))
-    if entropy_floor is None:
-        columns = ["bits", "minimax_err", "hyper_id", "grid_id", "seed"]
-        rows = [(r.bits, r.minimax_err, r.hyper_id, r.grid_id, r.seed)
-                for r in front]
-    else:
-        columns = ["bits", "minimax_err", "hyper_id", "grid_id", "seed",
-                   "entropy_floor"]
-        rows = [(r.bits, r.minimax_err, r.hyper_id, r.grid_id, r.seed,
-                 entropy_floor) for r in front]
+                                   max_random=cfg["max_random"])
+    columns = ["bits", "minimax_err", "hyper_id", "grid_id", "seed"]
+    columns += ["entropy_floor"] * len(floor)
+    rows = [(r.bits, r.minimax_err, r.hyper_id, r.grid_id, r.seed) + floor
+            for r in front]
     return ResultTable(columns, rows, {
         "random_search_rows": sum(1 for r in front if not r.exhaustive)})
 
@@ -714,11 +729,26 @@ _EXPERIMENTS = {
 
 
 def run_experiment(cfg: dict) -> ResultTable:
-    """Validate cfg and run its experiment; the table's metadata holds the
-    seed, config hash, experiment and version, and the runner's own keys."""
-    validate_config(cfg)
-    table = _EXPERIMENTS[cfg["experiment"]][1](cfg)
+    """Validate cfg and run its experiment on a copy with the schema's
+    defaults filled; the table's metadata holds the seed, the hash of cfg
+    as given, the experiment and version, and the runner's own keys."""
+    schema, runner = _EXPERIMENTS[validate_config(cfg)["experiment"]]
+    table = runner(_with_defaults(schema, cfg))
     table.metadata = {"seed": cfg["seed"], "config_hash": config_hash(cfg),
                       "experiment": cfg["experiment"],
                       "version": __version__, **table.metadata}
     return table
+
+
+def run_embed_check(cfg: dict) -> rf.IsometryReport:
+    """Validate an embed-check config and compare, for its f under its
+    measure, the Monte-Carlo p-th moment with cube quadrature."""
+    cfg = _with_defaults(EMBED_CHECK_SCHEMA, _check(EMBED_CHECK_SCHEMA, cfg))
+    fspec = cfg["f"]
+    if fspec["kind"] == "constant":
+        f = rf.GridFunction01.constant(fspec["value"])
+    else:
+        f = rf.GridFunction01.from_callable(
+            lambda x: x[:, 0], 1, fspec["grid_res"], lipschitz=1.0)
+    return rf.isometry_check(f, rf.KLMeasure.from_config(cfg["kl"]),
+                             cfg["p"], cfg["samples"], cfg["seed"])

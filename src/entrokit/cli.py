@@ -23,11 +23,10 @@ from . import fno as fno_mod
 from . import metricspace as ms
 from . import packing as pk
 from . import quantizer as qz
-from . import randomfield as rf
 from .errors import (ChannelMismatch, ConfigError, EntrokitError,
                      EpsilonTooLarge, FamilyTooLarge, GridMisaligned,
                      LayoutMismatch, NoPacking, OutOfRange, ResolutionTooLow,
-                     SizeLimitExceeded)
+                     SizeLimitExceeded, read_json)
 from .rng import STREAM_PARAM_GEN, stream
 
 
@@ -210,21 +209,14 @@ def bump(dim, cells, grid_res, lam, out_path):
 def embed_check(config_path, seed, out_path):
     """Isometry report for an embedded grid function (JSON config).
 
-    Config keys (chains.EMBED_CHECK_SCHEMA): kl (measure block), f
-    ("constant"|"coordinate" with optional value/grid_res), p, samples, seed.
+    The config's keys, bounds and defaults are in the README's table of
+    config keys (schema chains.EMBED_CHECK_SCHEMA).
     """
     try:
-        cfg = chains.load_embed_check_config(config_path)
-        measure = rf.KLMeasure.from_config(cfg["kl"])
-        fspec = cfg.get("f", {"kind": "coordinate"})
-        if fspec["kind"] == "constant":
-            f = rf.GridFunction01.constant(fspec.get("value", 1.0))
-        else:
-            f = rf.GridFunction01.from_callable(
-                lambda x: x[:, 0], 1, fspec.get("grid_res", 16), lipschitz=1.0)
-        report = rf.isometry_check(
-            f, measure, cfg.get("p", 2), cfg.get("samples", 100000),
-            cfg.get("seed", 0) if seed is None else seed)
+        cfg = read_json(config_path)
+        if seed is not None and isinstance(cfg, dict):
+            cfg = dict(cfg, seed=seed)
+        report = chains.run_embed_check(cfg)
     except EntrokitError as exc:
         raise click.BadParameter(str(exc), param_hint="--config") from exc
     _emit({
@@ -251,7 +243,7 @@ def fno_eval(hyper_path, params_path, input_path, out_path):
     except LayoutMismatch as exc:
         raise click.BadParameter(str(exc), param_hint="--params") from exc
     try:
-        u = fno_mod.GridFunction.from_json(chains.read_config(input_path))
+        u = fno_mod.GridFunction.from_json(read_json(input_path))
     except ConfigError as exc:
         raise click.BadParameter(str(exc), param_hint="--input") from exc
     try:
@@ -329,15 +321,13 @@ def quantize_cmd(hyper_path, delta, box, seed, n_inputs, probes, c_override,
 
 def _run_table(config_path, seed, out_path, experiment):
     try:
-        cfg = chains.read_config(config_path)
-    except ConfigError as exc:
-        raise click.BadParameter(str(exc), param_hint="--config") from exc
-    kind = cfg.get("experiment") if isinstance(cfg, dict) else None
-    if kind != experiment:
-        raise click.UsageError(f"config is for {kind!r}, expected {experiment!r}")
-    if seed is not None:
-        cfg = dict(cfg, seed=seed)
-    try:
+        cfg = read_json(config_path)
+        kind = cfg.get("experiment") if isinstance(cfg, dict) else None
+        if kind != experiment:
+            raise click.UsageError(
+                f"config is for {kind!r}, expected {experiment!r}")
+        if seed is not None:
+            cfg = dict(cfg, seed=seed)
         table = chains.run_experiment(cfg)
     except EntrokitError as exc:
         raise click.BadParameter(str(exc), param_hint="--config") from exc

@@ -29,6 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,6 +62,8 @@ _TABLE_LIMIT_RECORD = {
 # (grid_res + 1)^d nodes a bump family may hold: at the limit a 3-D family
 # peaks near 0.15 GB, and verify scans every member's node grid
 BUMP_NODE_LIMIT = 1 << 20
+# precisions, each twice the last, select_embedding_dimension tries
+SELECTION_ROUNDS = 3
 
 
 # ---------------------------------------------------------------------
@@ -553,18 +556,24 @@ def build_bump_family(dim: int, cells: int, grid_res: int, code: SignCode,
 # ---------------------------------------------------------------------
 
 
+class _Undecided(Exception):
+    """A comparison lies within the rounding of the powers it compares."""
+
+
 def select_embedding_dimension(eps: float, c1: float, c2: float,
                                alpha: float) -> int:
     """Largest d with eps * d^(1+alpha) <= c2, where c2 = c1 e^(-beta).
 
     Each argument is read as its shortest decimal, so 0.01 means 1/100 and
-    not its binary neighbor, and the boundary eps * d^(1+alpha) == c2 is
-    decided exactly whenever 1 + alpha is an integer (otherwise to about 50
-    significant digits).  The returned d also
-    satisfies c2 < eps (2d)^(1+alpha) and the growth bound
-    beta d > c eps^(-1/(1+alpha)) with c = beta c2^(1/(1+alpha)) / 2, the
-    constant the two defining inequalities actually imply; all three are
-    re-verified in the same decimal arithmetic.
+    not its binary neighbor, and 1 + alpha = p/q is held exactly.  A
+    comparison within the rounding of its powers is decided in integers
+    where the boundary eps * n^(p/q) == c2 is possible (n = 1, or a q-th
+    power), else again at twice the precision, up to SELECTION_ROUNDS
+    precisions, and then raises ValueError.  The returned d also
+    satisfies c2 < eps (2d)^(1+alpha) and the growth bound beta d >
+    c eps^(-1/(1+alpha)) with c = beta c2^(1/(1+alpha)) / 2, the constant
+    the two defining inequalities actually imply; all three are re-verified
+    in the same decimal arithmetic.
     """
     eps, c1, c2, alpha = (float(v) for v in (eps, c1, c2, alpha))
     if not all(map(math.isfinite, (eps, c1, c2, alpha))):
@@ -579,20 +588,45 @@ def select_embedding_dimension(eps: float, c1: float, c2: float,
         raise EpsilonTooLarge(f"eps = {eps} exceeds eps_0 = c2 = {c2}")
 
     e, top, bound, a = (Decimal(repr(v)) for v in (eps, c1, c2, alpha))
-    # 50 digits beyond those of c2/eps >= d^(1+alpha) >= d: d and d + 1
-    # stay distinct, each loop below steps at most once, and near c2 the
-    # product eps * n^(1+alpha) is exact when 1 + alpha is an integer.  A
-    # product far above c2 may overflow to Infinity, which compares right.
-    ctx = decimal.Context(
-        prec=51 + math.ceil(math.log10(c2) - math.log10(eps)),
-        Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-        traps=[decimal.InvalidOperation, decimal.DivisionByZero])
-    with decimal.localcontext(ctx):
+    # 50 digits beyond those of c2/eps >= d^(1+alpha) >= d, and all those of
+    # 1 + alpha: d and d + 1 stay distinct, each loop below steps at most
+    # once, 1 + alpha is exact, and so is eps * n^(1+alpha) near c2 when
+    # 1 + alpha is an integer.  A product far above c2 may overflow to
+    # Infinity, which compares right.
+    prec = (51 + math.ceil(math.log10(c2) - math.log10(eps))
+            + max(a.adjusted(), 0) - min(a.as_tuple().exponent, 0))
+    for _ in range(SELECTION_ROUNDS):
+        try:
+            return _select_dimension(e, top, bound, a, prec)
+        except _Undecided:
+            prec *= 2
+    raise ValueError(f"eps * d^(1+alpha) against c2 still undecided at "
+                     f"{prec // 2} digits")
+
+
+def _select_dimension(e: Decimal, top: Decimal, bound: Decimal, a: Decimal,
+                      prec: int) -> int:
+    """select_embedding_dimension at prec digits, or _Undecided."""
+
+    def fits(n: int) -> bool:
+        ctx.clear_flags()
+        value = e * Decimal(n) ** k
+        # rounded, value is off by less than 10 units of its last digit
+        if (not ctx.flags[decimal.Inexact]
+                or abs(value - bound) > bound.scaleb(3 - prec)):
+            return value <= bound
+        # n^p eps^q == c2^q needs n = 1 or n = m^q >= 2^q
+        if n == 1:
+            return e <= bound
+        if q >= n.bit_length():
+            raise _Undecided
+        return n**p * Fraction(e)**q <= Fraction(bound)**q
+
+    with decimal.localcontext(decimal.Context(
+            prec=prec, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+            traps=[decimal.InvalidOperation, decimal.DivisionByZero])) as ctx:
         k = 1 + a
-
-        def fits(n: int) -> bool:
-            return e * Decimal(n) ** k <= bound
-
+        p, q = k.as_integer_ratio()
         d = max(int((bound / e) ** (1 / k)), 1)
         while fits(d + 1):
             d += 1

@@ -1,5 +1,6 @@
 """Experiment chains: schema validation, pass flags, byte determinism."""
 
+import copy
 import csv
 import importlib.util
 import io
@@ -358,6 +359,172 @@ def test_run_experiment_validates_once(monkeypatch):
     monkeypatch.setattr(chains, "validate_config", counting)
     ek.run_experiment(UNIFORM_CFG)
     assert len(calls) == 1
+
+
+# -- config defaults: stated once, in the schemas ---------------------------
+
+
+def _schema_defaults(schema: dict, path=()):
+    """(path, kind, default) of each "default" in schema: path leads to the
+    key in a config, "[]" standing for every item of a list, and kind is
+    the kind whose branch states the default, or None."""
+    for key, subschema in schema.get("properties", {}).items():
+        if "default" in subschema:
+            yield path + (key,), None, subschema["default"]
+        yield from _schema_defaults(subschema, path + (key,))
+    if "items" in schema:
+        yield from _schema_defaults(schema["items"], path + ("[]",))
+    for rule in schema.get("allOf", ()):
+        kind = rule["if"]["properties"]["kind"]["const"]
+        for key, subschema in rule["then"].get("properties", {}).items():
+            yield path + (key,), kind, subschema["default"]
+
+
+DEFAULTS = [(name, path, kind, default) for name in sorted(SCHEMAS)
+            for path, kind, default in _schema_defaults(SCHEMAS[name])]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_every_default_sits_where_the_filler_reads_it(name):
+    # a default inside another if branch, or under anyOf, would never be
+    # filled; the walk above finds every one the filler reads
+    found = sum(k == "default" for k, _ in _keywords(SCHEMAS[name]))
+    assert found == sum(d[0] == name for d in DEFAULTS)
+
+
+_EMBED = {"kl": {"lambda": "j^-2a", "alpha": 1.0, "J": 16, "law": "gaussian"},
+          "f": {"kind": "coordinate", "grid_res": 8}, "p": 1.5,
+          "samples": 2000, "seed": 5}
+
+_BITS = dict(BITS_CFG, grids=[{"m": 1.0, "delta": 1.0}])
+
+# (schema name, kind) -> a config that reaches the defaults of that kind
+_DEFAULT_BASES = {
+    ("uniform-chain", "line"): dict(UNIFORM_CFG, space={
+        "kind": "line", "n": 6, "spacing": 0.5}),
+    ("uniform-chain", "random"): dict(UNIFORM_CFG, space={
+        "kind": "random", "n": 6, "dim": 1}),
+    ("expectation-chain", None): dict(EXPECT_CFG, cells=4, dim=1,
+                                      grid_res=16, mc_samples=500,
+                                      max_pairs=2),
+    ("bits-accuracy", None): _BITS,
+    ("bits-accuracy", "hat-on-constants"): dict(_BITS, targets={
+        "kind": "hat-on-constants", "levels": [0.0, 0.5, 1.0], "eps": 0.1}),
+    ("bits-accuracy", "singleton-constant"): dict(_BITS, targets={
+        "kind": "singleton-constant", "value": 0.5}),
+    ("embed-check", None): _EMBED,
+    ("embed-check", "coordinate"): _EMBED,
+    ("embed-check", "constant"): dict(_EMBED, f={"kind": "constant",
+                                                 "value": 2.0}),
+    ("hyper", None): dict(BITS_CFG["hypers"][0], activation="gelu"),
+}
+
+
+def _changed(cfg, path, change):
+    """A deep copy of cfg with change(block, key) applied to every block
+    that holds the last key of path."""
+    cfg = copy.deepcopy(cfg)
+    blocks = [cfg]
+    for key in path[:-1]:
+        blocks = [item for block in blocks
+                  for item in (block if key == "[]" else [block[key]])]
+    for block in blocks:
+        change(block, path[-1])
+    return cfg
+
+
+def _outcome(name, cfg, tmp_path):
+    """The bytes a config's run leaves: CSV, report or architecture."""
+    if name == "embed-check":
+        return repr(chains.run_embed_check(cfg))
+    if name == "hyper":
+        path = tmp_path / "hyper.json"
+        path.write_text(json.dumps(cfg))
+        return repr(chains.load_hyper(path))
+    return ek.run_experiment(cfg).to_csv_bytes()
+
+
+@pytest.mark.parametrize("name,path,kind,default", DEFAULTS,
+                         ids=[f"{d[0]}:{'.'.join(d[1])}:{d[2]}"
+                              for d in DEFAULTS])
+def test_an_omitted_key_runs_as_its_default_written_out(tmp_path, name, path,
+                                                         kind, default):
+    base = _DEFAULT_BASES[(name, kind)]
+    omitted = _changed(base, path, lambda block, key: block.pop(key, None))
+    written = _changed(base, path, lambda block, key: block.__setitem__(
+        key, copy.deepcopy(default)))
+    assert omitted != written
+    assert _outcome(name, omitted, tmp_path) == _outcome(name, written,
+                                                         tmp_path)
+
+
+def test_validation_and_runners_leave_their_argument_unchanged(tmp_path):
+    # the benchmark runs the same config dicts pass after pass
+    for (name, kind), base in _DEFAULT_BASES.items():
+        cfg = base
+        for schema_name, path, default_kind, _ in DEFAULTS:
+            if (schema_name, default_kind) == (name, kind):
+                cfg = _changed(cfg, path, lambda b, k: b.pop(k, None))
+        snapshot = copy.deepcopy(cfg)
+        if "experiment" in cfg:
+            ek.validate_config(cfg)
+        _outcome(name, cfg, tmp_path)
+        assert cfg == snapshot, name
+
+
+def _schema_keys(schema: dict, path=()):
+    """The path of every key a schema's configs may hold."""
+    for key, subschema in schema.get("properties", {}).items():
+        yield path + (key,)
+        yield from _schema_keys(subschema, path + (key,))
+    if "items" in schema:
+        yield from _schema_keys(schema["items"], path + ("[]",))
+
+
+def _readme_config_rows():
+    """(configs, key path, kind, default or None) of each row of the
+    README's table of config keys."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = text.split("#### Config keys", 1)[1].splitlines()
+    rows = [line for line in lines if line.startswith("| ")][1:]
+    assert rows
+    for row in rows:
+        configs, key, kind, _, default = (
+            cell.strip() for cell in row.strip().strip("|").split("|"))
+        path = tuple(key.strip("`").replace("[]", ".[]").split("."))
+        stated = (json.loads(default[1:-1])
+                  if default.startswith("`") and default.endswith("`")
+                  else None)
+        yield configs.split(", "), path, kind or None, stated
+
+
+_CONFIG_KINDS = ("uniform-chain", "expectation-chain", "bits-accuracy",
+                 "embed-check")
+
+
+def test_readme_config_table_states_every_key_and_the_schema_defaults():
+    keys, stated = {}, {}
+    for configs, path, kind, default in _readme_config_rows():
+        for name in configs:
+            keys.setdefault(name, []).append(path)
+            if default is not None:
+                stated[(name, path, kind)] = default
+    assert stated == {(name, path, kind): default
+                      for name, path, kind, default in DEFAULTS
+                      if name in _CONFIG_KINDS}
+    assert sorted(keys) == sorted(_CONFIG_KINDS)
+    for name in _CONFIG_KINDS:
+        assert sorted(keys[name]) == sorted(_schema_keys(SCHEMAS[name]))
+
+
+def test_a_kind_default_reaches_only_its_kind():
+    filled = chains._with_defaults(chains.UNIFORM_SCHEMA, dict(
+        UNIFORM_CFG, space={"kind": "line", "n": 3}))
+    assert filled["space"] == {"kind": "line", "n": 3, "spacing": 1.0}
+    filled = chains._with_defaults(chains.EMBED_CHECK_SCHEMA,
+                                   {"kl": _EMBED["kl"]})
+    assert filled["f"] == {"kind": "coordinate", "grid_res": 16}
+    assert (filled["p"], filled["samples"], filled["seed"]) == (2, 100000, 0)
 
 
 def test_run_experiment_is_the_only_runner_entry_point():

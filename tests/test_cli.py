@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 import entrokit as ek
 from entrokit.cli import main
+from entrokit.errors import read_json
 from entrokit.rng import stream
 
 
@@ -212,21 +213,29 @@ def test_embed_check_config_is_validated(runner, tmp_path, cfg):
     path = tmp_path / "emb.json"
     path.write_text(json.dumps(cfg))
     with pytest.raises(ek.ConfigError) as err:
-        ek.chains.load_embed_check_config(path)
+        ek.chains.run_embed_check(cfg)
     res = runner.invoke(main, ["embed-check", "--config", str(path)])
     assert res.exit_code == 2
     assert "--config" in res.output and str(err.value) in res.output
 
 
-def test_embed_check_config_needs_no_schema_version(tmp_path):
-    shipped = ek.chains.load_embed_check_config(
-        pathlib.Path(__file__).resolve().parent.parent / "configs"
-        / "embed-check.json")
+def test_embed_check_config_needs_no_schema_version():
+    shipped = read_json(pathlib.Path(__file__).resolve().parent.parent
+                        / "configs" / "embed-check.json")
     assert "schema_version" not in shipped
-    path = tmp_path / "emb.json"
-    path.write_text(json.dumps(dict(EMBED_CFG, f={"kind": "constant",
-                                                  "value": 2.0})))
-    assert ek.chains.load_embed_check_config(path)["f"]["value"] == 2.0
+    assert ek.chains.run_embed_check(dict(shipped, samples=2000)).consistent
+    constant = dict(EMBED_CFG, f={"kind": "constant", "value": 2.0})
+    assert ek.chains.run_embed_check(constant).quad_moment == 4.0
+
+
+def test_embed_check_seed_on_a_config_that_is_no_object(runner, tmp_path):
+    # --seed applies to an object only; anything else is a config error
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([EMBED_CFG]))
+    res = runner.invoke(main, ["embed-check", "--config", str(path),
+                               "--seed", "3"])
+    assert res.exit_code == 2, res.exception
+    assert "--config" in res.output and "is not of type 'object'" in res.output
 
 
 @pytest.mark.parametrize("command", ["chain-uniform", "embed-check"])
@@ -234,7 +243,7 @@ def test_malformed_json_config_is_a_config_error(runner, tmp_path, command):
     path = tmp_path / "bad.json"
     path.write_text('{"schema_version": 1, "experiment": ')
     with pytest.raises(ek.ConfigError):
-        ek.chains.read_config(path)
+        read_json(path)
     res = runner.invoke(main, [command, "--config", str(path)])
     assert res.exit_code == 2
     assert "--config" in res.output and "not valid JSON" in res.output
@@ -250,7 +259,7 @@ def test_non_finite_json_constants_are_config_errors(runner, tmp_path,
                     '"seed": 7, "space": {"kind": "circle", "n": 8}, '
                     '"eps_ladder": [%s]}' % constant)
     with pytest.raises(ek.ConfigError, match=re.escape(str(path))):
-        ek.chains.read_config(path)
+        read_json(path)
     res = runner.invoke(main, ["chain-uniform", "--config", str(path)])
     assert res.exit_code == 2, res.exception
     assert "--config" in res.output and f"{constant} is not a JSON number" in res.output

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import pathlib
 import random
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -568,6 +570,110 @@ def test_select_dimension_on_extreme_inputs_ends_quickly(args, digits):
     d = ek.select_embedding_dimension(*args)
     assert time.monotonic() - start < 1.0
     assert len(str(d)) == digits
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-40, 1e-20])
+def test_select_dimension_keeps_a_tiny_alpha(alpha):
+    # 0.5 * 2^(1 + alpha) > 1 by alpha ln 2, below the digits of c2/eps = 2
+    assert ek.select_embedding_dimension(0.5, 2.0, 1.0, alpha) == 1
+    assert ek.select_embedding_dimension(1e-5, 2.0, 1.0, alpha) == 99999
+
+
+@pytest.mark.parametrize("args,expected", [
+    # exact boundaries at a non-integer 1 + alpha: 0.125 * 4^1.5 == 1 and
+    # 1 * 1^1.7 == 1, computed with rounding but decided in integers
+    ((0.125, 2.0, 1.0, 0.5), 4), ((1.0, 2.0, 1.0, 0.7), 1),
+])
+def test_select_dimension_decides_rational_boundaries_exactly(args, expected):
+    assert ek.select_embedding_dimension(*args) == expected
+
+
+def _mpmath_largest_fitting_d(eps, c2, alpha):
+    """Largest d with eps * d^(1+alpha) <= c2 in mpmath at 1,100 digits,
+    for the shortest decimals of eps, c2 and alpha."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(1100):
+        e, c = mpmath.mpf(repr(eps)), mpmath.mpf(repr(c2))
+        k = 1 + mpmath.mpf(repr(alpha))
+        d = max(int(mpmath.floor((c / e) ** (1 / k))), 1)
+        while e * mpmath.mpf(d + 1) ** k <= c:
+            d += 1
+        while d > 1 and e * mpmath.mpf(d) ** k > c:
+            d -= 1
+    return d
+
+
+def _non_integer_cases(count, seed):
+    """(eps, c2, alpha, m) with alpha no integer: one case in four takes
+    1e-300, 1e-40 or 1e-20, one a seeded alpha below 1e-1, two one in
+    [0.01, 3].  Three in four put eps * m == c2 exactly in decimals, so
+    that a tiny alpha tips d from m to m - 1 by a hair."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        kind = len(cases) % 4
+        if kind == 0:
+            alpha = (1e-300, 1e-40, 1e-20)[len(cases) // 4 % 3]
+        elif kind == 1:
+            alpha = float(f"{rng.uniform(1, 10):.3g}e-{rng.randint(1, 300)}")
+        else:
+            alpha = float(f"{rng.uniform(0.01, 3):.6g}")
+        m = rng.randint(1, 10 ** rng.randint(1, 6))
+        eps = rng.randint(1, 999) * Fraction(10) ** rng.randint(-12, 0)
+        if kind == 3:
+            c2 = rng.randint(1, 9999) * Fraction(10) ** rng.randint(-4, 2)
+        else:
+            c2 = eps * m
+        # keep the case only where each float's shortest decimal is itself
+        if (alpha != int(alpha) and eps <= c2
+                and all(Fraction(repr(float(v))) == v for v in (eps, c2))):
+            cases.append((float(eps), float(c2), alpha, m))
+    return cases
+
+
+def test_select_dimension_matches_an_mpmath_oracle_at_non_integer_powers():
+    cases = _non_integer_cases(240, seed=27)
+    expected = [_mpmath_largest_fitting_d(eps, c2, alpha)
+                for eps, c2, alpha, _ in cases]
+    # the cases reach the hair's-breadth boundaries they are built for
+    assert sum(alpha < 1e-19 and d == m - 1
+               for (_, _, alpha, m), d in zip(cases, expected)) >= 60
+    bad = [(case, d) for case, d in zip(cases, expected)
+           if ek.select_embedding_dimension(case[0], 2 * case[1], case[1],
+                                            case[2]) != d]
+    assert not bad, bad[:5]
+
+
+def test_select_dimension_redecides_within_its_rounding():
+    # at 9 digits 0.5 * 2^(1 + 1e-7) rounds to 1.00000007, within the
+    # slack of c2 = 1; alpha = 1e-7 makes q = 10^7, so no integer
+    # decision exists, and only more digits can tell
+    args = (Decimal("0.5"), Decimal("2"), Decimal("1"), Decimal("1e-7"))
+    with pytest.raises(packing._Undecided):
+        packing._select_dimension(*args, 9)
+    assert packing._select_dimension(*args, 60) == 1
+    # an exact boundary at a non-integer power is decided in integers at
+    # any precision: 0.125 * 4^1.5 == 1
+    assert packing._select_dimension(Decimal("0.125"), Decimal("2"),
+                                     Decimal("1"), Decimal("0.5"), 9) == 4
+
+
+def test_select_dimension_refuses_what_it_cannot_decide(monkeypatch):
+    precisions = []
+
+    def undecided(e, top, bound, a, prec):
+        precisions.append(prec)
+        raise packing._Undecided
+
+    monkeypatch.setattr(packing, "_select_dimension", undecided)
+    with pytest.raises(ValueError, match="undecided"):
+        ek.select_embedding_dimension(0.25, 2.0, 1.0, 0.5)
+    assert precisions == [precisions[0] * 2**i
+                          for i in range(packing.SELECTION_ROUNDS)]
+    cfg = ek.load_config(pathlib.Path(__file__).resolve().parent.parent
+                         / "configs" / "expectation-d2-select.json")
+    with pytest.raises(ek.ConfigError, match="dim_select: .*undecided"):
+        ek.run_experiment(cfg)
 
 
 def test_entropy_lower_bound():

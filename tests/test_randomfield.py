@@ -17,6 +17,7 @@ from scipy import stats
 import entrokit as ek
 from entrokit import packing as pk
 from entrokit import randomfield as rf
+from entrokit.errors import read_json
 from entrokit.rng import STREAM_MC_NORM, stream
 
 
@@ -472,9 +473,8 @@ def test_lp_norm_mc_holds_one_block_at_a_time(monkeypatch):
 
 def test_shipped_embed_check_holds_one_block():
     # two (8192, 64) blocks alive at once peaked at 8.9 MiB
-    cfg = ek.chains.load_embed_check_config(
-        pathlib.Path(__file__).resolve().parent.parent / "configs"
-        / "embed-check.json")
+    cfg = read_json(pathlib.Path(__file__).resolve().parent.parent
+                    / "configs" / "embed-check.json")
     measure = ek.KLMeasure.from_config(cfg["kl"])
     f = ek.GridFunction01.from_callable(
         lambda x: x[:, 0], 1, cfg["f"]["grid_res"], lipschitz=1.0)

@@ -209,3 +209,43 @@ def test_declared_dependencies_are_the_imported_ones():
     assert third_party == {re.match(r"[A-Za-z0-9_.-]+", spec).group()
                            for spec in declared}
     assert third_party == {"numpy", "scipy", "click"}
+
+
+# every .get in the config path of chains.py and cli.py, as (file, scope,
+# receiver): (the most arguments it may take, why it reads no default)
+_GETS = {
+    ("chains.py", "ResultTable.all_passed", "self.metadata"):
+        (2, "a runner's metadata, not a config"),
+    ("chains.py", "_no_additional_properties", "schema"): (2, "schema walk"),
+    ("chains.py", "_if", "schema"): (1, "schema walk"),
+    ("chains.py", "_with_defaults", "schema"): (2, "schema walk"),
+    ("chains.py", "validate_config", "cfg"):
+        (1, "the experiment, read before validation to pick the schema"),
+    ("cli.py", "_run_table", "cfg"):
+        (1, "the experiment, read before validation to match the command"),
+    ("chains.py", "build_space", "spec"):
+        (1, "no circumference is the circle's own, n: no JSON constant"),
+}
+
+
+def test_config_defaults_are_read_only_from_the_schemas():
+    # a config default is a schema "default", filled by chains in one
+    # place; a .get(key, default) on a config would state it a second time
+    found, bad = set(), []
+    for name in ("chains.py", "cli.py"):
+        tree = ast.parse((SOURCE / name).read_text(encoding="utf-8"))
+        for scope, node in _scoped(tree):
+            if _names(node, "read_config"):
+                bad.append(f"{name}:{node.lineno} read_config")
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("get", "setdefault")):
+                continue
+            key = (name, scope, ast.unparse(node.func.value))
+            found.add(key)
+            most = _GETS.get(key, (0, ""))[0]
+            if (node.func.attr != "get"
+                    or len(node.args) + len(node.keywords) > most):
+                bad.append(f"{name}:{node.lineno} {key[2]}.{node.func.attr}")
+    assert not bad, bad
+    assert found == set(_GETS)
