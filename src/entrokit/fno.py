@@ -27,16 +27,29 @@ declared count are inert: they never influence the forward pass.
 `_slot_pairs` decodes the slots and `_mode_index` places the modes on a
 grid.
 
-Zero mode.  At kappa = 1 only the zero mode is active, and the inverse
-transform of a lone zero mode is that mode broadcast over the grid, so
-`forward` adds the mode's channel mix as a constant instead of running
-the inverse FFT; the bits are those of the full round trip.
+Zero mode.  Under constant bias every hidden field of a constant input
+is constant, and a constant's spectrum is its zero mode, so each layer
+acts through its zero-mode matrix M_0 alone, at any kappa.  A
+`GridFunction` records a constant's channel vector as its `level`, and
+`forward` evaluates v = level P^T, then v = act(v W^T + v M_0^T + b) per
+layer, and returns (v Q^T)[0], in the grid path's order W v, + M_0 v,
++ b.  In 1-D with d_c = 1 and a power-of-two resolution of at most 32
+(the shape of the shipped bits sweep) the bits are the grid path's;
+elsewhere the last bits may move, since the grid path rounds its FFT and
+its sums of n^d equal values.  The input's resolution then only decides
+the ResolutionTooLow check.  Non-constant inputs and spectral bias, whose
+field is not constant, take the grid path `_forward_grid`.  There, at
+kappa = 1, the inverse transform of the lone active mode is that mode
+broadcast over the grid, so a layer adds the mode's channel mix as a
+constant instead of running the inverse FFT; the bits are those of the
+full round trip.
 
 Per-call cost.  `forward_batch`, the library's one evaluation path,
 calls `forward` once per (theta, input), tens of thousands of times per
-sweep on tiny grids, so each call does only the arithmetic.  The input
-checks, the activation, the per-axis FFT specs and the forward scale 1/n
-are decided once per (architecture object, grid shape) in a `_Plan`.
+sweep, so each call does only the arithmetic: on a sweep's constant
+inputs, a few vector-matrix products per layer.  The input checks, the
+activation, the per-axis FFT specs and the forward scale 1/n are decided
+once per (architecture object, grid shape) in a `_Plan`.
 The FFTs call numpy's pocketfft gufuncs, the ones `np.fft.fft` and
 `np.fft.ifft` reach, with the scale and the complex output buffer that
 `np.fft` would pass, so the bits are those of `np.fft`.  Each `FnoParams`
@@ -309,22 +322,33 @@ def _active_mask(hyper: FnoHyper) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridFunction:
-    """Real channel-valued samples on the n^d periodic torus grid."""
+    """Real channel-valued samples on the n^d periodic torus grid.
+
+    `values` is a read-only copy of the samples.  `level` is the channel
+    vector of a constant function (every node equal to node 0) and None
+    otherwise; both are set once, with the checks, and never go stale.
+    """
 
     dim: int
     values: np.ndarray = field(repr=False)
+    level: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != self.dim + 1:
+        values = np.array(self.values, dtype=float)
+        if values.ndim != self.dim + 1:
             raise ValueError("values must have shape (n,)*dim + (channels,)")
-        n = self.values.shape[0]
-        if self.values.shape[:self.dim] != (n,) * self.dim:
+        n = values.shape[0]
+        if values.shape[:self.dim] != (n,) * self.dim:
             raise ValueError("grid must be cubic")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("non-finite grid values")
+        values.setflags(write=False)
+        nodes = values.reshape(-1, values.shape[-1])
+        level = nodes[0] if len(nodes) and np.all(nodes == nodes[0]) else None
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "level", level)
 
     @property
     def resolution(self) -> int:
@@ -501,17 +525,33 @@ def _plan(h: FnoHyper, u: GridFunction) -> _Plan:
 
 def forward(params: FnoParams, u: GridFunction) -> float:
     """Lift, apply hidden layers, project, and spatially average."""
-    values = u.values
-    plan = _PLANS.get((id(params.hyper), values.shape))
+    plan = _PLANS.get((id(params.hyper), u.values.shape))
     if plan is None:
         plan = _plan(params.hyper, u)
+    level = u.level
+    if level is None or plan.spectral:
+        return _forward_grid(params, u, plan)
+    # under constant bias every hidden field of a constant input is the
+    # constant v, whose spectrum is its zero mode: each layer acts through
+    # M_0 alone, in the grid path's order W v, + M_0 v, + b.  On operands
+    # this small a call of ndarray.dot costs less than one of the matmul
+    # ufunc.
+    p_t, layers, q_t = params._forward_views
+    v = level.dot(p_t)
+    for w_t, m0_t, bias in layers:
+        v = plan.act(v.dot(w_t) + v.dot(m0_t) + bias)
+    return float(v.dot(q_t)[0])
+
+
+def _forward_grid(params: FnoParams, u: GridFunction, plan: _Plan) -> float:
+    """forward on the n^d grid, with plan the checked plan of u's grid."""
     p_t, layers, q_t = params._forward_views
     if plan.spectral:
         layers = [(w_t, m0_t, field) for (w_t, m0_t, _), field
                   in zip(layers, params._spectral_bias(plan.n))]
     mults = None if plan.kappa1 else params._multipliers()
 
-    v = values @ p_t
+    v = u.values @ p_t
     for i, (w_t, m0_t, bias) in enumerate(layers):
         vhat = _fft_axes(plan.fft, v, plan.specs, plan.scale)
         if mults is None:  # a lone zero mode transforms back to its broadcast

@@ -780,14 +780,37 @@ def test_fno_inputs_that_do_not_fit_the_hyper_are_usage_errors(
 
 
 def test_fno_refuses_an_input_the_operator_overflows_on(runner, tmp_path):
-    # finite values of 1e308 overflow the forward pass to -inf; the command
-    # refuses the input, and numpy's overflow warnings stay silent
+    # finite values near the top of the float range overflow the grid
+    # path's sums to -inf; the command refuses the input, and numpy's
+    # overflow warnings stay silent
     hyper = ek.FnoHyper(**dict(HYPER, activation="identity"))
     (tmp_path / "hyper.json").write_text(json.dumps(hyper.to_json()))
     theta = np.random.default_rng(2).uniform(-1, 1, 6)
     ek.fno.save_theta(ek.FnoParams(hyper, theta), tmp_path / "theta.bin")
     (tmp_path / "input.json").write_text(json.dumps(
-        {"dim": 1, "resolution": 4, "channels": 1, "values": [1e308] * 4}))
+        {"dim": 1, "resolution": 4, "channels": 1,
+         "values": [1.7e308] * 3 + [0.0]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = runner.invoke(main, ["fno", "--hyper", str(tmp_path / "hyper.json"),
+                                   "--params", str(tmp_path / "theta.bin"),
+                                   "--input", str(tmp_path / "input.json")])
+    assert res.exit_code == 2, res.exception
+    assert "--input" in res.output and "not finite" in res.output
+    assert "RuntimeWarning" not in res.output
+
+
+def test_fno_refuses_a_constant_input_whose_true_output_overflows(runner,
+                                                                 tmp_path):
+    # every weight 2 maps the constant 1e308 to 2 * (2 + 2) * 2 * 1e308 + 4,
+    # beyond the float range, on the constant branch as on the grid
+    hyper = ek.FnoHyper(**dict(HYPER, activation="identity"))
+    (tmp_path / "hyper.json").write_text(json.dumps(hyper.to_json()))
+    ek.fno.save_theta(ek.FnoParams(hyper, np.full(6, 2.0)),
+                      tmp_path / "theta.bin")
+    grid = {"dim": 1, "resolution": 4, "channels": 1, "values": [1e308] * 4}
+    assert ek.GridFunction.from_json(grid).level is not None
+    (tmp_path / "input.json").write_text(json.dumps(grid))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = runner.invoke(main, ["fno", "--hyper", str(tmp_path / "hyper.json"),

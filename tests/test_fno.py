@@ -434,6 +434,109 @@ def test_plan_cache_keeps_no_failure():
         assert (id(h), bad.values.shape) not in ek.fno._PLANS
 
 
+# -- constant inputs --------------------------------------------------------
+
+
+U = 2.0 ** -53  # unit roundoff of float64
+# peak relative error of scipy's ndtr (cephes' documented 3.4e-14) plus
+# gelu's product x * ndtr(x); relu and identity round nothing
+ACT_ROUNDING = {"relu": 0.0, "identity": 0.0, "gelu": 3.4e-14 + U}
+
+
+def _grid(p, u):
+    return ek.fno._forward_grid(p, u, ek.fno._plan(p.hyper, u))
+
+
+def _constant_rounding_bound(p, u):
+    """Bound, to first order in U, on |forward(p, u) - _forward_grid(p, u)|
+    for a constant input u under constant bias, from depth, d_c, n and the
+    magnitudes of the weights.
+
+    Per channel, a bounds each hidden value (|act(x)| <= |x| for all three
+    activations) and e bounds how far the grid path's field may sit from
+    the constant branch's value at any node.  A length-k sum, dot product
+    or matrix-vector product errs by at most k U times the sum of its term
+    magnitudes.  A length-n FFT pass with radices r_1 ... r_s (s <= log2 n)
+    forms each output through s stages, each a sum of r_i terms after a
+    complex twiddle product of at most 4 roundings: at most
+    sum_i (r_i + 4) <= n + 4 s <= 2n + 4 units against the input
+    magnitudes.  Each layer's roundings, all counted against the layer's
+    whole term magnitude:
+
+    - constant branch: W v and M_0 v (d_c each) and two adds, 2 d_c + 2;
+    - grid path: W v (d_c), the forward transform (d passes and d scales
+      by 1/n, d (2n + 5)), the complex zero-mode product (d_c + 2), the
+      inverse transform (d (2n + 4)) and two adds, 2 d_c + 4 + d (4n + 9);
+
+    4 d_c + 6 + d (4n + 9) units in all.  A deviation e of the field
+    reaches the next pre-activation through |W| + |M_0| + sum_k |M_k| (the
+    transform of a field within e of a constant is within e of it at mode
+    0 and has modulus at most e at every other mode), then the
+    activation's Lipschitz constant, plus its own rounding at both values.
+    The output adds a matrix-vector product on each path and the grid's
+    mean of N = n^d values (N - 1 sums and one division).
+    """
+    h = p.hyper
+    lip = ek.ACTIVATIONS[h.activation][1]
+    q_mat, layers, p_mat = p.blocks()
+    per_layer = (4 * h.d_c + 6 + h.dim * (4 * u.resolution + 9)) * U
+    a = np.abs(p_mat) @ np.abs(u.level)
+    e = 2 * h.d_in * U * a
+    for w_mat, mult, bias in layers:
+        re, im = ek.fno._slot_pairs(mult, h.dim, h.kappa)
+        spread = np.abs(w_mat) + np.abs(mult[0]) + 2 * np.sum(
+            np.abs(re) + np.abs(im), axis=0)
+        terms = spread @ a + np.abs(bias)
+        a = (np.abs(w_mat) + np.abs(mult[0])) @ a + np.abs(bias)
+        e = (lip * (spread @ e + per_layer * terms)
+             + 2 * ACT_ROUNDING[h.activation] * a)
+    n_nodes = u.resolution ** h.dim
+    out = np.abs(q_mat) @ (e + (2 * h.d_c + n_nodes) * U * a)
+    return float(out[0])
+
+
+def test_constant_inputs_evaluate_as_on_the_grid():
+    # 1-D, d_c = 1, power-of-two n <= 32: the grid path's sums of equal
+    # values are exact, so the bits match; elsewhere the stated bound holds
+    rng = stream(98, 8)
+    exact = bounded = 0
+    for dim, act, depth, kappa, d_c in itertools.product(
+            (1, 2, 3), sorted(ek.ACTIVATIONS), (1, 2), (1, 2), (1, 2, 3)):
+        sizes = [n for n in (2, 3, 4, 5, 6, 7, 8, 16, 32)
+                 if n >= 2 * kappa and n ** dim <= 512]
+        for n in sizes * 3:
+            h = ek.FnoHyper(dim, int(rng.integers(1, d_c + 1)), 1, d_c, kappa,
+                            depth, act)
+            p = ek.FnoParams.random(h, 1.0, rng, canonical=False)
+            level = rng.uniform(-1.0, 1.0, h.d_in)
+            u = ek.GridFunction(dim, np.broadcast_to(
+                level, (n,) * dim + (h.d_in,)))
+            assert np.array_equal(u.level, level)
+            got, want = ek.forward(p, u), _grid(p, u)
+            if dim == 1 and d_c == 1 and n & (n - 1) == 0:
+                assert got == want
+                exact += 1
+            else:
+                assert abs(got - want) <= _constant_rounding_bound(p, u)
+                bounded += 1
+    # 3 draws x 3 activations x 2 depths x 9 power-of-two sizes over kappa
+    assert exact == 162 and bounded == 2106
+
+
+@pytest.mark.parametrize("dim,kappa", [(1, 1), (1, 2), (2, 2)])
+def test_spectral_bias_keeps_the_grid_path_on_constant_inputs(dim, kappa):
+    # the synthesized bias field is not constant, so forward gives the bits
+    # of the np.fft oracle, not those of the zero-mode recursion
+    rng = stream(99 + dim + kappa, 8)
+    for act in sorted(ek.ACTIVATIONS):
+        h = ek.FnoHyper(dim, 1, 1, 2, kappa, 2, act, "spectral")
+        p = ek.FnoParams.random(h, 1.0, rng)
+        u = ek.GridFunction(dim, np.full((4 * kappa,) * dim + (1,),
+                                         rng.uniform(-1.0, 1.0)))
+        assert u.level is not None
+        assert ek.forward(p, u) == _reference_forward(p, u) == _grid(p, u)
+
+
 def test_forward_batch_equals_a_forward_loop_on_random_architectures():
     # 102 seeded architectures: dim 1-3, kappa 1-3, both bias modes, every
     # activation, 0-3 rows and 1-3 inputs; bit for bit, signed zeros too
@@ -751,3 +854,30 @@ def test_grid_function_json_round_trip():
     u = rand_input(2, 6, 2, 33)
     back = ek.GridFunction.from_json(u.to_json())
     assert np.array_equal(back.values, u.values)
+
+
+def test_grid_function_is_frozen_on_a_read_only_copy():
+    given = np.full((4, 1), 0.5)
+    u = ek.GridFunction(1, given)
+    assert given.flags.writeable  # the caller's array is left alone
+    given[0] = 9.0
+    assert u.values[0, 0] == 0.5 and np.array_equal(u.level, [0.5])
+    with pytest.raises(ValueError):
+        u.values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        u.level[0] = 1.0
+    with pytest.raises(AttributeError):
+        u.values = np.zeros((4, 1))
+    with pytest.raises(AttributeError):
+        u.level = None
+    assert np.array_equal(u.shifted([1]).level, [0.5])
+    # one node off the level makes the function non-constant, and a shift
+    # keeps it so
+    ramp = rand_input(2, 4, 3, 34)
+    assert ramp.level is None and ramp.shifted([1, 2]).level is None
+    bump = ek.GridFunction(1, np.array([[0.5], [0.5], [0.5], [0.25]]))
+    assert bump.level is None
+    const = ek.GridFunction(2, np.full((3, 3, 2), [0.5, -1.0]))
+    back = ek.GridFunction.from_json(const.to_json())
+    assert np.array_equal(back.values, const.values)
+    assert np.array_equal(back.level, [0.5, -1.0])

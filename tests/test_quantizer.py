@@ -1,7 +1,9 @@
 """Quantization grids, Lipschitz bounds, bit budgets, and the sweep."""
 
+import collections
 import itertools
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from entrokit.rng import STREAM_FNO_PROBE, STREAM_SWEEP_DICT, stream
 
 
 REF_HYPER = ek.FnoHyper(1, 1, 1, 1, 1, 1)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 # -- grids and rounding ------------------------------------------------------
@@ -331,11 +334,11 @@ def test_certificate_equals_the_per_input_loop():
 
 def _overflow_case():
     """An identity network, three sup-normalized inputs and one whose
-    values overflow the forward pass, so its deviation is inf - inf."""
+    values overflow the grid path's sums, so its deviation is inf - inf."""
     hyper = ek.FnoHyper(1, 1, 1, 1, 1, 1, activation="identity")
     params = ek.FnoParams.random(hyper, 1.0, stream(3, 8))
     inputs = ek.random_inputs(hyper, 3, seed=3)
-    big = ek.GridFunction(1, np.full((4, 1), 1e308))
+    big = ek.GridFunction(1, np.array([[1.7e308]] * 3 + [[0.0]]))
     return hyper, params, inputs, big
 
 
@@ -455,6 +458,34 @@ def test_calibration_and_certificate_call_forward_per_probe_pair(monkeypatch):
     params = ek.FnoParams.random(hyper, 0.8, stream(4, 8))
     ek.certify_quantization(params, ek.QuantGrid(0.8, 0.02), inputs, c_cal)
     assert len(calls) == 2 * (100 + 1) * len(inputs)
+
+
+def test_shipped_sweep_and_a_certificate_call_forward_once_per_pair(
+        monkeypatch):
+    # the benchmark's traced run holds fno.forward's call count to one per
+    # (theta, input); constant inputs take forward's zero-mode branch, but
+    # through forward itself
+    calls, real = [], ek.fno.forward
+
+    def counted(params, u):
+        calls.append(id(u))
+        return real(params, u)
+
+    monkeypatch.setattr(ek.fno, "forward", counted)
+    cfg = ek.load_config(ROOT / "configs" / "bits-hat.json")
+    ek.run_experiment(cfg)
+    q = ek.fno.layout_length(ek.FnoHyper.from_json(cfg["hypers"][0]))
+    thetas = sum(ek.QuantGrid(g["m"], g["delta"]).points_per_coord ** q
+                 for g in cfg["grids"])
+    per_input = collections.Counter(calls)
+    assert len(per_input) == len(cfg["targets"]["levels"])
+    assert set(per_input.values()) == {thetas} == {3**6 + 5**6}
+    calls.clear()
+    _, inputs = _hat_targets_and_inputs()
+    params = ek.FnoParams.random(REF_HYPER, 1.0, stream(6, 8))
+    ek.certify_quantization(params, ek.QuantGrid(1.0, 0.5), inputs, 1.0)
+    assert sorted(calls) == sorted(map(id, inputs * 2))
+
 
 def test_pareto_front_cleaning():
     rows = [ek.SweepRow(10, 0.5, 0, 0, 1, True),
