@@ -23,7 +23,7 @@ from .packing import (BumpFamily, HatFamily, SignCode, build_bump_family,
 from .randomfield import (EmbeddedFunctional, GridFunction01, IsometryReport,
                           KLMeasure, McDraw, McEstimate, cdf_map, draw_ahead,
                           embed, isometry_check, lp_norm_mc, sample,
-                          synthesize_torus, transport_quotient_max)
+                          transport_quotient_max)
 from .fno import (ACTIVATIONS, FnoHyper, FnoParams, GridFunction, ParamCount,
                   canonical_modes, empirical_lipschitz, forward,
                   forward_batch, param_count, random_grid_function,

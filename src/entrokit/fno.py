@@ -38,23 +38,21 @@ layer, and returns (v Q^T)[0], in the grid path's order W v, + M_0 v,
 elsewhere the last bits may move, since the grid path rounds its FFT and
 its sums of n^d equal values.  The input's resolution then only decides
 the ResolutionTooLow check.  Non-constant inputs and spectral bias, whose
-field is not constant, take the grid path `_forward_grid`.  There, at
-kappa = 1, the inverse transform of the lone active mode is that mode
-broadcast over the grid, so a layer adds the mode's channel mix as a
-constant instead of running the inverse FFT; the bits are those of the
-full round trip.
+field is not constant, take the grid path `_forward_grid`, which runs
+one body at every kappa: per layer the forward FFT, the multiplier and
+the inverse FFT.
 
 Per-call cost.  `forward_batch`, the library's one evaluation path,
 calls `forward` once per (theta, input), tens of thousands of times per
-sweep, so each call does only the arithmetic: on a sweep's constant
-inputs, a few vector-matrix products per layer.  The input checks, the
-activation, the per-axis FFT specs and the forward scale 1/n are decided
-once per (architecture object, grid shape) in a `_Plan`.
-The FFTs call numpy's pocketfft gufuncs, the ones `np.fft.fft` and
-`np.fft.ifft` reach, with the scale and the complex output buffer that
-`np.fft` would pass, so the bits are those of `np.fft`.  Each `FnoParams`
-builds its transposed blocks once, and at kappa > 1 its complex
-multiplier stacks on first use.
+sweep, so each call does little beyond the arithmetic: it checks the
+input (dim, channels, d_out, resolution) directly, and on a sweep's
+constant inputs the rest is a few vector-matrix products per layer.
+The grid path reads the per-axis FFT specs and the mode indices from
+tables cached per dim and per (dim, kappa, n).  The FFTs call numpy's
+pocketfft gufuncs, the ones `np.fft.fft` and `np.fft.ifft` reach, with
+the scale and the complex output buffer that `np.fft` would pass, so
+the bits are those of `np.fft`.  Each `FnoParams` builds its transposed
+blocks once, and its complex multiplier stacks on first use.
 
 Bias.  "constant" (the default) stores d_c reals added pointwise and is
 what the parameter-count formula assumes; "spectral" stores one
@@ -477,89 +475,55 @@ def _apply_multiplier(vhat: np.ndarray, mults: tuple, pos: tuple,
     return out
 
 
-class _Plan:
-    """What forward needs of one architecture on one input grid shape,
-    decided once the input passed the checks."""
-
-    __slots__ = ("hyper", "act", "fft", "ifft", "n", "specs", "scale",
-                 "zero", "kappa1", "spectral", "pos", "neg")
-
-    def __init__(self, h: FnoHyper, n: int):
-        self.hyper = h  # keeps the id in the cache key taken
-        self.act = ACTIVATIONS[h.activation][0]
-        pfu = _pocketfft()
-        self.fft, self.ifft = pfu.fft, pfu.ifft
-        self.n = n
-        self.specs = _fft_specs(h.dim)
-        self.scale = 1.0 / n  # np.fft's forward scale reciprocal(n)
-        self.zero = (0,) * h.dim
-        self.kappa1 = h.kappa == 1
-        self.spectral = h.bias_mode == "spectral"
-        _, self.pos, self.neg = _mode_index(h.dim, h.kappa, n)
-
-
-# (id of the FnoHyper, input grid shape) -> _Plan.  Keyed by identity, so a
-# lookup never hashes or compares the dataclass; each plan holds its hyper,
-# so an id stays taken while its entry lives.
-_PLANS: dict = {}
-_PLAN_LIMIT = 1024
-
-
-def _plan(h: FnoHyper, u: GridFunction) -> _Plan:
-    """The checked plan of h on u's grid; a bad input raises and caches
-    nothing."""
-    if u.dim != h.dim:
-        raise ChannelMismatch(f"input dim {u.dim} != architecture dim {h.dim}")
-    if u.channels != h.d_in:
-        raise ChannelMismatch(f"input channels {u.channels} != d_in {h.d_in}")
-    if h.d_out != 1:
-        raise ChannelMismatch("output-averaged forward requires d_out = 1")
-    if u.resolution < 2 * h.kappa:
-        raise ResolutionTooLow(
-            f"resolution {u.resolution} < 2 kappa = {2 * h.kappa}")
-    if len(_PLANS) >= _PLAN_LIMIT:
-        _PLANS.clear()
-    plan = _PLANS[id(h), u.values.shape] = _Plan(h, u.resolution)
-    return plan
-
-
 def forward(params: FnoParams, u: GridFunction) -> float:
     """Lift, apply hidden layers, project, and spatially average."""
-    plan = _PLANS.get((id(params.hyper), u.values.shape))
-    if plan is None:
-        plan = _plan(params.hyper, u)
+    h = params.hyper
+    shape = u.values.shape
+    if u.dim != h.dim:
+        raise ChannelMismatch(f"input dim {u.dim} != architecture dim {h.dim}")
+    if shape[-1] != h.d_in:
+        raise ChannelMismatch(f"input channels {shape[-1]} != d_in {h.d_in}")
+    if h.d_out != 1:
+        raise ChannelMismatch("output-averaged forward requires d_out = 1")
+    if shape[0] < 2 * h.kappa:
+        raise ResolutionTooLow(
+            f"resolution {shape[0]} < 2 kappa = {2 * h.kappa}")
     level = u.level
-    if level is None or plan.spectral:
-        return _forward_grid(params, u, plan)
+    if level is None or h.bias_mode == "spectral":
+        return _forward_grid(params, u)
     # under constant bias every hidden field of a constant input is the
     # constant v, whose spectrum is its zero mode: each layer acts through
     # M_0 alone, in the grid path's order W v, + M_0 v, + b.  On operands
     # this small a call of ndarray.dot costs less than one of the matmul
     # ufunc.
+    act = ACTIVATIONS[h.activation][0]
     p_t, layers, q_t = params._forward_views
     v = level.dot(p_t)
     for w_t, m0_t, bias in layers:
-        v = plan.act(v.dot(w_t) + v.dot(m0_t) + bias)
+        v = act(v.dot(w_t) + v.dot(m0_t) + bias)
     return float(v.dot(q_t)[0])
 
 
-def _forward_grid(params: FnoParams, u: GridFunction, plan: _Plan) -> float:
-    """forward on the n^d grid, with plan the checked plan of u's grid."""
+def _forward_grid(params: FnoParams, u: GridFunction) -> float:
+    """forward on the n^d grid of an input that passed forward's checks."""
+    h = params.hyper
+    n = u.values.shape[0]
+    act = ACTIVATIONS[h.activation][0]
+    pfu = _pocketfft()
+    specs = _fft_specs(h.dim)
+    scale = 1.0 / n  # np.fft's forward scale reciprocal(n)
+    _, pos, neg = _mode_index(h.dim, h.kappa, n)
     p_t, layers, q_t = params._forward_views
-    if plan.spectral:
+    if h.bias_mode == "spectral":
         layers = [(w_t, m0_t, field) for (w_t, m0_t, _), field
-                  in zip(layers, params._spectral_bias(plan.n))]
-    mults = None if plan.kappa1 else params._multipliers()
+                  in zip(layers, params._spectral_bias(n))]
 
     v = u.values @ p_t
-    for i, (w_t, m0_t, bias) in enumerate(layers):
-        vhat = _fft_axes(plan.fft, v, plan.specs, plan.scale)
-        if mults is None:  # a lone zero mode transforms back to its broadcast
-            conv = (vhat[plan.zero] @ m0_t).real
-        else:
-            conv = _fft_axes(plan.ifft, _apply_multiplier(
-                vhat, mults[i], plan.pos, plan.neg), plan.specs, 1).real
-        v = plan.act(v @ w_t + conv + bias)
+    for (w_t, _, bias), mults in zip(layers, params._multipliers()):
+        vhat = _fft_axes(pfu.fft, v, specs, scale)
+        conv = _fft_axes(pfu.ifft, _apply_multiplier(vhat, mults, pos, neg),
+                         specs, 1).real
+        v = act(v @ w_t + conv + bias)
     out = v @ q_t
     # np.mean without its Python wrappers: the same sum, divided by the count
     return float(np.add.reduce(out, axis=None) / out.size)

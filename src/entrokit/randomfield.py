@@ -133,26 +133,6 @@ def _draw_scaled(measure: KLMeasure, rng: np.random.Generator,
     return coeffs
 
 
-def synthesize_torus(coeffs: np.ndarray, resolution: int) -> np.ndarray:
-    """Realize coefficient rows as functions on the 1-periodic interval.
-
-    Basis: e_1 = 1, e_{2m} = sqrt(2) cos(2 pi m x), e_{2m+1} = sqrt(2)
-    sin(2 pi m x) - orthonormal in L^2([0,1]).  For resolution above twice
-    the highest mode, the grid mean of u^2 equals sum_j u_j^2 exactly
-    (discrete orthogonality of trigonometric polynomials).
-    """
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    j_max = coeffs.shape[1]
-    x = np.arange(resolution) / resolution
-    basis = np.empty((j_max, resolution))
-    basis[0] = 1.0
-    for j in range(1, j_max):
-        m = (j + 1) // 2
-        phase = 2 * math.pi * m * x
-        basis[j] = math.sqrt(2) * (np.cos(phase) if j % 2 == 1 else np.sin(phase))
-    return coeffs @ basis
-
-
 def cdf_map(measure: KLMeasure, coeffs: np.ndarray, dim: int) -> np.ndarray:
     """First dim coordinates of h_d; each is marginally Uniform(0,1)."""
     if dim < 1 or dim > measure.truncation:

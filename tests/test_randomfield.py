@@ -87,20 +87,6 @@ def test_sample_count_validation():
         ek.sample(gaussian_j2(4), seed=0, count=0)
 
 
-def test_torus_synthesis_parseval():
-    # grid mean of u^2 equals the coefficient norm for band-limited fields
-    m = ek.KLMeasure([1.0, 0.5, 0.25, 0.125], "gaussian")
-    coeffs = ek.sample(m, seed=21, count=16)
-    fields = ek.synthesize_torus(coeffs, resolution=32)
-    grid_norms = np.mean(fields**2, axis=1)
-    assert np.allclose(grid_norms, np.sum(coeffs**2, axis=1), atol=1e-12)
-
-
-def test_torus_synthesis_constant_mode():
-    field = ek.synthesize_torus(np.array([[0.4]]), resolution=8)
-    assert np.allclose(field, 0.4)
-
-
 # -- the CDF map -------------------------------------------------------------
 
 

@@ -94,6 +94,17 @@ def test_popcounts_do_not_go_through_strings():
     assert not found, found
 
 
+def test_no_call_of_id():
+    # a table keyed by id() is correct only while something keeps each
+    # keyed object alive; a freed object's id may be handed to a new one
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "id"]
+    assert not found, found
+
+
 def test_no_module_level_scipy_import():
     # scipy.special costs about 0.25 s to import, and most runs never call
     # it; its callers import it inside the function that needs it
