@@ -33,26 +33,35 @@ acts through its zero-mode matrix M_0 alone, at any kappa.  A
 `GridFunction` records a constant's channel vector as its `level`, and
 `forward` evaluates v = level P^T, then v = act(v W^T + v M_0^T + b) per
 layer, and returns (v Q^T)[0], in the grid path's order W v, + M_0 v,
-+ b.  In 1-D with d_c = 1 and a power-of-two resolution of at most 32
-(the shape of the shipped bits sweep) the bits are the grid path's;
-elsewhere the last bits may move, since the grid path rounds its FFT and
-its sums of n^d equal values.  The input's resolution then only decides
-the ResolutionTooLow check.  Non-constant inputs and spectral bias, whose
-field is not constant, take the grid path `_forward_grid`, which runs
-one body at every kappa: per layer the forward FFT, the multiplier and
-the inverse FFT.
++ b.  With one hidden channel (d_c = 1, so d_in = d_out = 1) each step
+is one product or one sum, not a reduction, so `forward` runs them on
+Python floats, which IEEE 754 rounds as numpy does, with the activation
+of `ACTIVATIONS` applied to each float: the bits are the numpy
+branch's, a NaN's sign aside.  In 1-D with d_c = 1 and a power-of-two
+resolution of at most 32 (the shape of the shipped bits sweep) the bits
+are the grid path's; elsewhere the last bits may move, since the grid
+path rounds its FFT and its sums of n^d equal values.  The input's
+resolution then only decides the ResolutionTooLow check.  Non-constant
+inputs and spectral bias, whose field is not constant, take the grid
+path `_forward_grid`, which runs one body at every kappa: per layer the
+forward FFT, the multiplier and the inverse FFT.
 
 Per-call cost.  `forward_batch`, the library's one evaluation path,
 calls `forward` once per (theta, input), tens of thousands of times per
 sweep, so each call does little beyond the arithmetic: it checks the
 input (dim, channels, d_out, resolution) directly, and on a sweep's
-constant inputs the rest is a few vector-matrix products per layer.
-The grid path reads the per-axis FFT specs and the mode indices from
-tables cached per dim and per (dim, kappa, n).  The FFTs call numpy's
-pocketfft gufuncs, the ones `np.fft.fft` and `np.fft.ifft` reach, with
-the scale and the complex output buffer that `np.fft` would pass, so
-the bits are those of `np.fft`.  Each `FnoParams` builds its transposed
-blocks once, and its complex multiplier stacks on first use.
+constant inputs the rest is a few float operations per layer (d_c = 1)
+or a few vector-matrix products per layer.  The grid path reads the
+per-axis FFT specs and the mode indices from tables cached per dim and
+per (dim, kappa, n).  The FFTs call numpy's pocketfft gufuncs, the ones
+`np.fft.fft` and `np.fft.ifft` reach, with the scale and the complex
+output buffer that `np.fft` would pass, so the bits are those of
+`np.fft`.  Each `FnoParams` builds its transposed blocks once, its
+single-channel scalars and its complex multiplier stacks on first use.
+A `forward_batch` row of a single-channel architecture under constant
+bias, on inputs that are all constant, gets only its scalars, decoded
+from the row's floats, and binds no blocks; every other row binds its
+blocks as views of the matrix.
 
 Bias.  "constant" (the default) stores d_c reals added pointwise and is
 what the parameter-count formula assumes; "spectral" stores one
@@ -211,6 +220,21 @@ def layout_length(hyper: FnoHyper) -> int:
     return _storage(hyper)[-1][0].stop
 
 
+def _layers(stored: list) -> tuple:
+    """The (W, multiplier, bias) triples of per-block items in storage
+    order, regrouped in application order 1..L."""
+    return tuple([tuple(stored[i:i + 3])
+                  for i in range(len(stored) - 4, 0, -3)])
+
+
+def _decode_scalars(storage: tuple, values: list) -> tuple:
+    """(P, (W, M_0, b) per layer, Q) of a d_c = 1 theta given as a list of
+    floats, with the _storage of its architecture: with one channel each
+    of them is its block's first entry."""
+    firsts = [values[sl.start] for sl, _, _ in storage]
+    return firsts[-1], _layers(firsts), firsts[0]
+
+
 class FnoParams:
     """Flat parameter vector bound to a hyperparameter tuple."""
 
@@ -229,8 +253,7 @@ class FnoParams:
     def _bind(self, views: list) -> None:
         """Set the blocks from the stored blocks of theta, in storage order,
         and the transposes that forward multiplies by."""
-        layers = tuple(tuple(views[i:i + 3])
-                       for i in range(len(views) - 4, 0, -3))
+        layers = _layers(views)
         self._blocks = (views[0], layers, views[-1])
         # (P^T, (W^T, M_0^T, bias) per layer, Q^T), in application order
         self._forward_views = (views[-1].T,
@@ -243,6 +266,16 @@ class FnoParams:
         """(Q, layers, P) with layers in application order 1..L: read-only
         views of theta, built once."""
         return self._blocks
+
+    _scalar_cache = None  # _decode_scalars of theta, when d_c = 1
+
+    def _scalars(self) -> tuple:
+        """(P, (W, M_0, b) per layer, Q) as Python floats, in application
+        order, for d_c = 1; decoded on first use."""
+        if self._scalar_cache is None:
+            self._scalar_cache = _decode_scalars(_storage(self.hyper),
+                                                 self.theta.tolist())
+        return self._scalar_cache
 
     _bias_cache = None  # resolution -> spectral bias field of each layer
 
@@ -410,9 +443,10 @@ def random_inputs(hyper: FnoHyper, count: int, seed: int,
 # ---------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _pocketfft():
     """The gufunc module behind np.fft.fft and np.fft.ifft (numpy >= 2.0),
-    imported on first use as np.fft itself is, so runs that never
+    imported once, on first use as np.fft itself is, so runs that never
     transform never load it."""
     from numpy.fft import _pocketfft_umath
 
@@ -493,10 +527,18 @@ def forward(params: FnoParams, u: GridFunction) -> float:
         return _forward_grid(params, u)
     # under constant bias every hidden field of a constant input is the
     # constant v, whose spectrum is its zero mode: each layer acts through
-    # M_0 alone, in the grid path's order W v, + M_0 v, + b.  On operands
-    # this small a call of ndarray.dot costs less than one of the matmul
-    # ufunc.
+    # M_0 alone, in the grid path's order W v, + M_0 v, + b
     act = ACTIVATIONS[h.activation][0]
+    if h.d_c == 1:
+        # one channel: each step is one product or one sum, rounded alike
+        # in Python floats and in numpy
+        p, layers, q = params._scalars()
+        x = level.item() * p
+        for w, m0, b in layers:
+            x = act(x * w + x * m0 + b)
+        return float(x * q)
+    # on operands this small a call of ndarray.dot costs less than one of
+    # the matmul ufunc
     p_t, layers, q_t = params._forward_views
     v = level.dot(p_t)
     for w_t, m0_t, bias in layers:
@@ -534,7 +576,9 @@ def forward_batch(hyper: FnoHyper, thetas, inputs: Sequence[GridFunction]
     """out[t, i] = forward of row t of thetas on inputs[i]: the library's
     one evaluation path.  Each row's theta and blocks are read-only views
     of the matrix, reshaped once for the batch, so the matrix is neither
-    copied nor written; forward runs once per (row, input), rows in order.
+    copied nor written (a single-channel row on constant inputs under
+    constant bias gets its scalars instead of blocks); forward runs once
+    per (row, input), rows in order.
     """
     thetas = np.asarray(thetas, dtype=float).view()
     storage = _storage(hyper)
@@ -546,12 +590,20 @@ def forward_batch(hyper: FnoHyper, thetas, inputs: Sequence[GridFunction]
     count = len(thetas)
     batch = [thetas[:, sl].reshape((count,) + shape)
              for sl, shape, _ in storage]
+    # on constant inputs under constant bias a single-channel row reads
+    # only its scalars, so such a batch decodes them and binds no blocks
+    bind = (hyper.d_c > 1 or hyper.bias_mode == "spectral"
+            or any(u.level is None for u in inputs))
     out = np.empty((count, len(inputs)))
     for t, row in enumerate(out):
         params = FnoParams.__new__(FnoParams)
         params.hyper = hyper
         params.theta = thetas[t]
-        params._bind([block[t] for block in batch])
+        if bind:
+            params._bind([block[t] for block in batch])
+        else:
+            params._scalar_cache = _decode_scalars(storage,
+                                                   params.theta.tolist())
         row[:] = [forward(params, u) for u in inputs]
     return out
 

@@ -2,6 +2,8 @@
 zero-padding, and the empirical parameter-to-operator Lipschitz estimate."""
 
 import itertools
+import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -520,6 +522,75 @@ def test_constant_inputs_evaluate_as_on_the_grid():
                 bounded += 1
     # 3 draws x 3 activations x 2 depths x 9 power-of-two sizes over kappa
     assert exact == 162 and bounded == 2106
+
+
+def _numpy_constant_branch(p, level):
+    """forward's constant-input branch for any d_c, in numpy: v = level P^T,
+    v = act(v W^T + v M_0^T + b) per layer, (v Q^T)[0]."""
+    act = ek.ACTIVATIONS[p.hyper.activation][0]
+    q_mat, layers, p_mat = p.blocks()
+    v = level.dot(p_mat.T)
+    for w_mat, mult, bias in layers:
+        v = act(v.dot(w_mat.T) + v.dot(mult[0].T) + bias)
+    return float(v.dot(q_mat.T)[0])
+
+
+# signed zeros, the smallest subnormal and an entry that overflows
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_single_channel_constant_inputs_give_the_numpy_bits():
+    # d_c = 1 evaluates in Python floats; through forward and forward_batch
+    # every non-NaN value carries the numpy branch's bits, signed zeros
+    # included, and a NaN stays NaN (IEEE 754 leaves its sign open)
+    rng = stream(100, 8)
+    levels = np.append(SPECIAL[[0, 1, 2, 4]], rng.uniform(-1.0, 1.0, 2))
+    compared = nans = negative_zeros = 0
+    for dim, kappa, depth, act in itertools.product(
+            (1, 2, 3), (1, 2, 3), (1, 2, 3), sorted(ek.ACTIVATIONS)):
+        h = ek.FnoHyper(dim, 1, 1, 1, kappa, depth, act)
+        thetas = rng.uniform(-2.0, 2.0, (2, layout_length(h)))
+        special = rng.random(thetas.shape) < 0.3
+        thetas[special] = rng.choice(SPECIAL, int(special.sum()))
+        inputs = [ek.GridFunction(dim, np.full((2 * kappa,) * dim + (1,), x))
+                  for x in levels]
+        batch = ek.forward_batch(h, thetas, inputs)
+        for theta, batch_row in zip(thetas, batch):
+            p = ek.FnoParams(h, theta)
+            for u, from_batch in zip(inputs, batch_row):
+                want = _numpy_constant_branch(p, u.level)
+                for got in (ek.forward(ek.FnoParams(h, theta), u),
+                            float(from_batch)):
+                    if math.isnan(want):
+                        assert math.isnan(got)
+                        nans += 1
+                        continue
+                    bits = struct.pack("<d", got)
+                    assert bits == struct.pack("<d", want)
+                    compared += 1
+                    negative_zeros += bits == struct.pack("<d", -0.0)
+    # 81 architectures x 2 thetas x 6 levels, each through both paths
+    assert compared + nans == 1944
+    assert nans > 0 and negative_zeros > 0
+
+
+@pytest.mark.parametrize("bias_mode", ["constant", "spectral"])
+def test_single_channel_rows_bind_unless_every_input_is_constant(bias_mode):
+    # a single-channel batch skips binding only under constant bias with
+    # every input constant; a grid input or spectral bias binds each row
+    rng = stream(101, 8)
+    const = ek.GridFunction(1, np.full((4, 1), 0.75))
+    grid = rand_input(1, 4, 1, 102)
+    for act in sorted(ek.ACTIVATIONS):
+        h = ek.FnoHyper(1, 1, 1, 1, 2, 2, act, bias_mode)
+        thetas = rng.uniform(-1.0, 1.0, (3, layout_length(h)))
+        for inputs in ([const, grid], [grid, const], [const]):
+            got = ek.forward_batch(h, thetas, inputs)
+            want = np.array([[ek.forward(ek.FnoParams(h, theta), u)
+                              for u in inputs] for theta in thetas])
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dim,kappa", [(1, 1), (1, 2), (2, 2)])

@@ -695,6 +695,21 @@ from scipy.special import ndtr
 fno.ACTIVATIONS["gelu"] = (lambda x: x * ndtr(x), 1.129)
 same = got.hex() == fno.forward(params, u).hex()
 """,
+    "gelu-single-channel-constant": """
+import numpy as np
+import entrokit as ek
+from entrokit import fno
+from entrokit.rng import stream
+before = {loaded}
+hyper = ek.FnoHyper(1, 1, 1, 1, 2, 2, "gelu")
+params = ek.FnoParams.random(hyper, 1.0, stream(4, 0))
+u = ek.GridFunction(1, np.full((8, 1), 0.75))
+got = fno.forward(params, u)
+loaded = "scipy.special" in sys.modules
+from scipy.special import ndtr
+fno.ACTIVATIONS["gelu"] = (lambda x: x * ndtr(x), 1.129)
+same = got.hex() == fno.forward(params, u).hex()
+""",
     "gaussian-cdf": """
 import numpy as np
 import entrokit as ek
