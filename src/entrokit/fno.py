@@ -58,10 +58,14 @@ per (dim, kappa, n).  The FFTs call numpy's pocketfft gufuncs, the ones
 output buffer that `np.fft` would pass, so the bits are those of
 `np.fft`.  Each `FnoParams` builds its transposed blocks once, its
 single-channel scalars and its complex multiplier stacks on first use.
-A `forward_batch` row of a single-channel architecture under constant
-bias, on inputs that are all constant, gets only its scalars, decoded
-from the row's floats, and binds no blocks; every other row binds its
-blocks as views of the matrix.
+`forward_batch` walks its rows in chunks of `_CHUNK`, so the work
+around `forward` is per chunk: a single-channel architecture under
+constant bias, on inputs that are all constant, decodes the chunk's
+scalars with one `tolist` and `zip`s (`_decode_scalars`, which
+`FnoParams` runs on a one-row chunk) and binds no blocks; every other
+row binds its blocks as views of the matrix.  Each chunk's values are
+stored in one assignment, and the chunk bounds the Python objects held
+at once.
 
 Bias.  "constant" (the default) stores d_c reals added pointwise and is
 what the parameter-count formula assumes; "spectral" stores one
@@ -86,12 +90,17 @@ from .errors import (ChannelMismatch, ConfigError, IncompatibleDepth,
 from .rng import STREAM_FNO_PROBE, STREAM_INPUT_GEN, stream
 
 
-def _gelu(x):
-    # scipy.special is imported on the first call, so runs without gelu
-    # never load it
+@functools.lru_cache(maxsize=None)
+def _ndtr():
+    """scipy.special.ndtr, imported once, on the first gelu call, so runs
+    without gelu never load scipy."""
     from scipy.special import ndtr
 
-    return x * ndtr(x)
+    return ndtr
+
+
+def _gelu(x):
+    return x * _ndtr()(x)
 
 
 # activation -> (function, Lipschitz constant used in bound propagation)
@@ -227,12 +236,14 @@ def _layers(stored: list) -> tuple:
                   for i in range(len(stored) - 4, 0, -3)])
 
 
-def _decode_scalars(storage: tuple, values: list) -> tuple:
-    """(P, (W, M_0, b) per layer, Q) of a d_c = 1 theta given as a list of
-    floats, with the _storage of its architecture: with one channel each
-    of them is its block's first entry."""
-    firsts = [values[sl.start] for sl, _, _ in storage]
-    return firsts[-1], _layers(firsts), firsts[0]
+def _decode_scalars(storage: tuple, rows: np.ndarray) -> list:
+    """(P, (W, M_0, b) per layer, Q) as Python floats, in application
+    order, of each d_c = 1 row of a theta matrix, with the _storage of its
+    architecture: with one channel each of them is its block's first
+    entry.  One tolist per matrix; the rest is zips."""
+    columns = rows[:, [sl.start for sl, _, _ in storage]].T.tolist()
+    layers = zip(*[zip(*layer) for layer in _layers(columns)])
+    return list(zip(columns[-1], layers, columns[0]))
 
 
 class FnoParams:
@@ -250,7 +261,7 @@ class FnoParams:
         self.theta.setflags(write=False)
         self._bind([self.theta[sl].reshape(shape) for sl, shape, _ in storage])
 
-    def _bind(self, views: list) -> None:
+    def _bind(self, views: Sequence) -> None:
         """Set the blocks from the stored blocks of theta, in storage order,
         and the transposes that forward multiplies by."""
         layers = _layers(views)
@@ -259,6 +270,21 @@ class FnoParams:
         self._forward_views = (views[-1].T,
                                tuple((w.T, m[0].T, b) for w, m, b in layers),
                                views[0].T)
+
+    @classmethod
+    def _batch_row(cls, hyper: FnoHyper, theta: np.ndarray, part,
+                   bind: bool) -> "FnoParams":
+        """Parameters on a read-only row of a forward_batch matrix, without
+        __init__'s copy and checks: bound to `part`, the row's block views,
+        or, if not `bind`, given `part` as its decoded scalars."""
+        params = cls.__new__(cls)
+        params.hyper = hyper
+        params.theta = theta
+        if bind:
+            params._bind(part)
+        else:
+            params._scalar_cache = part
+        return params
 
     # -- structured access ----------------------------------------------
 
@@ -274,7 +300,7 @@ class FnoParams:
         order, for d_c = 1; decoded on first use."""
         if self._scalar_cache is None:
             self._scalar_cache = _decode_scalars(_storage(self.hyper),
-                                                 self.theta.tolist())
+                                                 self.theta[None])[0]
         return self._scalar_cache
 
     _bias_cache = None  # resolution -> spectral bias field of each layer
@@ -571,14 +597,22 @@ def _forward_grid(params: FnoParams, u: GridFunction) -> float:
     return float(np.add.reduce(out, axis=None) / out.size)
 
 
+# rows per chunk of forward_batch: a chunk's scalars and values are held
+# as Python objects, so decoding every row of a large matrix at once would
+# multiply the batch's peak memory
+_CHUNK = 128
+
+
 def forward_batch(hyper: FnoHyper, thetas, inputs: Sequence[GridFunction]
                   ) -> np.ndarray:
     """out[t, i] = forward of row t of thetas on inputs[i]: the library's
     one evaluation path.  Each row's theta and blocks are read-only views
-    of the matrix, reshaped once for the batch, so the matrix is neither
-    copied nor written (a single-channel row on constant inputs under
-    constant bias gets its scalars instead of blocks); forward runs once
-    per (row, input), rows in order.
+    of the matrix, so the matrix is neither copied nor written (a
+    single-channel row on constant inputs under constant bias gets its
+    scalars instead of blocks); forward runs once per (row, input), rows
+    in order.  Rows go in chunks of _CHUNK: per chunk the scalars are
+    decoded in one pass, or the blocks reshaped once, and the values
+    stored in one assignment.
     """
     thetas = np.asarray(thetas, dtype=float).view()
     storage = _storage(hyper)
@@ -587,25 +621,24 @@ def forward_batch(hyper: FnoHyper, thetas, inputs: Sequence[GridFunction]
         raise ValueError(f"thetas have shape {thetas.shape}, layout needs "
                          f"rows of {expected}")
     thetas.setflags(write=False)
-    count = len(thetas)
-    batch = [thetas[:, sl].reshape((count,) + shape)
-             for sl, shape, _ in storage]
     # on constant inputs under constant bias a single-channel row reads
     # only its scalars, so such a batch decodes them and binds no blocks
     bind = (hyper.d_c > 1 or hyper.bias_mode == "spectral"
             or any(u.level is None for u in inputs))
-    out = np.empty((count, len(inputs)))
-    for t, row in enumerate(out):
-        params = FnoParams.__new__(FnoParams)
-        params.hyper = hyper
-        params.theta = thetas[t]
+    width = len(inputs)
+    out = np.empty(len(thetas) * width)
+    for lo in range(0, len(thetas), _CHUNK):
+        chunk = thetas[lo:lo + _CHUNK]
         if bind:
-            params._bind([block[t] for block in batch])
+            parts = zip(*[chunk[:, sl].reshape((len(chunk),) + shape)
+                          for sl, shape, _ in storage])
         else:
-            params._scalar_cache = _decode_scalars(storage,
-                                                   params.theta.tolist())
-        row[:] = [forward(params, u) for u in inputs]
-    return out
+            parts = _decode_scalars(storage, chunk)
+        rows = (FnoParams._batch_row(hyper, theta, part, bind)
+                for theta, part in zip(chunk, parts))
+        out[lo * width:(lo + len(chunk)) * width] = [
+            forward(params, u) for params in rows for u in inputs]
+    return out.reshape(len(thetas), width)
 
 
 # ---------------------------------------------------------------------

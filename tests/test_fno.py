@@ -629,6 +629,22 @@ def test_forward_batch_equals_a_forward_loop_on_random_architectures():
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         shapes.add((min(len(thetas), 1), min(len(inputs), 2)))
     assert shapes == {(0, 1), (0, 2), (1, 1), (1, 2)}  # no rows, one input
+    # row counts around the chunk size, single channel: all-constant inputs
+    # (decoded scalars) and constant with grid inputs (bound rows), thetas
+    # with signed zeros and subnormals
+    chunk = ek.fno._CHUNK
+    const = [ek.GridFunction(1, np.full((4, 1), x)) for x in (-0.0, 0.5)]
+    for act, depth in itertools.product(sorted(ek.ACTIVATIONS), (1, 2, 3)):
+        h = ek.FnoHyper(1, 1, 1, 1, 2, depth, act)
+        thetas = rng.uniform(-1.0, 1.0, (2 * chunk + 1, layout_length(h)))
+        special = rng.random(thetas.shape) < 0.3
+        thetas[special] = rng.choice(SPECIAL[:4], int(special.sum()))
+        for inputs in (const, const + [rand_input(1, 4, 1, depth)]):
+            want = np.array([[ek.forward(ek.FnoParams(h, theta), u)
+                              for u in inputs] for theta in thetas])
+            for rows in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+                got = ek.forward_batch(h, thetas[:rows], inputs)
+                assert got.tobytes() == want[:rows].tobytes()
 
 
 def test_forward_batch_rows_are_read_only_views_of_the_matrix(monkeypatch):
@@ -662,6 +678,22 @@ def test_forward_batch_rows_are_read_only_views_of_the_matrix(monkeypatch):
     for bad in (thetas[:, :-1], thetas[0], thetas[None]):
         with pytest.raises(ValueError, match="layout needs rows of"):
             ek.forward_batch(h, bad, [u])
+    # a single-channel batch on constant inputs decodes scalars instead of
+    # binding blocks, and still reads each row as a view of the matrix
+    h = ek.FnoHyper(1, 1, 1, 1, 2, 2)
+    thetas = stream(98, 8).uniform(-1.0, 1.0, (3, layout_length(h)))
+    before = thetas.copy()
+    inputs = [ek.GridFunction(1, np.full((4, 1), x)) for x in (0.0, 1.0)]
+    seen.clear()
+    values = ek.forward_batch(h, thetas, inputs)
+    assert len(seen) == len(thetas) * len(inputs)
+    for theta, row, row_values in zip(thetas, seen[::2], values):
+        single = ek.FnoParams(h, theta)
+        assert np.array_equal(row.theta, theta)
+        assert np.shares_memory(row.theta, thetas)  # no copy of the matrix
+        assert row._scalars() == single._scalars()
+        assert row_values.tolist() == [real(single, v) for v in inputs]
+    assert thetas.flags.writeable and np.array_equal(thetas, before)
 
 
 def test_blocks_are_views_of_theta_built_once():

@@ -1,6 +1,7 @@
 """Quantization grids, Lipschitz bounds, bit budgets, and the sweep."""
 
 import collections
+import hashlib
 import itertools
 import math
 import pathlib
@@ -485,6 +486,55 @@ def test_shipped_sweep_and_a_certificate_call_forward_once_per_pair(
     params = ek.FnoParams.random(REF_HYPER, 1.0, stream(6, 8))
     ek.certify_quantization(params, ek.QuantGrid(1.0, 0.5), inputs, 1.0)
     assert sorted(calls) == sorted(map(id, inputs * 2))
+
+
+@pytest.fixture(scope="module")
+def bits_hat_batches():
+    """(hyper, thetas, inputs, values) of each forward_batch call that the
+    shipped bits-hat sweep makes, in order."""
+    batches, real = [], ek.quantizer.forward_batch
+
+    def recorded(hyper, thetas, inputs):
+        values = real(hyper, thetas, inputs)
+        batches.append((hyper, thetas, inputs, values))
+        return values
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ek.quantizer, "forward_batch", recorded)
+        ek.run_experiment(ek.load_config(ROOT / "configs" / "bits-hat.json"))
+    return batches
+
+
+# sha256 of each bits-hat dictionary, (rows, inputs) float64 little-endian:
+# every row the sweep evaluates, where the CSV digest covers only the front
+BITS_HAT_DICTIONARY_SHA256 = [
+    ((729, 2),
+     "58eec58423802c2172449072d22a892bb78694a1d365de799c64219f14630ce5"),
+    ((15625, 2),
+     "6ea76110fae20429f2fb5f31b86240e88678dbcd58b50f0c45d7cf6887fd3adc"),
+]
+
+
+def test_bits_hat_dictionaries_keep_their_bits(bits_hat_batches):
+    assert [(values.shape,
+             hashlib.sha256(values.astype("<f8").tobytes()).hexdigest())
+            for _, _, _, values in bits_hat_batches] == BITS_HAT_DICTIONARY_SHA256
+
+
+def test_bits_hat_dictionary_evaluates_in_bounded_memory(bits_hat_batches):
+    # forward_batch decodes its rows a chunk at a time: on the 15,625-row
+    # cell its peak, the 244 KiB result included, stays under 1 MiB, where
+    # decoding every row at once would hold several MiB of Python floats
+    hyper, thetas, inputs, values = bits_hat_batches[-1]
+    assert len(thetas) == 15625
+    tracemalloc.start()
+    try:
+        got = ek.forward_batch(hyper, thetas, inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == values.tobytes()
+    assert peak < 1 << 20
 
 
 def test_pareto_front_cleaning():
