@@ -56,23 +56,31 @@ per-axis FFT specs and the mode indices from tables cached per dim and
 per (dim, kappa, n).  The FFTs call numpy's pocketfft gufuncs, the ones
 `np.fft.fft` and `np.fft.ifft` reach, with the scale and the complex
 output buffer that `np.fft` would pass, so the bits are those of
-`np.fft`.  Each `FnoParams` builds its transposed blocks once, its
-single-channel scalars and its complex multiplier stacks on first use.
-`forward_batch` walks its rows in chunks of `_CHUNK`, so the work
-around `forward` is per chunk: a single-channel architecture under
-constant bias, on inputs that are all constant, decodes the chunk's
-scalars with one `tolist` and `zip`s (`_decode_scalars`, which
-`FnoParams` runs on a one-row chunk) and binds no blocks; every other
-row binds its blocks as views of the matrix.  Each chunk's values are
+`np.fft`.  The multiplier acts on the zero mode by the product with
+M_0^T, and on the 2T other active modes by one gather at their flat grid
+indices, one stacked product and one scatter.  `forward_batch` walks its
+rows in chunks, so the work around `forward` is per chunk: a
+single-channel architecture under constant bias, on inputs that are all
+constant, decodes the chunk's scalars with one `tolist` and `zip`s
+(`_decode_scalars`) and binds no blocks; every other row binds its
+blocks as views of the matrix, and a row that reaches the grid path gets
+its complex multiplier stacks (`_chunk_multipliers`, one vectorised pass
+per layer) and its spectral bias fields (`_chunk_bias`) as views of
+arrays built for the whole chunk.  A lone `FnoParams` runs the same
+builders on a one-row chunk, on first use.  Each chunk's values are
 stored in one assignment, and the chunk bounds the Python objects held
-at once.
+at once: `_CHUNK` rows, or fewer for grid rows, whose chunk holds at
+most `_CHUNK_BYTES` of stacks and fields.
 
 Bias.  "constant" (the default) stores d_c reals added pointwise and is
 what the parameter-count formula assumes; "spectral" stores one
 multiplier-style slot block per channel and adds the synthesized field,
 at the cost of a longer theta and of translation invariance.  theta is
 read-only, so each layer's field is synthesized once per parameter vector
-and resolution, on the first forward that needs it.
+and resolution: in `forward_batch`, for every row of a chunk and every
+resolution among the inputs, with one inverse FFT per layer and
+resolution over the chunk's [rows, n^d, d_c] stack; for a lone
+`FnoParams`, on the first forward that needs it.
 """
 
 from __future__ import annotations
@@ -177,20 +185,20 @@ def param_count(hyper: FnoHyper) -> ParamCount:
 
 @functools.lru_cache(maxsize=None)
 def _mode_index(dim: int, kappa: int, n: int) -> tuple:
-    """(modes, k, -k): the canonical modes as rows of an integer array, and
-    the grid indices of k and of -k on the n^d grid.
+    """(modes, index): the canonical modes as rows of an integer array, and
+    the flat C-order indices on the n^d grid of each k, then of each -k.
 
-    For n >= 2 kappa no two of these indices coincide.
+    For n >= 2 kappa no two of these indices coincide, and none is 0.
     """
     axis = np.arange(-(kappa - 1), kappa)
     modes = np.stack(np.meshgrid(*(axis,) * dim, indexing="ij"),
                      axis=-1).reshape(-1, dim)
     first_nonzero = modes[np.arange(len(modes)), np.argmax(modes != 0, axis=1)]
     modes = modes[first_nonzero > 0]
-    table = (modes, tuple(modes.T % n), tuple(-modes.T % n))
-    for arr in (table[0],) + table[1] + table[2]:
+    index = np.concatenate([modes, -modes]) % n @ n ** np.arange(dim)[::-1]
+    for arr in (modes, index):
         arr.flags.writeable = False  # shared by every caller
-    return table
+    return modes, index
 
 
 def canonical_modes(dim: int, kappa: int) -> List[Tuple[int, ...]]:
@@ -246,6 +254,44 @@ def _decode_scalars(storage: tuple, rows: np.ndarray) -> list:
     return list(zip(columns[-1], layers, columns[0]))
 
 
+def _block_stacks(storage: tuple, rows: np.ndarray) -> list:
+    """Each stored block of the rows of a theta matrix, as one view
+    [rows, *shape] per block, in storage order."""
+    return [rows[:, sl].reshape((len(rows),) + shape)
+            for sl, shape, _ in storage]
+
+
+def _chunk_multipliers(hyper: FnoHyper, rows: np.ndarray) -> list:
+    """The complex multiplier stacks of each row of a theta matrix, one per
+    layer in application order, as _apply_multiplier takes them: M_t^T
+    over the canonical modes t, then their conjugates, [2T, d_c, d_c] on
+    a transposed view, whose layout the bits depend on.  One vectorised
+    pass per layer covers every row."""
+    stacks = []
+    for _, mult, _ in _layers(_block_stacks(_storage(hyper), rows)):
+        re, im = _slot_pairs(mult.swapaxes(0, 1), hyper.dim, hyper.kappa)
+        m_t = (re + 1j * im).swapaxes(0, 1)
+        stacks.append(
+            np.concatenate([m_t, np.conj(m_t)], axis=1).swapaxes(2, 3))
+    return list(zip(*stacks))
+
+
+def _chunk_bias(hyper: FnoHyper, rows: np.ndarray, sizes: Sequence[int]
+                ) -> list:
+    """The spectral bias fields of each row of a theta matrix, as a dict
+    from each resolution n of `sizes` to one field on the n^d grid per
+    layer, in application order.  One inverse FFT per layer and resolution
+    covers every row."""
+    layers = _layers(_block_stacks(_storage(hyper), rows))
+    caches = [{} for _ in rows]
+    for n in sizes:
+        fields = zip(*[_synthesize(bias, hyper.dim, hyper.kappa, n)
+                       for _, _, bias in layers])
+        for cache, row_fields in zip(caches, fields):
+            cache[n] = row_fields
+    return caches
+
+
 class FnoParams:
     """Flat parameter vector bound to a hyperparameter tuple."""
 
@@ -275,13 +321,16 @@ class FnoParams:
     def _batch_row(cls, hyper: FnoHyper, theta: np.ndarray, part,
                    bind: bool) -> "FnoParams":
         """Parameters on a read-only row of a forward_batch matrix, without
-        __init__'s copy and checks: bound to `part`, the row's block views,
-        or, if not `bind`, given `part` as its decoded scalars."""
+        __init__'s copy and checks.  If `bind`, `part` is (the row's block
+        views, its multiplier stacks, its bias fields by resolution), the
+        last two None where not built; otherwise it is the row's decoded
+        scalars."""
         params = cls.__new__(cls)
         params.hyper = hyper
         params.theta = theta
         if bind:
-            params._bind(part)
+            views, params._mult_cache, params._bias_cache = part
+            params._bind(views)
         else:
             params._scalar_cache = part
         return params
@@ -307,30 +356,25 @@ class FnoParams:
 
     def _spectral_bias(self, n: int) -> tuple:
         """Synthesized spectral bias of each layer on the n^d grid, in
-        application order; built on first use per resolution."""
+        application order; built on first use per resolution, by
+        _chunk_bias on a one-row chunk."""
         if self._bias_cache is None:
             self._bias_cache = {}
         fields = self._bias_cache.get(n)
         if fields is None:
-            h = self.hyper
-            fields = []
-            for _, _, bias in self._blocks[1]:
-                re, im = _slot_pairs(bias, h.dim, h.kappa)
-                field = _synthesize(bias[0], re + 1j * im, h.dim, h.kappa, n)
-                field.setflags(write=False)
-                fields.append(field)
-            fields = self._bias_cache[n] = tuple(fields)
+            fields = self._bias_cache[n] = _chunk_bias(
+                self.hyper, self.theta[None], (n,))[0][n]
         return fields
 
-    _mult_cache = None  # _complex_multiplier of each layer
+    _mult_cache = None  # the complex multiplier stack of each layer
 
     def _multipliers(self) -> tuple:
         """The complex multiplier stacks of each layer, in application
-        order; built on first use."""
+        order; built on first use, by _chunk_multipliers on a one-row
+        chunk."""
         if self._mult_cache is None:
-            h = self.hyper
-            self._mult_cache = tuple(_complex_multiplier(mult, h.dim, h.kappa)
-                                     for _, mult, _ in self._blocks[1])
+            self._mult_cache = _chunk_multipliers(self.hyper,
+                                                  self.theta[None])[0]
         return self._mult_cache
 
     @classmethod
@@ -481,9 +525,10 @@ def _pocketfft():
 
 @functools.lru_cache(maxsize=None)
 def _fft_specs(dim: int) -> tuple:
-    """The gufunc `axes` argument of each of the leading dim axes, in the
-    reverse order that fftn and ifftn take them."""
-    return tuple([(axis,), (), (axis,)] for axis in reversed(range(dim)))
+    """The gufunc `axes` argument of each of the dim grid axes, in the
+    reverse order that fftn and ifftn take them.  The axes count from the
+    channel axis at the end, so they fit a stack of grids too."""
+    return tuple([(axis,), (), (axis,)] for axis in range(-2, -dim - 2, -1))
 
 
 def _fft_axes(gufunc, a: np.ndarray, specs: tuple, scale: float) -> np.ndarray:
@@ -499,40 +544,36 @@ def _fft_axes(gufunc, a: np.ndarray, specs: tuple, scale: float) -> np.ndarray:
     return a
 
 
-def _synthesize(zero: np.ndarray, coeffs: np.ndarray, dim: int, kappa: int,
+def _synthesize(blocks: np.ndarray, dim: int, kappa: int,
                 n: int) -> np.ndarray:
-    """Real field on the n^d grid (n >= 2 kappa) with Fourier coefficient
-    `zero` at mode 0, coeffs[t] at canonical mode t and its conjugate at the
-    opposite mode."""
-    grid = np.zeros((n,) * dim + zero.shape, dtype=complex)
-    grid[(0,) * dim] = zero
-    if kappa > 1:
-        _, pos, neg = _mode_index(dim, kappa, n)
-        grid[pos] = coeffs
-        grid[neg] = np.conj(coeffs)
-    return _fft_axes(_pocketfft().ifft, grid, _fft_specs(dim), 1).real
+    """Read-only real fields [rows, n, ..., n, channels] on the n^d grid
+    (n >= 2 kappa) of a stack of slot blocks [rows, slots, channels]:
+    Fourier coefficient slot 0 at mode 0, Re + i Im of each canonical mode
+    t at t and its conjugate at -t.  One inverse FFT covers every row."""
+    rows, _, channels = blocks.shape
+    re, im = _slot_pairs(blocks.swapaxes(0, 1), dim, kappa)
+    coeffs = (re + 1j * im).swapaxes(0, 1)
+    grid = np.zeros((rows, n**dim, channels), dtype=complex)
+    grid[:, 0] = blocks[:, 0]
+    grid[:, _mode_index(dim, kappa, n)[1]] = np.concatenate(
+        [coeffs, np.conj(coeffs)], axis=1)
+    grid = grid.reshape((rows,) + (n,) * dim + (channels,))
+    fields = _fft_axes(_pocketfft().ifft, grid, _fft_specs(dim), 1).real
+    fields.setflags(write=False)
+    return fields
 
 
-def _complex_multiplier(mult: np.ndarray, dim: int, kappa: int) -> tuple:
-    """(M_0^T, M_t^T stacked over the canonical modes t, their conjugates)
-    of a multiplier slot block, as _apply_multiplier takes them."""
-    re, im = _slot_pairs(mult, dim, kappa)
-    m_t = (re + 1j * im).transpose(0, 2, 1)
-    return mult[0].T, m_t, np.conj(m_t)
-
-
-def _apply_multiplier(vhat: np.ndarray, mults: tuple, pos: tuple,
-                      neg: tuple) -> np.ndarray:
-    """y_hat(k) = M_k v_hat(k) on active modes, conjugate pair mirrored;
-    mults from _complex_multiplier, pos and neg from _mode_index."""
-    m0_t, m_t, m_conj = mults
-    out = np.zeros_like(vhat)
-    zero = (0,) * (vhat.ndim - 1)
-    out[zero] = vhat[zero] @ m0_t
+def _apply_multiplier(vhat: np.ndarray, m0_t: np.ndarray, m_t: np.ndarray,
+                      index: np.ndarray) -> np.ndarray:
+    """y_hat(k) = M_k v_hat(k) on active modes: M_0^T on the zero mode, and
+    one stacked product on the modes at the flat grid indices `index`,
+    from _mode_index, with their stack m_t, from _chunk_multipliers."""
+    flat = vhat.reshape(-1, vhat.shape[-1])
+    out = np.zeros(flat.shape, dtype=complex)
+    out[0] = flat[0] @ m0_t
     # a stack of vector-matrix products; einsum would sum in another order
-    out[pos] = (vhat[pos][:, None, :] @ m_t)[:, 0, :]
-    out[neg] = (vhat[neg][:, None, :] @ m_conj)[:, 0, :]
-    return out
+    out[index] = (flat[index][:, None, :] @ m_t)[:, 0, :]
+    return out.reshape(vhat.shape)
 
 
 def forward(params: FnoParams, u: GridFunction) -> float:
@@ -580,16 +621,16 @@ def _forward_grid(params: FnoParams, u: GridFunction) -> float:
     pfu = _pocketfft()
     specs = _fft_specs(h.dim)
     scale = 1.0 / n  # np.fft's forward scale reciprocal(n)
-    _, pos, neg = _mode_index(h.dim, h.kappa, n)
+    index = _mode_index(h.dim, h.kappa, n)[1]
     p_t, layers, q_t = params._forward_views
     if h.bias_mode == "spectral":
         layers = [(w_t, m0_t, field) for (w_t, m0_t, _), field
                   in zip(layers, params._spectral_bias(n))]
 
     v = u.values @ p_t
-    for (w_t, _, bias), mults in zip(layers, params._multipliers()):
+    for (w_t, m0_t, bias), m_t in zip(layers, params._multipliers()):
         vhat = _fft_axes(pfu.fft, v, specs, scale)
-        conv = _fft_axes(pfu.ifft, _apply_multiplier(vhat, mults, pos, neg),
+        conv = _fft_axes(pfu.ifft, _apply_multiplier(vhat, m0_t, m_t, index),
                          specs, 1).real
         v = act(v @ w_t + conv + bias)
     out = v @ q_t
@@ -601,6 +642,20 @@ def _forward_grid(params: FnoParams, u: GridFunction) -> float:
 # as Python objects, so decoding every row of a large matrix at once would
 # multiply the batch's peak memory
 _CHUNK = 128
+# bytes of the multiplier stacks and bias fields that a chunk of grid rows
+# holds at once: a 31-row chunk of the 2-D d_c = 3 kappa 2 spectral-bias
+# shape runs as fast as a 128-row one, and holds a quarter of the memory
+_CHUNK_BYTES = 1 << 18
+
+
+def _grid_chunk(hyper: FnoHyper, sizes: Sequence[int]) -> int:
+    """Rows per chunk of grid rows with bias fields on the n^d grid of each
+    n in `sizes`: as many as _CHUNK_BYTES of their multiplier stacks and
+    fields hold (complex, 16 bytes a value), from 1 to _CHUNK."""
+    modes = len(_mode_index(hyper.dim, hyper.kappa, 2 * hyper.kappa)[1])
+    values = hyper.depth * hyper.d_c * (
+        modes * hyper.d_c + sum(n**hyper.dim for n in sizes))
+    return max(1, min(_CHUNK, _CHUNK_BYTES // max(16 * values, 1)))
 
 
 def forward_batch(hyper: FnoHyper, thetas, inputs: Sequence[GridFunction]
@@ -610,9 +665,11 @@ def forward_batch(hyper: FnoHyper, thetas, inputs: Sequence[GridFunction]
     of the matrix, so the matrix is neither copied nor written (a
     single-channel row on constant inputs under constant bias gets its
     scalars instead of blocks); forward runs once per (row, input), rows
-    in order.  Rows go in chunks of _CHUNK: per chunk the scalars are
-    decoded in one pass, or the blocks reshaped once, and the values
-    stored in one assignment.
+    in order.  Rows go in chunks: per chunk the scalars are decoded in one
+    pass, or the blocks reshaped once, and the values stored in one
+    assignment.  Rows that reach the grid path get their multiplier stacks
+    and spectral bias fields built per chunk too, and their chunk holds at
+    most _CHUNK_BYTES of them.
     """
     thetas = np.asarray(thetas, dtype=float).view()
     storage = _storage(hyper)
@@ -621,17 +678,27 @@ def forward_batch(hyper: FnoHyper, thetas, inputs: Sequence[GridFunction]
         raise ValueError(f"thetas have shape {thetas.shape}, layout needs "
                          f"rows of {expected}")
     thetas.setflags(write=False)
+    spectral = hyper.bias_mode == "spectral"
+    grid = spectral or any(u.level is None for u in inputs)
     # on constant inputs under constant bias a single-channel row reads
     # only its scalars, so such a batch decodes them and binds no blocks
-    bind = (hyper.d_c > 1 or hyper.bias_mode == "spectral"
-            or any(u.level is None for u in inputs))
+    bind = grid or hyper.d_c > 1
+    sizes = ()
+    if spectral:
+        # a bias field per resolution that forward's check admits
+        sizes = sorted({u.resolution for u in inputs
+                        if u.resolution >= 2 * hyper.kappa})
+    step = _grid_chunk(hyper, sizes) if grid else _CHUNK
+    unbuilt = itertools.repeat(None)
     width = len(inputs)
     out = np.empty(len(thetas) * width)
-    for lo in range(0, len(thetas), _CHUNK):
-        chunk = thetas[lo:lo + _CHUNK]
+    for lo in range(0, len(thetas), step):
+        chunk = thetas[lo:lo + step]
         if bind:
-            parts = zip(*[chunk[:, sl].reshape((len(chunk),) + shape)
-                          for sl, shape, _ in storage])
+            parts = zip(zip(*_block_stacks(storage, chunk)),
+                        _chunk_multipliers(hyper, chunk) if grid else unbuilt,
+                        _chunk_bias(hyper, chunk, sizes) if spectral
+                        else unbuilt)
         else:
             parts = _decode_scalars(storage, chunk)
         rows = (FnoParams._batch_row(hyper, theta, part, bind)

@@ -953,6 +953,22 @@ def test_bits_accuracy_singleton_target():
     assert t.rows[0][1] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_bits_accuracy_input_nodes_are_checked_against_the_budget(
+        monkeypatch):
+    # levels times input_resolution nodes: at the budget the sweep runs,
+    # one node past it raises before any grid exists
+    monkeypatch.setattr(chains, "INPUT_NODE_LIMIT", 16)
+    assert ek.run_experiment(BITS_CFG).rows
+    allocated = []
+    monkeypatch.setattr(chains.fno_mod, "GridFunction",
+                        lambda *args: allocated.append(args))
+    with pytest.raises(ek.SizeLimitExceeded,
+                       match="input_resolution 9 on 2 levels needs 18 input "
+                             "grid nodes, above the budget of 16"):
+        ek.run_experiment(dict(BITS_CFG, input_resolution=9))
+    assert allocated == []
+
+
 def test_bits_accuracy_deterministic():
     a = ek.run_experiment(BITS_CFG).to_csv_bytes()
     b = ek.run_experiment(BITS_CFG).to_csv_bytes()

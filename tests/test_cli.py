@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import replace
@@ -640,6 +643,32 @@ def test_sweep_command_header(runner, tmp_path):
     assert res.exit_code == 0
     assert out_path.read_text().splitlines()[0] == \
         "bits,minimax_err,hyper_id,grid_id,seed"
+
+
+@pytest.mark.parametrize("resolution", [2**21 + 1, 10**9])
+def test_sweep_refuses_an_oversized_input_before_allocating(tmp_path,
+                                                            resolution):
+    # two levels at 10^9 nodes would take 7.45 GiB, which the child's own
+    # 1 GiB address-space limit would turn into a MemoryError (exit 1);
+    # 2^21 + 1 is one node per level past the budget
+    root = pathlib.Path(__file__).resolve().parent.parent
+    cfg = read_json(root / "configs" / "bits-hat.json")
+    cfg["input_resolution"] = resolution
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    code = ("import resource; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from entrokit.cli import main; main()")
+    start = time.monotonic()
+    out = subprocess.run([sys.executable, "-c", code, "sweep", "--config",
+                          str(path)], capture_output=True, text=True,
+                         timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert out.returncode == 2, out.stderr
+    assert (f"input_resolution {resolution} on 2 levels needs "
+            f"{2 * resolution} input grid nodes, above the budget of "
+            f"{ek.chains.INPUT_NODE_LIMIT}") in out.stderr
+    assert time.monotonic() - start < 10
 
 
 def test_table_seed_override(runner, tmp_path):

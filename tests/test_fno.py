@@ -152,16 +152,18 @@ def bandlimited_sampler(dim, channels, max_mode, rng):
     modes would alias, and the sampler raises ResolutionTooLow.
     """
     n_modes = 1 + len(ek.canonical_modes(dim, max_mode))
-    coeffs = (rng.standard_normal((n_modes, channels))
-              + 1j * rng.standard_normal((n_modes, channels)))
-    coeffs[0] = coeffs[0].real  # zero mode must be real
+    re, im = (rng.standard_normal((n_modes, channels)) for _ in range(2))
+    # a slot block: the zero mode, which must be real, then Re and Im of
+    # each canonical mode
+    block = np.empty((2 * n_modes - 1, channels))
+    block[0], block[1::2], block[2::2] = re[0], re[1:], im[1:]
 
     def at_resolution(n):
         if n < 2 * max_mode:
             raise ek.ResolutionTooLow(
                 f"resolution {n} < 2 max_mode = {2 * max_mode}")
         return ek.GridFunction(dim, ek.fno._synthesize(
-            coeffs[0], coeffs[1:], dim, max_mode, n))
+            block[None], dim, max_mode, n)[0])
 
     return at_resolution
 
@@ -256,10 +258,11 @@ def test_multiplier_matches_naive_dft_oracle():
                        for k, mk in _conjugate_pairs(mult, modes)], n)
 
     vhat = np.fft.fftn(u.values, axes=(0, 1), norm="forward")
-    _, pos, neg = ek.fno._mode_index(2, 2, n)
+    m_t = ek.fno._chunk_multipliers(h, p.theta[None])[0][0]
     fast = np.real(np.fft.ifftn(
-        ek.fno._apply_multiplier(vhat, ek.fno._complex_multiplier(mult, 2, 2),
-                                 pos, neg), axes=(0, 1), norm="forward"))
+        ek.fno._apply_multiplier(vhat, mult[0].T, m_t,
+                                 ek.fno._mode_index(2, 2, n)[1]),
+        axes=(0, 1), norm="forward"))
     assert np.allclose(fast, oracle, atol=1e-12)
 
 
@@ -269,8 +272,7 @@ def test_spectral_bias_matches_naive_dft_oracle():
     _, _, bias = layers[0]
     n = 8
     oracle = _dft_sum(_conjugate_pairs(bias, ek.canonical_modes(2, 3)), n)
-    re, im = ek.fno._slot_pairs(bias, 2, 3)
-    field = ek.fno._synthesize(bias[0], re + 1j * im, 2, 3, n)
+    field = ek.fno._synthesize(bias[None], 2, 3, n)[0]
     assert np.allclose(field, oracle, atol=1e-12)
 
 
@@ -279,22 +281,37 @@ def test_spectral_bias_is_synthesized_once_per_layer_and_resolution(
     calls = []
     synthesize = ek.fno._synthesize
 
-    def counted(*args):
-        calls.append(args[-1])  # the resolution
-        return synthesize(*args)
+    def counted(blocks, *args):
+        calls.append((len(blocks), args[-1]))  # rows and resolution
+        return synthesize(blocks, *args)
 
     monkeypatch.setattr(ek.fno, "_synthesize", counted)
     h = ek.FnoHyper(2, 1, 1, 3, 2, 2, bias_mode="spectral")
     p = ek.FnoParams.random(h, 1.0, stream(54, 8))
+    inputs = []
     for n in (4, 6):
         first, second = rand_input(2, n, 1, 55), rand_input(2, n, 1, 56)
         for u in (first, second, first):
             assert ek.forward(p, u) == _reference_forward(p, u)
-    assert calls == [4, 4, 6, 6]
+        inputs += [first, second]
+    assert calls == [(1, 4), (1, 4), (1, 6), (1, 6)]
+    # forward_batch: once per layer, resolution and chunk; a cached field
+    # is 16 bytes a value, 2 layers of 3 channels on 4^2 + 6^2 nodes plus
+    # 2 layers of 8 multiplier matrices of 3 x 3
+    monkeypatch.setattr(ek.fno, "_CHUNK_BYTES", 2 * 16 * 2 * 3 * (52 + 24))
+    thetas = stream(59, 8).uniform(-1.0, 1.0, (5, layout_length(h)))
+    calls.clear()
+    got = ek.forward_batch(h, thetas, inputs)
+    assert calls == [(2, 4), (2, 4), (2, 6), (2, 6)] * 2 + [(1, 4), (1, 4),
+                                                           (1, 6), (1, 6)]
+    want = [[ek.forward(ek.FnoParams(h, theta), u) for u in inputs]
+            for theta in thetas]
+    assert got.tobytes() == np.array(want).tobytes()
+    calls.clear()
     # the constant bias keeps no cache
     c = ek.FnoParams.random(small_hyper(d_c=2, kappa=2), 1.0, stream(57, 8))
     ek.forward(c, rand_input(1, 8, 1, 58))
-    assert calls == [4, 4, 6, 6] and "_bias_cache" not in vars(c)
+    assert not calls and "_bias_cache" not in vars(c)
 
 
 def test_three_dimensional_operator():
@@ -320,7 +337,8 @@ def _reference_forward(params, u):
     views = [params.theta[sl].reshape(shape)
              for sl, shape, _ in fno._storage(h)]
     zero = (0,) * h.dim
-    _, pos, neg = fno._mode_index(h.dim, h.kappa, u.resolution)
+    modes = np.array(ek.canonical_modes(h.dim, h.kappa)).reshape(-1, h.dim)
+    pos, neg = tuple(modes.T % u.resolution), tuple(-modes.T % u.resolution)
 
     def transform(fft, a):
         for axis in reversed(range(h.dim)):
@@ -645,6 +663,51 @@ def test_forward_batch_equals_a_forward_loop_on_random_architectures():
             for rows in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
                 got = ek.forward_batch(h, thetas[:rows], inputs)
                 assert got.tobytes() == want[:rows].tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_forward_batch_grid_rows_equal_forward_and_the_oracle(data):
+    # grid rows get their multiplier stacks and bias fields a chunk at a
+    # time: bit for bit a lone FnoParams' forward and the np.fft oracle, at
+    # row counts around the chunk, with inputs at two resolutions
+    draw = data.draw
+    dim, kappa, d_c = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                       draw(st.integers(1, 4)))
+    h = ek.FnoHyper(dim, draw(st.integers(1, d_c)), 1, d_c, kappa,
+                    draw(st.integers(1, 2)),
+                    draw(st.sampled_from(sorted(ek.ACTIVATIONS))),
+                    draw(st.sampled_from(["constant", "spectral"])))
+    rng = stream(draw(st.integers(0, 2**16)), 8)
+    sizes = (2 * kappa, 2 * kappa + 1 + int(rng.integers(2)))
+    inputs = [ek.random_grid_function(dim, n, h.d_in, rng) for n in sizes]
+    inputs.append(ek.GridFunction(dim, np.full((sizes[0],) * dim + (h.d_in,),
+                                               rng.uniform(-1.0, 1.0))))
+    chunk = ek.fno._grid_chunk(h, sizes if h.bias_mode == "spectral" else ())
+    counts = (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 5)
+    thetas = rng.uniform(-1.0, 1.0, (counts[-1], layout_length(h)))
+    want = np.array([[ek.forward(ek.FnoParams(h, theta), u) for u in inputs]
+                     for theta in thetas])
+    built, build = [], ek.fno._chunk_multipliers
+
+    def recorded(hyper, rows):
+        built.append(len(rows))
+        return build(hyper, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ek.fno, "_chunk_multipliers", recorded)
+        for rows in counts:
+            got = ek.forward_batch(h, thetas[:rows], inputs)
+            assert got.tobytes() == want[:rows].tobytes()
+    # one build per chunk, none per row
+    assert max(built) == chunk and sum(built) == sum(counts)
+    assert len(built) == sum(-(-rows // chunk) for rows in counts)
+    # the oracle, on the rows of the first chunk and the next, reads
+    # constant inputs on the grid, whose last bits may differ from the
+    # zero-mode recursion's, so it checks the others
+    oracle = [[_reference_forward(ek.FnoParams(h, theta), u)
+               for u in inputs[:2]] for theta in thetas[:chunk + 1]]
+    assert want[:chunk + 1, :2].tolist() == oracle
 
 
 def test_forward_batch_rows_are_read_only_views_of_the_matrix(monkeypatch):

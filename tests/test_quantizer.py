@@ -3,15 +3,18 @@
 import collections
 import hashlib
 import itertools
+import json
 import math
 import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import entrokit as ek
+from entrokit.cli import main
 from entrokit.rng import STREAM_FNO_PROBE, STREAM_SWEEP_DICT, stream
 
 
@@ -519,6 +522,39 @@ def test_bits_hat_dictionaries_keep_their_bits(bits_hat_batches):
     assert [(values.shape,
              hashlib.sha256(values.astype("<f8").tobytes()).hexdigest())
             for _, _, _, values in bits_hat_batches] == BITS_HAT_DICTIONARY_SHA256
+
+
+# the benchmark's quantize operator: 2-D, d_c = 3, kappa 2, depth 2,
+# spectral-bias gelu, whose every forward takes the grid path
+QUANTIZE_HYPER = ek.FnoHyper(2, 1, 1, 3, 2, 2, activation="gelu",
+                             bias_mode="spectral")
+# sha256 of forward_batch on empirical_lipschitz's probe matrix at box 0.8
+# and seed 4, (200, 2) float64 little-endian, and of the stdout of
+# `entrokit quantize` on that operator at --delta 0.02, --m 0.8, --seed 4,
+# --n-inputs 2, --probes 100
+QUANTIZE_PROBES_SHA256 = (
+    "f3773638919e54ff6499f12c5c69c45ecfc81c3817b244db6a8a15d2f53f951b")
+QUANTIZE_STDOUT_SHA256 = (
+    "08e96ad4749a893fb697b6feee626ed70032562b5161576e427ded675306b23a")
+
+
+def test_grid_path_keeps_its_bits(tmp_path):
+    h, box, seed = QUANTIZE_HYPER, 0.8, 4
+    pairs = stream(seed, STREAM_FNO_PROBE).uniform(
+        -box, box, (100, 2, ek.fno.layout_length(h)))
+    thetas = (pairs * ek.fno.active_mask(h)).reshape(200, -1)
+    values = ek.forward_batch(h, thetas, ek.random_inputs(h, 2, seed))
+    assert values.shape == (200, 2)
+    assert (hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
+            == QUANTIZE_PROBES_SHA256)
+    path = tmp_path / "hyper.json"
+    path.write_text(json.dumps(h.to_json()))
+    res = CliRunner().invoke(main, [
+        "quantize", "--hyper", str(path), "--delta", "0.02", "--m", "0.8",
+        "--seed", "4", "--n-inputs", "2", "--probes", "100"])
+    assert res.exit_code == 0 and json.loads(res.output)["passed"]
+    assert (hashlib.sha256(res.output.encode()).hexdigest()
+            == QUANTIZE_STDOUT_SHA256)
 
 
 def test_bits_hat_dictionary_evaluates_in_bounded_memory(bits_hat_batches):
