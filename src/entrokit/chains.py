@@ -643,13 +643,15 @@ def _expectation_dim(cfg: dict) -> int:
 
 def _run_expectation_chain(cfg: dict) -> ResultTable:
     seed = cfg["seed"]
-    measure = rf.KLMeasure.from_config(cfg["kl"])
-    p = float(cfg["p"])
     dim = _expectation_dim(cfg)
-    if dim > measure.truncation:
+    j_max = rf.KLMeasure.config_truncation(cfg["kl"])
+    if dim > j_max:
         raise ConfigError("embedding dimension exceeds the KL truncation")
     if dim > 3:
         raise ConfigError(f"bump families need dimension 1, 2 or 3, not {dim}")
+    rf.check_mc_budget(j_max, cfg["mc_samples"], dim)
+    measure = rf.KLMeasure.from_config(cfg["kl"])
+    p = float(cfg["p"])
     cells = cfg["cells"]
     # check the grid before building the code, which can take seconds
     lam = pk.bump_lam(dim, cells, cfg["grid_res"], None)
@@ -766,5 +768,7 @@ def run_embed_check(cfg: dict) -> rf.IsometryReport:
     else:
         f = rf.GridFunction01.from_callable(
             lambda x: x[:, 0], 1, fspec["grid_res"], lipschitz=1.0)
+    rf.check_mc_budget(rf.KLMeasure.config_truncation(cfg["kl"]),
+                       cfg["samples"], f.dim)
     return rf.isometry_check(f, rf.KLMeasure.from_config(cfg["kl"]),
                              cfg["p"], cfg["samples"], cfg["seed"])

@@ -12,6 +12,15 @@ is an isometry from L^p([0,1]^d) into L^p(mu) and transports a unit
 sup-norm-Lipschitz f (w.r.t. the max norm on the cube) to a functional
 with Lipschitz constant at most L / sqrt(lambda_d) in the coordinate
 l2 norm, where L bounds both the coordinate densities and sqrt(lambda_1).
+
+Monte-Carlo norms read one Philox stream per seed.  draw_ahead draws
+whole seeds on worker threads.  Given one Gaussian seed (embed-check's)
+and more than one usable CPU, it splits that stream instead, in segments
+at fixed raw-word offsets, which a counter-based generator reaches
+directly, drawn on two workers, and stitches them where OVERLAP values
+of a segment equal a run of its predecessor's bit for bit: two parses of
+one word stream that share the start of a value agree from there on, so
+the result is the serial draw, bit for bit (see draw_ahead).
 """
 
 from __future__ import annotations
@@ -27,7 +36,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionExceedsTruncation
+from .errors import (ConfigError, DimensionExceedsTruncation,
+                     SizeLimitExceeded)
 from .rng import (STREAM_KL_SAMPLE, STREAM_MC_NORM, STREAM_TRANSPORT, stream)
 
 _SQRT3 = math.sqrt(3.0)
@@ -39,6 +49,21 @@ MC_BLOCK_BYTES = 1 << 20
 # draw_ahead's worker threads draw in row blocks of this many bytes (128 rows
 # at J = 64): large blocks on worker threads grow glibc's per-thread arenas
 MC_DRAW_BLOCK_BYTES = 64 << 10
+# draw_ahead splits one Gaussian seed's stream over SPLIT_WORKERS workers
+# in segments of about SEGMENT raw words (256 KiB of values: 2^14 words
+# paid more per segment than the split saved, and 2^16 broke the shipped
+# embed-check's 3 MiB memory bound), each drawing OVERLAP values more,
+# which are also the run two segments must share to be joined
+SPLIT_WORKERS = 2
+SEGMENT = 1 << 15
+OVERLAP = 64
+# refusal limits of one seed's Monte-Carlo run (check_mc_budget), from the
+# CLI's embed-check on a 2-vCPU x86-64 VM: 2^28 coordinates drawn (4M
+# samples at J = 64) took 3.5 s at 147 MB peak RSS, so the 2^30 allowed
+# take about 14 s; 256 MB held (16M samples of one column) took 1.7 s at
+# 423 MB peak RSS, since np.std adds one more value per sample
+MC_WORD_BUDGET = 1 << 30
+MC_BYTE_BUDGET = 1 << 28
 # GridFunction01.quadrature_abs_pow sums its midpoint grid in leaves of at
 # most this many points (512 KiB of float64).  It must be at least 128,
 # numpy's unsplit pairwise block, or _pairwise_sum would split nodes
@@ -90,10 +115,31 @@ class KLMeasure:
             return ndtr(z)
         return np.clip((z + _SQRT3) / (2 * _SQRT3), 0.0, 1.0)
 
-    def draw_z(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def draw_z(self, rng: np.random.Generator, count: int,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The next count rows of rng's standard coordinates, (count, J),
+        written into out when it is given (a (count, J) float64 array).
+
+        A uniform coordinate is u * (high - low) + low of one double u,
+        the product and sum Generator.uniform(low, high) computes, taken
+        here as two ufunc steps, so no bit depends on whether a compiler
+        fused them.
+        """
+        shape = (count, self.truncation)
+        if out is None:
+            out = np.empty(shape)
         if self.law == "gaussian":
-            return rng.standard_normal((count, self.truncation))
-        return rng.uniform(-_SQRT3, _SQRT3, (count, self.truncation))
+            return rng.standard_normal(shape, out=out)
+        rng.random(shape, out=out)
+        out *= 2 * _SQRT3
+        out -= _SQRT3
+        return out
+
+    @staticmethod
+    def config_truncation(cfg: dict) -> int:
+        """J of a KL config, read before its eigenvalues are built."""
+        lam = cfg["lambda"]
+        return int(cfg["J"]) if isinstance(lam, str) else len(lam)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "KLMeasure":
@@ -104,7 +150,7 @@ class KLMeasure:
             if lam != "j^-2a":
                 raise ValueError(f"unknown eigenvalue rule {lam!r}")
             alpha = float(cfg["alpha"])
-            j_max = int(cfg["J"])
+            j_max = cls.config_truncation(cfg)
             ev = np.arange(1, j_max + 1, dtype=float) ** (-2.0 * alpha)
         else:
             ev = np.asarray(lam, dtype=float)
@@ -383,15 +429,47 @@ class McDraw:
 @contextlib.contextmanager
 def draw_ahead(measure: KLMeasure, n_samples: int, seeds, columns: int):
     """An iterator of one McDraw per seed, in the seeds' order, drawn ahead
-    by min(len(seeds), usable CPUs) worker threads.
+    by worker threads.
 
-    Workers run only _draw_columns, into (n_samples, columns) buffers
-    allocated on the calling thread, at most workers + 1 ahead of the
-    iterator.  Traced calls (lp_norm_mc, cdf_map, quadrature) stay on the
-    calling thread, whose span stack and counters a tracer may keep
+    Several seeds, or one on a single usable CPU, or one of the uniform
+    law: min(len(seeds), usable CPUs) workers each run _draw_columns on
+    one seed, into (n_samples, columns) buffers allocated on the calling
+    thread, at most workers + 1 ahead of the iterator.
+
+    One Gaussian seed with more than one usable CPU (embed-check's draw):
+    its stream is split over SPLIT_WORKERS workers.  Segment i starts at
+    raw Philox word i * stride (a multiple of 4, one counter block), which
+    the counter-based generator reaches directly, and draws its SEGMENT +
+    OVERLAP or more values, rounded up to whole rows, into a buffer
+    allocated on the calling thread; workers run only _draw_segment.  The
+    calling thread stitches the segments, in order, into the same leading
+    columns, scaled by the same products, that _draw_columns writes.
+    numpy's Gaussian ziggurat reads a varying number of words per value,
+    so a segment's own parse of its words meets the stream's true parse a
+    value or two after its start.  Each segment is joined to its
+    predecessor at the first of its leading values from which OVERLAP
+    values equal, bit for bit, a run of the predecessor's values (see
+    _join).  The stitched draw is the serial one, bit for bit: each value
+    is a function of the words from its first one on, so two parses that
+    share the start of one value agree from there on, and before they
+    meet they read different words, so a false join would need OVERLAP
+    values to coincide by chance, each with a probability near 2^-53.
+    Where no run agrees, or the segments end short of the seed's values,
+    the predecessor's generator, which stands at a value boundary of the
+    true parse, is continued serially on the calling thread.  At most
+    SPLIT_WORKERS + 2 segment buffers are alive at once, and the calling
+    thread holds none once the McDraw is yielded.  The calling thread's
+    stitching, not the draw, bounds the split, so more workers would add
+    threads and buffers but no speed; and a uniform value is so cheap
+    that its split measured no faster than the serial draw.
+
+    Traced calls (lp_norm_mc, cdf_map, quadrature) stay on the calling
+    thread, whose span stack and counters a tracer may keep
     unsynchronised.  A worker's exception is raised when its draw is
     reached.  Leaving the block joins the workers, which finish the draws
-    already submitted, and raises nothing of its own.
+    already submitted, and raises nothing of its own.  A draw past the
+    Monte-Carlo budgets raises SizeLimitExceeded before anything is
+    allocated (check_mc_budget).
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -399,10 +477,16 @@ def draw_ahead(measure: KLMeasure, n_samples: int, seeds, columns: int):
     if not 1 <= columns <= measure.truncation:
         raise ValueError(
             f"columns {columns} outside [1, J={measure.truncation}]")
+    check_mc_budget(measure.truncation, n_samples, columns)
     # imported here: nothing else in the package needs concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
-    workers = min(len(seeds), _usable_cpus())
+    cpus = _usable_cpus()
+    split = len(seeds) == 1 and cpus > 1 and measure.law == "gaussian"
+    workers = SPLIT_WORKERS if split else min(len(seeds), cpus)
     with ThreadPoolExecutor(workers, thread_name_prefix="entrokit-mc") as pool:
+        if split:
+            yield _split_draw(pool, measure, n_samples, seeds[0], columns)
+            return
         unsubmitted = iter(seeds)
         jobs = collections.deque()
 
@@ -425,6 +509,66 @@ def draw_ahead(measure: KLMeasure, n_samples: int, seeds, columns: int):
         yield in_order()
 
 
+def _split_draw(pool, measure: KLMeasure, n_samples: int, seed: int,
+                columns: int):
+    """draw_ahead's iterator of seed's one McDraw, its stream split in
+    segments; the first SPLIT_WORKERS + 1 are submitted before it returns."""
+    j_max = measure.truncation
+    total = n_samples * j_max
+    rows = -(-(SEGMENT + OVERLAP) // j_max)
+    stride = (rows * j_max - OVERLAP) // 4 * 4
+    if n_samples <= rows:
+        rows, count = n_samples, 1
+    else:
+        # the Gaussian ziggurat reads about 2.2% more words than it gives
+        # values, so 1/32 more segments than words; what they still leave
+        # is drawn serially
+        count = -(-total * 33 // (32 * stride))
+    indices = iter(range(count))
+    jobs = collections.deque()
+
+    def submit_next() -> None:
+        index = next(indices, None)
+        if index is not None:
+            out = np.empty((rows, j_max))
+            jobs.append((out, pool.submit(
+                _draw_segment, measure, seed, index, stride, out)))
+
+    def in_order():
+        draw = McDraw(seed, measure, np.empty((n_samples, columns)))
+        # the values placed so far; the last joined segment's values from
+        # its join on, its buffer and its generator
+        placed, last, serial = 0, None, False
+        for _ in range(count):
+            buf, future = jobs.popleft()
+            rng = future.result()
+            if last is None:
+                last, last_buf, last_rng = buf.reshape(-1), buf, rng
+            elif not serial and placed + len(last) < total:
+                join = _join(last, buf.reshape(-1))
+                serial = join is None
+                if not serial:
+                    placed = _place(draw.coeffs, measure.sqrt_ev, placed,
+                                    last[:join[0]])
+                    last = buf.reshape(-1)[join[1]:]
+                    last_buf, last_rng = buf, rng
+            # release this buffer, unless it is the last joined one,
+            # before the next is submitted: at most SPLIT_WORKERS + 2 alive
+            del buf, rng
+            submit_next()
+        placed = _place(draw.coeffs, measure.sqrt_ev, placed, last)
+        while placed < total:
+            measure.draw_z(last_rng, rows, out=last_buf)
+            placed = _place(draw.coeffs, measure.sqrt_ev, placed,
+                            last_buf.reshape(-1))
+        del last, last_buf, last_rng
+        yield draw
+
+    for _ in range(SPLIT_WORKERS + 1):
+        submit_next()
+    return in_order()
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -441,6 +585,80 @@ def _draw_columns(measure: KLMeasure, seed: int, out: np.ndarray) -> None:
         z = measure.draw_z(rng, min(rows, len(out) - lo))
         np.multiply(z[:, :columns], measure.sqrt_ev[:columns],
                     out=out[lo:lo + len(z)])
+
+
+def _draw_segment(measure: KLMeasure, seed: int, index: int, stride: int,
+                  out: np.ndarray) -> np.random.Generator:
+    """Fill out's rows with standard coordinates of seed's MC stream from
+    raw word index * stride on; return the generator, which continues it."""
+    rng = stream(seed, STREAM_MC_NORM)
+    rng.bit_generator.advance(index * stride // 4)
+    measure.draw_z(rng, len(out), out=out)
+    return rng
+
+
+def _join(last: np.ndarray, values: np.ndarray):
+    """(k, j) for the first j < OVERLAP such that values[j:j + OVERLAP]
+    equals last[k:k + OVERLAP] bit for bit, or None.
+
+    Equality is taken on the uint64 views, since == equates +0 and -0.
+    The join lies a few percent of a segment before last's end, so the
+    last eighth of last is searched before the rest.
+    """
+    a, b = last.view(np.uint64), values.view(np.uint64)
+    end = len(a) - OVERLAP + 1
+    if end < 1:
+        return None
+    near = max(0, end - len(a) // 8 - OVERLAP)
+    for lo, hi in ((near, end), (0, near)):
+        for j in range(OVERLAP):
+            for k in np.flatnonzero(a[lo:hi] == b[j]) + lo:
+                if np.array_equal(a[k:k + OVERLAP], b[j:j + OVERLAP]):
+                    return int(k), j
+    return None
+
+
+def _place(coeffs: np.ndarray, sqrt_ev: np.ndarray, at: int,
+           values: np.ndarray) -> int:
+    """Write a stream's standard values, the first at flat position at of
+    its (n, J) draw, scaled, into coeffs' leading columns, up to the end of
+    the draw; return the position after the last one written."""
+    n, columns = coeffs.shape
+    j_max = len(sqrt_ev)
+    values = values[:n * j_max - at]
+    end = at + len(values)
+    row, col = divmod(at, j_max)
+    if col:
+        head = min(columns, col + len(values))
+        if col < head:
+            np.multiply(values[:head - col], sqrt_ev[col:head],
+                        out=coeffs[row, col:head])
+        values = values[j_max - col:]
+        row += 1
+    full = len(values) // j_max
+    np.multiply(values[:full * j_max].reshape(full, j_max)[:, :columns],
+                sqrt_ev[:columns], out=coeffs[row:row + full])
+    rest = values[full * j_max:]
+    if len(rest):
+        head = min(columns, len(rest))
+        np.multiply(rest[:head], sqrt_ev[:head], out=coeffs[row + full, :head])
+    return end
+
+
+def check_mc_budget(truncation: int, n_samples: int, columns: int) -> None:
+    """Raise SizeLimitExceeded when one seed's Monte-Carlo run is past the
+    budgets: n_samples * J coordinates drawn, or n_samples * (columns + 1)
+    float64 values held (columns kept by a draw, one value per sample)."""
+    words = n_samples * truncation
+    if words > MC_WORD_BUDGET:
+        raise SizeLimitExceeded(
+            f"{n_samples} samples of J = {truncation} coordinates draw "
+            f"{words} values per seed, above the budget of {MC_WORD_BUDGET}")
+    held = 8 * n_samples * (columns + 1)
+    if held > MC_BYTE_BUDGET:
+        raise SizeLimitExceeded(
+            f"{n_samples} samples keeping {columns} columns hold {held} "
+            f"bytes, above the budget of {MC_BYTE_BUDGET}")
 
 
 def lp_norm_mc(functional: Callable, measure: KLMeasure, p: float,
@@ -466,8 +684,12 @@ def lp_norm_mc(functional: Callable, measure: KLMeasure, p: float,
         raise ValueError("p must be finite and >= 1")
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
+    # sized for J on the draws= path too: rows sized for draws' columns
+    # would span all 100,000 samples of the shipped embed-check, and the
+    # functional's temporaries with them (tracemalloc peak 3.48 -> 9.09 MB)
     rows = max(1, MC_BLOCK_BYTES // (8 * measure.truncation))
     if draws is None:
+        check_mc_budget(measure.truncation, n_samples, 0)
         rng = stream(seed, STREAM_MC_NORM)
     else:
         if draws.measure is not measure:
@@ -536,9 +758,12 @@ def isometry_check(f: GridFunction01, measure: KLMeasure, p: float,
     zscore is on the moment scale; a degenerate stderr with matching sides
     (constant f) reports zscore 0.
     """
-    emb = embed(f, measure)
-    mc = lp_norm_mc(emb, measure, p, n_samples, seed)
-    return IsometryReport.from_mc(mc, f.quadrature_abs_pow(p, refine=refine))
+    with draw_ahead(measure, n_samples, [seed], f.dim) as draws:
+        reference = f.quadrature_abs_pow(p, refine=refine)
+        draw = next(draws)
+    mc = lp_norm_mc(embed(f, measure), measure, p, n_samples, seed,
+                    draws=draw)
+    return IsometryReport.from_mc(mc, reference)
 
 
 def moment_zscore(mc_moment: float, reference: float, stderr: float) -> float:

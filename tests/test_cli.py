@@ -671,6 +671,60 @@ def test_sweep_refuses_an_oversized_input_before_allocating(tmp_path,
     assert time.monotonic() - start < 10
 
 
+_MC_WORDS = ek.randomfield.MC_WORD_BUDGET
+_MC_BYTES = ek.randomfield.MC_BYTE_BUDGET
+
+
+def _huge_monte_carlo(command, key, value):
+    """(subcommand, config) of a shipped config with one key replaced."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    name = "embed-check" if command == "embed-check" else "expectation-d1"
+    cfg = read_json(root / "configs" / f"{name}.json")
+    if key == "J":
+        cfg["kl"] = dict(cfg["kl"], J=value)
+    elif key == "one-column":
+        cfg["kl"] = dict(cfg["kl"], J=1)
+        cfg["samples"] = value
+    else:
+        cfg[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command,key,value,words,held", [
+    # 74.5 GiB, 149 GiB and a 763 MiB row block, which the child's own
+    # 2 GiB address-space limit turned into _ArrayMemoryError (exit 1)
+    ("embed-check", "samples", 10**10, 64 * 10**10, None),
+    ("chain-expectation", "mc_samples", 10**10, 64 * 10**10, None),
+    ("chain-expectation", "J", 10**8, 20_000 * 10**8, None),
+    # one sample past each budget
+    ("embed-check", "samples", _MC_WORDS // 64 + 1,
+     64 * (_MC_WORDS // 64 + 1), None),
+    ("embed-check", "one-column", _MC_BYTES // 16 + 1, None,
+     16 * (_MC_BYTES // 16 + 1)),
+])
+def test_oversized_monte_carlo_is_refused_before_allocating(
+        tmp_path, command, key, value, words, held):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_huge_monte_carlo(command, key, value)))
+    code = ("import resource; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from entrokit.cli import main; main()")
+    start = time.monotonic()
+    out = subprocess.run([sys.executable, "-c", code, command, "--config",
+                          str(path)], capture_output=True, text=True,
+                         timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert out.returncode == 2, out.stderr
+    if words is not None:
+        assert (f"coordinates draw {words} values per seed, above the "
+                f"budget of {_MC_WORDS}") in out.stderr
+    else:
+        assert f"hold {held} bytes, above the budget of {_MC_BYTES}" \
+            in out.stderr
+    assert time.monotonic() - start < 10
+
+
 def test_table_seed_override(runner, tmp_path):
     # --seed runs the table as a config holding that seed would
     cfg = {"schema_version": 1, "experiment": "uniform-chain", "seed": 7,

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -503,6 +504,131 @@ def test_lp_norm_mc_with_draws_equals_the_generic_path(law, dim, columns):
                     == ek.lp_norm_mc(emb, m, p, n, seed))
 
 
+def _columns_drawn_serially(measure, n, seed, columns):
+    out = np.empty((n, columns))
+    rf._draw_columns(measure, seed, out)
+    return out
+
+
+# segment sizes (raw words) and the coordinates drawn per seed with them;
+# 64 puts boundaries off row edges and makes joins many
+_SPLITS = {64: 10_000, 4096: 600_000, rf.SEGMENT: 1_000_000}
+
+
+def _recorded_segments(monkeypatch):
+    """The (seed, index, thread) of each segment draw_ahead splits off."""
+    segments = []
+    draw_segment = rf._draw_segment
+
+    def recorded(measure, seed, index, stride, out):
+        segments.append((seed, index, threading.current_thread()))
+        return draw_segment(measure, seed, index, stride, out)
+
+    monkeypatch.setattr(rf, "_draw_segment", recorded)
+    return segments
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("segment", sorted(_SPLITS))
+def test_split_draws_equal_the_per_seed_draws(monkeypatch, segment, cpus):
+    # one usable CPU keeps the per-seed path; with two or four, one
+    # Gaussian seed is split, and the uniform law keeps the per-seed path
+    monkeypatch.setattr(rf, "SEGMENT", segment)
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: cpus)
+    segments = _recorded_segments(monkeypatch)
+    seed = segment + cpus
+    for law, j_max in itertools.product(["gaussian", "uniform"],
+                                        [1, 3, 64, 100]):
+        m = _mc_measure(law, j_max)
+        columns = min(j_max, 2 + j_max % 3)
+        for n in {100, min(100_000, _SPLITS[segment] // j_max)}:
+            segments.clear()
+            with ek.draw_ahead(m, n, [seed], columns) as draws:
+                got = [(draw.seed, draw.coeffs) for draw in draws]
+            assert [s for s, _ in got] == [seed]
+            assert bool(segments) == (cpus > 1 and law == "gaussian")
+            expect = _columns_drawn_serially(m, n, seed, columns)
+            assert got[0][1].view(np.uint64).tobytes() == \
+                expect.view(np.uint64).tobytes(), (law, j_max, n)
+
+
+@pytest.mark.parametrize("cpus,seeds,law", [
+    (1, [4], "gaussian"), (64, [4, 5], "gaussian"), (64, [4], "uniform")])
+def test_only_one_gaussian_seed_on_several_cpus_is_split(monkeypatch, cpus,
+                                                         seeds, law):
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: cpus)
+    segments = _recorded_segments(monkeypatch)
+    with ek.draw_ahead(_mc_measure(law, 64), 20_000, seeds, 2) as draws:
+        assert [draw.seed for draw in draws] == seeds
+    assert segments == []
+
+
+def _recorded_joins(monkeypatch):
+    joins = []
+    join = rf._join
+
+    def recorded(last, values):
+        joins.append(join(last, values))
+        return joins[-1]
+
+    monkeypatch.setattr(rf, "_join", recorded)
+    return joins
+
+
+def test_a_segment_that_cannot_be_joined_falls_back_to_the_serial_draw(
+        monkeypatch):
+    # 64-word segments of 128 values: segment 1 starting two counter blocks
+    # late shares at most 64 words with segment 0's 128 values and their
+    # rejections, too few for OVERLAP values of its own parse to meet a run
+    # of segment 0's; the rest is drawn serially
+    monkeypatch.setattr(rf, "SEGMENT", 64)
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: 2)
+    draw_segment = rf._draw_segment
+
+    def late(measure, seed, index, stride, out):
+        return draw_segment(measure, seed, index,
+                            stride + 8 if index == 1 else stride, out)
+
+    monkeypatch.setattr(rf, "_draw_segment", late)
+    joins = _recorded_joins(monkeypatch)
+    m = _mc_measure("gaussian", 1)
+    with ek.draw_ahead(m, 5_000, [11], 1) as draws:
+        coeffs = next(draws).coeffs
+    assert joins == [None]
+    expect = _columns_drawn_serially(m, 5_000, 11, 1)
+    assert coeffs.view(np.uint64).tobytes() == expect.view(np.uint64).tobytes()
+
+
+def test_shipped_embed_check_joins_every_segment(monkeypatch):
+    # a numpy whose advance or ziggurat changed would fail here, not slow
+    # down silently through the serial fallback
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: 2)
+    joins = _recorded_joins(monkeypatch)
+    cfg = read_json(pathlib.Path(__file__).resolve().parent.parent
+                    / "configs" / "embed-check.json")
+    m = ek.KLMeasure.from_config(cfg["kl"])
+    with ek.draw_ahead(m, cfg["samples"], [cfg["seed"]], 1) as draws:
+        coeffs = next(draws).coeffs
+    assert len(joins) >= cfg["samples"] * 64 // rf.SEGMENT - 1
+    assert None not in joins
+    expect = _columns_drawn_serially(m, cfg["samples"], cfg["seed"], 1)
+    assert coeffs.view(np.uint64).tobytes() == expect.view(np.uint64).tobytes()
+
+
+def test_draw_z_into_a_buffer_keeps_its_bits():
+    for law in ("gaussian", "uniform"):
+        m = _mc_measure(law, 5)
+        out = np.empty((3000, 5))
+        assert m.draw_z(stream(4, STREAM_MC_NORM), 3000, out=out) is out
+        expect = m.draw_z(stream(4, STREAM_MC_NORM), 3000)
+        assert out.view(np.uint64).tobytes() == \
+            expect.view(np.uint64).tobytes()
+    # the uniform law's coordinates are those of Generator.uniform
+    expect = stream(4, STREAM_MC_NORM).uniform(-math.sqrt(3), math.sqrt(3),
+                                               (3000, 5))
+    assert out.view(np.uint64).tobytes() == expect.view(np.uint64).tobytes()
+
+
 def test_draws_of_a_constant_functional_have_no_variance():
     m = _mc_measure("uniform", 8)
     const = ek.embed(ek.GridFunction01.constant(0.7), m)
@@ -544,11 +670,11 @@ def test_a_draw_of_another_seed_is_refused():
 class _FailingSecondSeed(ek.KLMeasure):
     """Draws fail for seed 2's stream only."""
 
-    def draw_z(self, rng, count):
+    def draw_z(self, rng, count, out=None):
         if np.array_equal(rng.bit_generator.state["state"]["key"],
                           [2, STREAM_MC_NORM]):
             raise FloatingPointError("draw failed")
-        return super().draw_z(rng, count)
+        return super().draw_z(rng, count, out)
 
 
 def test_worker_exception_surfaces_from_its_draw():
@@ -566,7 +692,7 @@ class _FailingMeasure(ek.KLMeasure):
         super().__init__(eigenvalues)
         self.failed = threading.Event()
 
-    def draw_z(self, rng, count):
+    def draw_z(self, rng, count, out=None):
         self.failed.set()
         raise FloatingPointError("draw failed")
 
@@ -574,6 +700,22 @@ class _FailingMeasure(ek.KLMeasure):
 def test_a_failing_draw_never_reached_raises_nothing():
     m = _FailingMeasure([1.0])
     with ek.draw_ahead(m, 200, [1], 1):
+        assert m.failed.wait(timeout=60)
+
+
+def test_split_worker_exception_surfaces_from_its_draw(monkeypatch):
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: 2)
+    m = _FailingSecondSeed([1.0, 0.25])
+    # several segments of seed 2's stream, each failing on a worker
+    with ek.draw_ahead(m, 50_000, [2], 2) as draws:
+        with pytest.raises(FloatingPointError, match="draw failed"):
+            next(draws)
+
+
+def test_a_failing_split_draw_never_reached_raises_nothing(monkeypatch):
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: 2)
+    m = _FailingMeasure([1.0])
+    with ek.draw_ahead(m, 100_000, [1], 1):
         assert m.failed.wait(timeout=60)
 
 
@@ -595,17 +737,67 @@ def test_at_most_one_draw_more_than_workers_is_ahead(monkeypatch):
     assert {thread for _, thread in made} == {threading.current_thread()}
 
 
+class _RecordingNumpy:
+    """numpy, with a weak reference to each array np.empty made and the
+    thread that called it."""
+
+    def __init__(self):
+        self.made = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        array = np.empty(*args, **kwargs)
+        self.made.append((weakref.ref(array), threading.current_thread()))
+        return array
+
+
+@pytest.mark.parametrize("cpus", [2, 64])
+def test_split_buffers_are_allocated_on_the_calling_thread(monkeypatch,
+                                                           cpus):
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: cpus)
+    recording = _RecordingNumpy()
+    monkeypatch.setattr(rf, "np", recording)
+    filled = []
+    draw_segment = rf._draw_segment
+
+    def recorded(measure, seed, index, stride, out):
+        # (made here, segment buffers alive) as the segment is drawn
+        alive = [ref() for ref, _ in recording.made]
+        filled.append((any(array is out for array in alive),
+                       sum(a is not None and a.shape == out.shape
+                           for a in alive), threading.current_thread()))
+        del alive
+        return draw_segment(measure, seed, index, stride, out)
+
+    monkeypatch.setattr(rf, "_draw_segment", recorded)
+    m = _mc_measure("gaussian", 16)
+    with ek.draw_ahead(m, 20_000, [7], 2) as draws:
+        got = [draw.seed for draw in draws]
+    assert got == [7]
+    here = threading.current_thread()
+    assert {thread for _, thread in recording.made} == {here}
+    # every segment was drawn on a worker, into a buffer made here, while
+    # at most SPLIT_WORKERS + 2 segment buffers were alive
+    assert len(filled) >= 2
+    assert here not in {thread for _, _, thread in filled}
+    assert all(made_here for made_here, _, _ in filled)
+    assert max(alive for _, alive, _ in filled) <= rf.SPLIT_WORKERS + 2
+
+
 def _new_threads(before):
     return [t for t in threading.enumerate() if t not in before]
 
 
-@pytest.mark.parametrize("leave", ["normally", "by-exception"])
-def test_no_worker_is_alive_after_the_with_block(leave):
+def _leave_draws(leave, seeds):
+    """The threads draw_ahead started, and those alive when the block was
+    left normally or by an exception."""
     m = _mc_measure("gaussian", 64)
     before = set(threading.enumerate())
     workers = []
     try:
-        with ek.draw_ahead(m, 20_000, list(range(8)), 2) as draws:
+        with ek.draw_ahead(m, 20_000, seeds, 2) as draws:
             next(draws)
             workers = _new_threads(before)
             if leave == "by-exception":
@@ -616,9 +808,26 @@ def test_no_worker_is_alive_after_the_with_block(leave):
     alive = [t for t in workers if t.is_alive()]
     for t in workers:
         t.join(timeout=10)
+    assert _new_threads(before) == []
+    return workers, alive
+
+
+@pytest.mark.parametrize("leave", ["normally", "by-exception"])
+def test_no_worker_is_alive_after_the_with_block(leave):
+    workers, alive = _leave_draws(leave, list(range(8)))
     assert 1 <= len(workers) <= min(8, rf._usable_cpus())
     assert alive == []
-    assert _new_threads(before) == []
+
+
+@pytest.mark.parametrize("cpus", [2, 64])
+@pytest.mark.parametrize("leave", ["normally", "by-exception"])
+def test_no_split_worker_is_alive_after_the_with_block(monkeypatch, leave,
+                                                       cpus):
+    # the split runs on SPLIT_WORKERS threads, however many CPUs there are
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: cpus)
+    workers, alive = _leave_draws(leave, [5])
+    assert 1 <= len(workers) <= rf.SPLIT_WORKERS
+    assert alive == []
 
 
 def test_import_starts_no_thread():
