@@ -22,8 +22,8 @@ from .packing import (BumpFamily, HatFamily, SignCode, build_bump_family,
                       select_embedding_dimension)
 from .randomfield import (EmbeddedFunctional, GridFunction01, IsometryReport,
                           KLMeasure, McDraw, McEstimate, cdf_map, draw_ahead,
-                          embed, isometry_check, lp_norm_mc, sample,
-                          transport_quotient_max)
+                          embed, isometry_check, isometry_checks, lp_norm_mc,
+                          sample, transport_quotient_max)
 from .fno import (ACTIVATIONS, FnoHyper, FnoParams, GridFunction, ParamCount,
                   canonical_modes, empirical_lipschitz, forward,
                   forward_batch, param_count, random_grid_function,

@@ -678,27 +678,17 @@ def _run_expectation_chain(cfg: dict) -> ResultTable:
     columns = ["code_size", "log2_size_bound", "dim", "cells",
                "predicted_min_sep", "pair_a", "pair_b", "mc_dist", "mc_stderr",
                "quad_dist", "zscore", "passed"]
-    # pair t reads stream seed + t; its first dim columns are drawn ahead on
-    # worker threads, which start while this thread integrates the pairs
-    rows = []
-    with rf.draw_ahead(measure, cfg["mc_samples"],
-                       [seed + t for t in range(len(pairs))], dim) as draws:
-        diffs = [rf.GridFunction01(dim, family.member_on_nodes(a)
-                                   - family.member_on_nodes(b))
-                 for a, b in pairs]
-        quad_moments = [scale**p * diff.quadrature_abs_pow(p)
-                        for diff in diffs]
-        for t, ((a, b), diff, quad_moment, draw) in enumerate(
-                zip(pairs, diffs, quad_moments, draws)):
-            emb = rf.embed(diff, measure).scaled(scale)
-            mc = rf.lp_norm_mc(emb, measure, p, cfg["mc_samples"], seed + t,
-                               draws=draw)
-            report = rf.IsometryReport.from_mc(mc, quad_moment)
-            passed = (mc.estimate >= predicted_min - 3 * mc.stderr
-                      and report.consistent)
-            rows.append((code.size, log2_size_bound, dim, cells, predicted_min,
-                         a, b, mc.estimate, mc.stderr,
-                         quad_moment ** (1.0 / p), report.zscore, passed))
+    # pair t reads stream seed + t
+    diffs = [rf.EmbeddedFunctional(rf.GridFunction01(
+        dim, family.member_on_nodes(a) - family.member_on_nodes(b)),
+        measure, scale) for a, b in pairs]
+    reports = rf.isometry_checks(diffs, p, cfg["mc_samples"],
+                                 [seed + t for t in range(len(pairs))])
+    # passed: the separation check and the isometry gate
+    rows = [(code.size, log2_size_bound, dim, cells, predicted_min, a, b,
+             r.mc.estimate, r.mc.stderr, r.quad_moment ** (1.0 / p), r.zscore,
+             r.mc.estimate >= predicted_min - 3 * r.mc.stderr and r.consistent)
+            for (a, b), r in zip(pairs, reports)]
     return ResultTable(columns, rows,
                        {"code_size_ok": code.size >= code.target_size})
 

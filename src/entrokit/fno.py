@@ -558,7 +558,8 @@ def _synthesize(blocks: np.ndarray, dim: int, kappa: int,
     grid[:, _mode_index(dim, kappa, n)[1]] = np.concatenate(
         [coeffs, np.conj(coeffs)], axis=1)
     grid = grid.reshape((rows,) + (n,) * dim + (channels,))
-    fields = _fft_axes(_pocketfft().ifft, grid, _fft_specs(dim), 1).real
+    # a copy: the .real view would keep the complex transform alive
+    fields = _fft_axes(_pocketfft().ifft, grid, _fft_specs(dim), 1).real.copy()
     fields.setflags(write=False)
     return fields
 
@@ -643,19 +644,19 @@ def _forward_grid(params: FnoParams, u: GridFunction) -> float:
 # multiply the batch's peak memory
 _CHUNK = 128
 # bytes of the multiplier stacks and bias fields that a chunk of grid rows
-# holds at once: a 31-row chunk of the 2-D d_c = 3 kappa 2 spectral-bias
-# shape runs as fast as a 128-row one, and holds a quarter of the memory
+# holds at once: 48 rows of the 2-D d_c = 3 kappa 2 spectral-bias shape
+# (31 rows of it ran as fast as 128, at a quarter of the memory)
 _CHUNK_BYTES = 1 << 18
 
 
 def _grid_chunk(hyper: FnoHyper, sizes: Sequence[int]) -> int:
     """Rows per chunk of grid rows with bias fields on the n^d grid of each
-    n in `sizes`: as many as _CHUNK_BYTES of their multiplier stacks and
-    fields hold (complex, 16 bytes a value), from 1 to _CHUNK."""
+    n in `sizes`: as many as _CHUNK_BYTES of their complex multiplier
+    stacks and real fields hold, from 1 to _CHUNK."""
     modes = len(_mode_index(hyper.dim, hyper.kappa, 2 * hyper.kappa)[1])
-    values = hyper.depth * hyper.d_c * (
-        modes * hyper.d_c + sum(n**hyper.dim for n in sizes))
-    return max(1, min(_CHUNK, _CHUNK_BYTES // max(16 * values, 1)))
+    row_bytes = hyper.depth * hyper.d_c * (
+        16 * modes * hyper.d_c + 8 * sum(n**hyper.dim for n in sizes))
+    return max(1, min(_CHUNK, _CHUNK_BYTES // max(row_bytes, 1)))
 
 
 def forward_batch(hyper: FnoHyper, thetas, inputs: Sequence[GridFunction]

@@ -111,10 +111,6 @@ class FiniteMetricSpace:
     def n(self) -> int:
         return len(self.points)
 
-    @property
-    def diameter(self) -> float:
-        return float(np.max(self.dist))
-
     # -- constructors -------------------------------------------------
 
     @classmethod

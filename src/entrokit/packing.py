@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import (BoundNotReached, EpsilonTooLarge, FamilyTooLarge,
                      GridMisaligned, NoPacking, SizeLimitExceeded)
-from .metricspace import (EXACT_LIMIT, FiniteMetricSpace, SampledFunctional,
-                          exact_packing_number, greedy_packing)
+from .metricspace import (EXACT_LIMIT, FiniteMetricSpace, exact_packing_number,
+                          greedy_packing)
 
 HAT_MAX_LOG2_MEMBERS = 16
 # entries of the (centers, rows, points) block the Lipschitz check holds
@@ -113,9 +113,6 @@ class HatFamily:
         """Values of f_sigma on all space points for sigma in {0,1}^N."""
         sigma = np.asarray(sigma, dtype=float)
         return sigma @ self.psi
-
-    def member_functional(self, sigma) -> SampledFunctional:
-        return SampledFunctional(tuple(self.space.points), self.member(sigma))
 
     def verify(self) -> HatFamilyReport:
         """Exact over all 2^N members without building them.  psi >= 0 and

@@ -13,6 +13,10 @@ sup-norm-Lipschitz f (w.r.t. the max norm on the cube) to a functional
 with Lipschitz constant at most L / sqrt(lambda_d) in the coordinate
 l2 norm, where L bounds both the coordinate densities and sqrt(lambda_1).
 
+Both isometry checks, embed-check's (isometry_check) and the expectation
+chain's, run through isometry_checks, the package's one caller of
+draw_ahead and lp_norm_mc.
+
 Monte-Carlo norms read one Philox stream per seed.  draw_ahead draws
 whole seeds on worker threads.  Given one Gaussian seed (embed-check's)
 and more than one usable CPU, it splits that stream instead, in segments
@@ -397,9 +401,6 @@ class EmbeddedFunctional:
         lam_d = float(self.measure.eigenvalues[self.dim - 1])
         return abs(self.scale) * self.f.lipschitz * self.measure.density_bound / math.sqrt(lam_d)
 
-    def scaled(self, factor: float) -> "EmbeddedFunctional":
-        return EmbeddedFunctional(self.f, self.measure, self.scale * factor)
-
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
         return self.scale * self.f(cdf_map(self.measure, coeffs, self.dim))
 
@@ -751,19 +752,32 @@ class IsometryReport:
         return abs(self.zscore) <= 3.0
 
 
-def isometry_check(f: GridFunction01, measure: KLMeasure, p: float,
-                   n_samples: int, seed: int, refine: int = 8) -> IsometryReport:
-    """Compare the p-th moment of f o h_d under mu with cube quadrature.
+def isometry_checks(functionals, p: float, n_samples: int, seeds) -> list:
+    """One IsometryReport per EmbeddedFunctional of a sequence, all on one
+    measure, in order: its Monte-Carlo p-th moment on its seed's stream,
+    drawn ahead while the references are computed, against scale^p times
+    the cube quadrature of |f|^p."""
+    if not seeds or len(seeds) != len(functionals):
+        raise ValueError("need one seed per functional, and at least one")
+    reports = []
+    with draw_ahead(functionals[0].measure, n_samples, seeds,
+                    max(emb.dim for emb in functionals)) as draws:
+        references = [emb.scale**p * emb.f.quadrature_abs_pow(p)
+                      for emb in functionals]
+        for emb, seed, reference, draw in zip(functionals, seeds,
+                                              references, draws):
+            # a functional of another measure fails lp_norm_mc's check
+            mc = lp_norm_mc(emb, emb.measure, p, n_samples, seed, draws=draw)
+            reports.append(IsometryReport.from_mc(mc, reference))
+    return reports
 
-    zscore is on the moment scale; a degenerate stderr with matching sides
-    (constant f) reports zscore 0.
-    """
-    with draw_ahead(measure, n_samples, [seed], f.dim) as draws:
-        reference = f.quadrature_abs_pow(p, refine=refine)
-        draw = next(draws)
-    mc = lp_norm_mc(embed(f, measure), measure, p, n_samples, seed,
-                    draws=draw)
-    return IsometryReport.from_mc(mc, reference)
+
+def isometry_check(f: GridFunction01, measure: KLMeasure, p: float,
+                   n_samples: int, seed: int) -> IsometryReport:
+    """isometry_checks on embed(f, measure): the p-th moment of f o h_d
+    under mu against cube quadrature; zscore is on the moment scale, and a
+    constant f (degenerate stderr, matching sides) reports zscore 0."""
+    return isometry_checks([embed(f, measure)], p, n_samples, [seed])[0]
 
 
 def moment_zscore(mc_moment: float, reference: float, stderr: float) -> float:

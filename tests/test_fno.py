@@ -283,7 +283,11 @@ def test_spectral_bias_is_synthesized_once_per_layer_and_resolution(
 
     def counted(blocks, *args):
         calls.append((len(blocks), args[-1]))  # rows and resolution
-        return synthesize(blocks, *args)
+        fields = synthesize(blocks, *args)
+        # real arrays of their own, not views of the complex transform
+        assert fields.dtype == float and fields.base is None
+        assert not fields.flags.writeable
+        return fields
 
     monkeypatch.setattr(ek.fno, "_synthesize", counted)
     h = ek.FnoHyper(2, 1, 1, 3, 2, 2, bias_mode="spectral")
@@ -295,10 +299,12 @@ def test_spectral_bias_is_synthesized_once_per_layer_and_resolution(
             assert ek.forward(p, u) == _reference_forward(p, u)
         inputs += [first, second]
     assert calls == [(1, 4), (1, 4), (1, 6), (1, 6)]
-    # forward_batch: once per layer, resolution and chunk; a cached field
-    # is 16 bytes a value, 2 layers of 3 channels on 4^2 + 6^2 nodes plus
-    # 2 layers of 8 multiplier matrices of 3 x 3
-    monkeypatch.setattr(ek.fno, "_CHUNK_BYTES", 2 * 16 * 2 * 3 * (52 + 24))
+    # forward_batch: once per layer, resolution and chunk; two rows fill a
+    # chunk: per row 2 layers of 3 channels of real fields on 4^2 + 6^2
+    # nodes, 8 bytes a value, plus 2 layers of 8 complex multiplier
+    # matrices of 3 x 3, 16 bytes a value
+    monkeypatch.setattr(ek.fno, "_CHUNK_BYTES",
+                        2 * 2 * 3 * (8 * 52 + 16 * 24))
     thetas = stream(59, 8).uniform(-1.0, 1.0, (5, layout_length(h)))
     calls.clear()
     got = ek.forward_batch(h, thetas, inputs)

@@ -345,7 +345,8 @@ def test_cover_line3_unit_radius():
 
 def test_cover_at_diameter_is_one():
     for space in (ek.FiniteMetricSpace.line(5), ek.FiniteMetricSpace.circle(7)):
-        assert ek.exact_covering_number(space, space.diameter).count == 1
+        diameter = float(np.max(space.dist))
+        assert ek.exact_covering_number(space, diameter).count == 1
 
 
 def test_cover_line4_half_radius():
@@ -446,7 +447,7 @@ def test_greedy_cover_valid_and_dominates_exact():
 def test_greedy_cover_trivia():
     line3 = ek.FiniteMetricSpace.line(3)
     assert ek.greedy_covering(line3, 1.0).count in (1, 2)
-    assert ek.greedy_covering(line3, line3.diameter).count == 1
+    assert ek.greedy_covering(line3, float(np.max(line3.dist))).count == 1
     assert ek.greedy_covering(line3, 0.5, subset=[1]).count == 1
 
 
@@ -641,10 +642,10 @@ def test_sandwich_line3():
 
 def test_sandwich_above_diameter():
     space = ek.FiniteMetricSpace.circle(5)
-    rep = ek.sandwich_check(space, space.diameter * 1.000001)
+    rep = ek.sandwich_check(space, float(np.max(space.dist)) * 1.000001)
     assert (rep.m_3eps, rep.n_eps, rep.m_eps) == (1, 1, 1)
     # at eps = diameter exactly, a tie pair still counts as separated
-    at_diam = ek.sandwich_check(space, space.diameter)
+    at_diam = ek.sandwich_check(space, float(np.max(space.dist)))
     assert at_diam.n_eps == 1 and at_diam.holds
 
 
@@ -774,7 +775,7 @@ def test_code_length_three_ball_instance():
 
 def test_code_length_constant_decoder():
     line3 = ek.FiniteMetricSpace.line(3)
-    assert ek.minimax_code_length(line3, line3.diameter) == 0
+    assert ek.minimax_code_length(line3, float(np.max(line3.dist))) == 0
 
 
 def test_code_length_line4():
@@ -843,7 +844,8 @@ def test_dictionary_hat_family_vs_zero():
     space = ek.FiniteMetricSpace.line(2)
     fam = ek.build_hat_family(space, 1 / 6)
     ids = tuple(space.points)
-    targets = [fam.member_functional([s >> 0 & 1, s >> 1 & 1]) for s in range(4)]
+    targets = [_functional(ids, fam.member([s >> 0 & 1, s >> 1 & 1]))
+               for s in range(4)]
     zero = _functional(ids, [0.0, 0.0])
     err = ek.dictionary_minimax_error(targets, [zero])
     assert err == pytest.approx(3 * fam.eps)

@@ -995,6 +995,59 @@ def test_isometry_bump_member():
     assert abs(rep.zscore) <= 3
 
 
+def _isometry_oracle(emb, p, n, seed):
+    """isometry_checks' report of one functional, serially: lp_norm_mc
+    without draws, against scale^p times the cube quadrature."""
+    mc = ek.lp_norm_mc(emb, emb.measure, p, n, seed)
+    reference = emb.scale**p * emb.f.quadrature_abs_pow(p)
+    return ek.IsometryReport.from_mc(mc, reference)
+
+
+def _report_bits(report):
+    mc = report.mc
+    floats = (report.mc_moment, report.quad_moment, report.zscore,
+              mc.estimate, mc.stderr, mc.moment, mc.moment_stderr)
+    return [x.hex() for x in floats] + [mc.n_samples]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("seeds", [[5], [5, 6, 7]])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("law", ["gaussian", "uniform"])
+def test_isometry_checks_equal_the_serial_oracle(monkeypatch, law, dim, p,
+                                                 seeds, cpus):
+    # one Gaussian seed on two CPUs takes the split stream, the other
+    # cases the per-seed pool, on one worker when cpus is 1; a
+    # multi-seed call mixes dims, which draws the widest one's columns
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: cpus)
+    m = _mc_measure(law, 64)
+    n = 2_000
+    assert n * 64 > 2 * rf.SEGMENT
+    functionals = [
+        ek.EmbeddedFunctional(ek.GridFunction01.from_callable(
+            lambda x, k=k: np.sin((3 + k) * x[:, 0]) + x[:, -1] ** 2 - 0.6,
+            d, 8), m, scale)
+        for k, (d, scale) in enumerate(zip((dim, 1, dim), (0.37, 1.0, 2.5)))
+    ][:len(seeds)]
+    got = ek.isometry_checks(functionals, p, n, seeds)
+    expect = [_isometry_oracle(emb, p, n, seed)
+              for emb, seed in zip(functionals, seeds)]
+    assert [_report_bits(r) for r in got] == [_report_bits(r) for r in expect]
+
+
+def test_isometry_checks_validation():
+    m = _mc_measure("uniform", 8)
+    emb = _dim_functional(m, 1)
+    with pytest.raises(ValueError, match="one seed per functional"):
+        ek.isometry_checks([], 2, 200, [])
+    with pytest.raises(ValueError, match="one seed per functional"):
+        ek.isometry_checks([emb, emb], 2, 200, [1])
+    other = _dim_functional(_mc_measure("uniform", 8), 1)
+    with pytest.raises(ValueError, match="another measure"):
+        ek.isometry_checks([emb, other], 2, 200, [1, 2])
+
+
 def test_moment_zscore_degenerate_cases():
     assert ek.randomfield.moment_zscore(0.5, 0.5 + 1e-15, 0.0) == 0.0
     assert ek.randomfield.moment_zscore(1.0, 0.0, 0.0) == math.inf

@@ -202,6 +202,25 @@ def test_forward_is_called_only_by_forward_batch_and_the_fno_command():
     assert found == len(_FORWARD_CALLERS) and not bad, bad
 
 
+# the one routine that reads Monte-Carlo draws: both isometry checks,
+# embed-check's and the expectation chain's, go through it
+_MC_CALLERS = {("randomfield.py", "isometry_checks")}
+
+
+def test_monte_carlo_draws_are_read_only_by_the_isometry_routine():
+    found, bad = 0, []
+    for path in sorted(SOURCE.glob("*.py")):
+        calls = [(scope, node.lineno) for scope, node
+                 in _scoped(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call)
+                 and (_names(node.func, "draw_ahead")
+                      or _names(node.func, "lp_norm_mc"))]
+        found += len(calls)
+        bad += [f"{path.name}:{line} {scope or '<module>'}" for scope, line
+                in calls if (path.name, scope) not in _MC_CALLERS]
+    assert found == 2 and not bad, bad
+
+
 def test_declared_dependencies_are_the_imported_ones():
     # every import statement, function-level ones included, against
     # [project].dependencies: nothing imported goes undeclared, and
