@@ -13,7 +13,8 @@ class EntrokitError(Exception):
 
 
 class SizeLimitExceeded(EntrokitError):
-    """Exact search requested on an instance above the exactness threshold."""
+    """An input past a size limit: an exact search above its threshold, or
+    an allocation past a memory or work budget, refused before it runs."""
 
 
 class SampleMismatch(EntrokitError):

@@ -45,6 +45,12 @@ TRIANGLE_BLOCK_ENTRIES = 1 << 20
 # it.  At or above it that error is below m 2^-75 of the sum, far inside
 # TRIANGLE_RTOL.
 _EUCLIDEAN_SAFE = 2.0**-500
+# bytes that line, circle and from_coords may hold at once: the n x n
+# matrix and its n x n temporaries, 2 for line, 3 for circle and 2 m + 1
+# for m coordinates (tracemalloc peaks).  At this budget circle(3344),
+# line(4096) and from_coords of 2,590 points in 2-D each took 0.1-0.3 s
+# at 290 MB peak RSS on a 2-vCPU x86-64 VM
+SPACE_BYTE_BUDGET = 1 << 28
 
 
 class FiniteMetricSpace:
@@ -54,7 +60,8 @@ class FiniteMetricSpace:
     axiom of an outside matrix.  `from_coords`, `line` and `circle` build
     metrics by construction and check only what construction can get
     wrong: non-finite inputs, a size that is not positive and finite,
-    and overflow.
+    and overflow.  Before they allocate, they raise SizeLimitExceeded
+    when the matrix and its temporaries would pass SPACE_BYTE_BUDGET.
     """
 
     def __init__(self, points: Sequence, dist) -> None:
@@ -131,6 +138,7 @@ class FiniteMetricSpace:
         elif coords.ndim != 2:
             raise ValueError(f"coords must be a flat sequence or one row per "
                              f"point, not a {coords.ndim}-D array")
+        _check_space_size(len(coords), 2 * coords.shape[1] + 1)
         diff = coords[:, None, :] - coords[None, :, :]
         if metric == "euclidean":
             dist = np.sqrt(np.sum(diff**2, axis=-1))
@@ -151,6 +159,7 @@ class FiniteMetricSpace:
         """n points on a line at the given spacing, d(i, j) = spacing * |i - j|."""
         _require_positive("n", n)
         _require_positive("spacing", spacing)
+        _check_space_size(n, 2)
         idx = np.arange(n, dtype=float)
         return cls._built(list(range(n)), spacing * np.abs(idx[:, None] - idx[None, :]))
 
@@ -161,6 +170,7 @@ class FiniteMetricSpace:
         if circumference is None:
             circumference = float(n)
         _require_positive("circumference", circumference)
+        _check_space_size(n, 3)
         step = circumference / n
         idx = np.arange(n)
         hops = np.abs(idx[:, None] - idx[None, :])
@@ -193,6 +203,16 @@ class FiniteMetricSpace:
 def _require_positive(name: str, value: float) -> None:
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_space_size(n: int, matrices: int) -> None:
+    """SizeLimitExceeded when matrices n x n float64 arrays, a built
+    space's matrix and its temporaries, pass SPACE_BYTE_BUDGET."""
+    held = 8 * n * n * matrices
+    if held > SPACE_BYTE_BUDGET:
+        raise SizeLimitExceeded(
+            f"{n} points hold {held} bytes in their distance matrix and its "
+            f"temporaries, above the budget of {SPACE_BYTE_BUDGET}")
 
 
 @dataclass(frozen=True)

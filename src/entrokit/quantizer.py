@@ -24,7 +24,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, OutOfRange
+from .errors import BudgetExceeded, OutOfRange, SizeLimitExceeded
 # forward is not called here; bench/tests/test_bench_spans.py traces it here
 from .fno import (FnoHyper, FnoParams, GridFunction, empirical_lipschitz,
                   forward, forward_batch, layout_length, param_count,
@@ -35,6 +35,12 @@ from .rng import STREAM_SWEEP_DICT, stream
 LOG2_E = math.log2(math.e)
 EXHAUSTIVE_DICT_LIMIT = 1 << 14
 EVALUATION_CAP = 1 << 20
+# bytes of one sweep cell's theta matrix, candidates times q float64
+# values: the bits-hat sweep at d_c = 36 (4,096 x 3,996 thetas, 98% of
+# this) took 0.7-0.9 s at 412 MB peak RSS on a 2-vCPU x86-64 VM, about
+# three matrices (the last cell's, the index draw and the thetas) over a
+# 35 MB interpreter
+THETA_BYTE_BUDGET = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -299,30 +305,58 @@ def accuracy_bits_sweep(targets: Sequence[SampledFunctional],
     Exhaustive enumeration below EXHAUSTIVE_DICT_LIMIT candidates, seeded
     random search above it; random rows are upper bounds on the true
     minimax error and carry exhaustive=False.  Raises BudgetExceeded when a
-    cell would need more than EVALUATION_CAP forward evaluations.
+    cell would need more than EVALUATION_CAP forward evaluations, and
+    SizeLimitExceeded when its thetas would take more than
+    THETA_BYTE_BUDGET bytes, before any cell runs.
     """
     sample_ids = targets[0].sample_ids
     if len(sample_ids) != len(input_set):
         raise ValueError("targets must be sampled on the input set")
-    rows = []
+    # every cell is checked before any theta is drawn
+    cells = []
     for hi, hyper in enumerate(hypers):
         q = layout_length(hyper)
         for gi, grid in enumerate(grids):
-            size = grid.points_per_coord ** q
-            exhaustive = size <= EXHAUSTIVE_DICT_LIMIT
-            n_eval = (size if exhaustive else max_random) * len(input_set)
-            if n_eval > EVALUATION_CAP:  # refused before any theta is drawn
-                raise BudgetExceeded(f"cell ({hi}, {gi}) needs {n_eval} "
-                                     f"evaluations > {EVALUATION_CAP}")
-            thetas = _dictionary_thetas(q, grid, exhaustive, seed + hi,
-                                        max_random)
-            # row t holds theta t's functional on the input set
-            dictionary = forward_batch(hyper, thetas, input_set)
-            err = dictionary_minimax_error(targets, dictionary, norm="sup")
-            rows.append(SweepRow(bits=q * grid.bits_per_coord, minimax_err=err,
-                                 hyper_id=hi, grid_id=gi, seed=seed,
-                                 exhaustive=exhaustive))
+            exhaustive = _check_cell(f"cell ({hi}, {gi})", q, grid,
+                                     max_random, len(input_set))
+            cells.append((hi, hyper, gi, grid, q, exhaustive))
+    rows = []
+    for hi, hyper, gi, grid, q, exhaustive in cells:
+        thetas = _dictionary_thetas(q, grid, exhaustive, seed + hi,
+                                    max_random)
+        # row t holds theta t's functional on the input set
+        dictionary = forward_batch(hyper, thetas, input_set)
+        err = dictionary_minimax_error(targets, dictionary, norm="sup")
+        rows.append(SweepRow(bits=q * grid.bits_per_coord, minimax_err=err,
+                             hyper_id=hi, grid_id=gi, seed=seed,
+                             exhaustive=exhaustive))
     return pareto_front(rows)
+
+
+def _check_cell(name: str, q: int, grid: QuantGrid, max_random: int,
+                n_inputs: int) -> bool:
+    """Whether a sweep cell of q parameters on grid is enumerated
+    exhaustively; BudgetExceeded past EVALUATION_CAP evaluations, and
+    SizeLimitExceeded past THETA_BYTE_BUDGET bytes of thetas.
+
+    A grid has at least 2 points per coordinate, so p^q is at most
+    EXHAUSTIVE_DICT_LIMIT only for q below its bit length; the power is
+    taken only then, since with q in the billions it would not end.
+    """
+    p = grid.points_per_coord
+    exhaustive = (q < EXHAUSTIVE_DICT_LIMIT.bit_length()
+                  and p ** q <= EXHAUSTIVE_DICT_LIMIT)
+    candidates = p ** q if exhaustive else max_random
+    n_eval = candidates * n_inputs
+    if n_eval > EVALUATION_CAP:
+        raise BudgetExceeded(
+            f"{name} needs {n_eval} evaluations > {EVALUATION_CAP}")
+    held = 8 * candidates * q
+    if held > THETA_BYTE_BUDGET:
+        raise SizeLimitExceeded(
+            f"{name} holds {candidates} thetas of {q} parameters in {held} "
+            f"bytes, above the budget of {THETA_BYTE_BUDGET}")
+    return exhaustive
 
 
 def pareto_front(rows: Sequence[SweepRow]) -> List[SweepRow]:

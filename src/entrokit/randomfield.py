@@ -18,13 +18,16 @@ chain's, run through isometry_checks, the package's one caller of
 draw_ahead and lp_norm_mc.
 
 Monte-Carlo norms read one Philox stream per seed.  draw_ahead draws
-whole seeds on worker threads.  Given one Gaussian seed (embed-check's)
+whole seeds on worker threads; given one Gaussian seed (embed-check's)
 and more than one usable CPU, it splits that stream instead, in segments
 at fixed raw-word offsets, which a counter-based generator reaches
-directly, drawn on two workers, and stitches them where OVERLAP values
-of a segment equal a run of its predecessor's bit for bit: two parses of
-one word stream that share the start of a value agree from there on, so
-the result is the serial draw, bit for bit (see draw_ahead).
+directly, and stitches them where OVERLAP values of a segment equal a
+run of its predecessor's bit for bit: two parses of one word stream that
+share the start of a value agree from there on, so the result is the
+serial draw, bit for bit.  Both modes run on one in-order queue
+(_in_order), write scaled values through one writer (_place), and keep
+one buffer rule: workers write only buffers allocated on the calling
+thread (see draw_ahead).
 """
 
 from __future__ import annotations
@@ -50,14 +53,12 @@ _SQRT3 = math.sqrt(3.0)
 # (2,048 rows at J = 64), one block alive at a time, so its memory does
 # not grow with n_samples
 MC_BLOCK_BYTES = 1 << 20
-# draw_ahead's worker threads draw in row blocks of this many bytes (128 rows
-# at J = 64): large blocks on worker threads grow glibc's per-thread arenas
-MC_DRAW_BLOCK_BYTES = 64 << 10
-# draw_ahead splits one Gaussian seed's stream over SPLIT_WORKERS workers
-# in segments of about SEGMENT raw words (256 KiB of values: 2^14 words
-# paid more per segment than the split saved, and 2^16 broke the shipped
-# embed-check's 3 MiB memory bound), each drawing OVERLAP values more,
-# which are also the run two segments must share to be joined
+# draw_ahead draws a whole seed in row blocks of SEGMENT values (one row
+# at least), and splits one Gaussian seed's stream over SPLIT_WORKERS
+# workers in segments of about SEGMENT raw words (256 KiB of values: 2^14
+# words paid more per segment than the split saved, and 2^16 broke the
+# shipped embed-check's 3 MiB memory bound), each drawing OVERLAP values
+# more, which are also the run two segments must share to be joined
 SPLIT_WORKERS = 2
 SEGMENT = 1 << 15
 OVERLAP = 64
@@ -433,44 +434,44 @@ def draw_ahead(measure: KLMeasure, n_samples: int, seeds, columns: int):
     by worker threads.
 
     Several seeds, or one on a single usable CPU, or one of the uniform
-    law: min(len(seeds), usable CPUs) workers each run _draw_columns on
-    one seed, into (n_samples, columns) buffers allocated on the calling
-    thread, at most workers + 1 ahead of the iterator.
+    law: min(len(seeds), usable CPUs) workers each run _draw_seed on one
+    seed, a block of SEGMENT values at a time, at most workers + 1 seeds
+    ahead of the iterator.
 
     One Gaussian seed with more than one usable CPU (embed-check's draw):
-    its stream is split over SPLIT_WORKERS workers.  Segment i starts at
-    raw Philox word i * stride (a multiple of 4, one counter block), which
-    the counter-based generator reaches directly, and draws its SEGMENT +
-    OVERLAP or more values, rounded up to whole rows, into a buffer
-    allocated on the calling thread; workers run only _draw_segment.  The
-    calling thread stitches the segments, in order, into the same leading
-    columns, scaled by the same products, that _draw_columns writes.
-    numpy's Gaussian ziggurat reads a varying number of words per value,
-    so a segment's own parse of its words meets the stream's true parse a
-    value or two after its start.  Each segment is joined to its
-    predecessor at the first of its leading values from which OVERLAP
-    values equal, bit for bit, a run of the predecessor's values (see
-    _join).  The stitched draw is the serial one, bit for bit: each value
-    is a function of the words from its first one on, so two parses that
-    share the start of one value agree from there on, and before they
-    meet they read different words, so a false join would need OVERLAP
-    values to coincide by chance, each with a probability near 2^-53.
-    Where no run agrees, or the segments end short of the seed's values,
-    the predecessor's generator, which stands at a value boundary of the
-    true parse, is continued serially on the calling thread.  At most
-    SPLIT_WORKERS + 2 segment buffers are alive at once, and the calling
-    thread holds none once the McDraw is yielded.  The calling thread's
-    stitching, not the draw, bounds the split, so more workers would add
-    threads and buffers but no speed; and a uniform value is so cheap
-    that its split measured no faster than the serial draw.
+    SPLIT_WORKERS workers run _draw_segment.  Segment i starts at raw
+    Philox word i * stride (a multiple of 4, one counter block), which the
+    counter-based generator reaches directly, and draws SEGMENT + OVERLAP
+    or more values, rounded up to whole rows.  numpy's Gaussian ziggurat
+    reads a varying number of words per value, so a segment's own parse
+    of its words meets the stream's true parse a value or two after its
+    start.  The calling thread joins each segment to its predecessor at
+    the first of its leading values from which OVERLAP values equal, bit
+    for bit, a run of the predecessor's values (see _join).  That is the
+    serial draw, bit for bit: each value is a function of the words from
+    its first one on, so two parses that share the start of one value
+    agree from there on, and before they meet they read different words,
+    so a false join would need OVERLAP values to coincide by chance, each
+    with a probability near 2^-53.  Where no run agrees, or the segments
+    end short of the seed's values, the predecessor's generator, which
+    stands at a value boundary of the true parse, is continued serially
+    on the calling thread.  At most SPLIT_WORKERS + 2 segment buffers are
+    alive at once, and none once the McDraw is yielded.  The stitching,
+    not the draw, bounds the split, so more workers would add threads and
+    buffers but no speed; and a uniform value is so cheap that its split
+    measured no faster than the serial draw.
 
-    Traced calls (lp_norm_mc, cdf_map, quadrature) stay on the calling
-    thread, whose span stack and counters a tracer may keep
-    unsynchronised.  A worker's exception is raised when its draw is
-    reached.  Leaving the block joins the workers, which finish the draws
-    already submitted, and raises nothing of its own.  A draw past the
-    Monte-Carlo budgets raises SizeLimitExceeded before anything is
-    allocated (check_mc_budget).
+    Both modes run on one queue, _in_order, which submits every task from
+    the calling thread and hands the results out in order; one writer,
+    _place, which scales the leading columns with sample's products; and
+    one buffer rule: every buffer a worker writes, draw and block alike,
+    is allocated on the calling thread.  Traced calls (lp_norm_mc,
+    cdf_map, quadrature) stay on the calling thread, whose span stack and
+    counters a tracer may keep unsynchronised.  A worker's exception is
+    raised when its draw is reached.  Leaving the block joins the workers,
+    which finish the draws already submitted, and raises nothing of its
+    own.  A draw past the Monte-Carlo budgets raises SizeLimitExceeded
+    before anything is allocated (check_mc_budget).
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -488,32 +489,33 @@ def draw_ahead(measure: KLMeasure, n_samples: int, seeds, columns: int):
         if split:
             yield _split_draw(pool, measure, n_samples, seeds[0], columns)
             return
-        unsubmitted = iter(seeds)
-        jobs = collections.deque()
+        rows = max(1, SEGMENT // measure.truncation)
+        yield _in_order((pool.submit(
+            _draw_seed, McDraw(seed, measure, np.empty((n_samples, columns))),
+            np.empty((rows, measure.truncation))) for seed in seeds),
+            workers + 1)
 
-        def submit_next() -> None:
-            seed = next(unsubmitted, None)
-            if seed is not None:
-                draw = McDraw(seed, measure, np.empty((n_samples, columns)))
-                jobs.append((draw, pool.submit(
-                    _draw_columns, measure, seed, draw.coeffs)))
 
-        def in_order():
-            while jobs:
-                draw, future = jobs.popleft()
-                submit_next()
-                future.result()
-                yield draw
+def _in_order(submitted, ahead: int):
+    """An iterator of the results of the futures that submitted yields, in
+    its order.  submitted is advanced ahead times before this returns, and
+    once more each time a result is asked for, before that result is
+    awaited; so every task, and every buffer made for one, is submitted on
+    the thread that reads the results."""
+    jobs = collections.deque(itertools.islice(submitted, ahead))
 
-        for _ in range(workers + 1):
-            submit_next()
-        yield in_order()
+    def results():
+        while jobs:
+            jobs.extend(itertools.islice(submitted, 1))
+            yield jobs.popleft().result()
+
+    return results()
 
 
 def _split_draw(pool, measure: KLMeasure, n_samples: int, seed: int,
                 columns: int):
     """draw_ahead's iterator of seed's one McDraw, its stream split in
-    segments; the first SPLIT_WORKERS + 1 are submitted before it returns."""
+    segments; the first SPLIT_WORKERS are submitted before it returns."""
     j_max = measure.truncation
     total = n_samples * j_max
     rows = -(-(SEGMENT + OVERLAP) // j_max)
@@ -525,24 +527,16 @@ def _split_draw(pool, measure: KLMeasure, n_samples: int, seed: int,
         # values, so 1/32 more segments than words; what they still leave
         # is drawn serially
         count = -(-total * 33 // (32 * stride))
-    indices = iter(range(count))
-    jobs = collections.deque()
+    segments = _in_order((pool.submit(
+        _draw_segment, measure, seed, index, stride, np.empty((rows, j_max)))
+        for index in range(count)), SPLIT_WORKERS)
 
-    def submit_next() -> None:
-        index = next(indices, None)
-        if index is not None:
-            out = np.empty((rows, j_max))
-            jobs.append((out, pool.submit(
-                _draw_segment, measure, seed, index, stride, out)))
-
-    def in_order():
+    def stitched():
         draw = McDraw(seed, measure, np.empty((n_samples, columns)))
         # the values placed so far; the last joined segment's values from
         # its join on, its buffer and its generator
         placed, last, serial = 0, None, False
-        for _ in range(count):
-            buf, future = jobs.popleft()
-            rng = future.result()
+        for buf, rng in segments:
             if last is None:
                 last, last_buf, last_rng = buf.reshape(-1), buf, rng
             elif not serial and placed + len(last) < total:
@@ -556,7 +550,6 @@ def _split_draw(pool, measure: KLMeasure, n_samples: int, seed: int,
             # release this buffer, unless it is the last joined one,
             # before the next is submitted: at most SPLIT_WORKERS + 2 alive
             del buf, rng
-            submit_next()
         placed = _place(draw.coeffs, measure.sqrt_ev, placed, last)
         while placed < total:
             measure.draw_z(last_rng, rows, out=last_buf)
@@ -565,9 +558,7 @@ def _split_draw(pool, measure: KLMeasure, n_samples: int, seed: int,
         del last, last_buf, last_rng
         yield draw
 
-    for _ in range(SPLIT_WORKERS + 1):
-        submit_next()
-    return in_order()
+    return stitched()
 
 
 def _usable_cpus() -> int:
@@ -577,25 +568,27 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_columns(measure: KLMeasure, seed: int, out: np.ndarray) -> None:
-    """Fill out with the leading columns of seed's scaled MC coefficients."""
-    rng = stream(seed, STREAM_MC_NORM)
-    rows = max(1, MC_DRAW_BLOCK_BYTES // (8 * measure.truncation))
-    columns = out.shape[1]
-    for lo in range(0, len(out), rows):
-        z = measure.draw_z(rng, min(rows, len(out) - lo))
-        np.multiply(z[:, :columns], measure.sqrt_ev[:columns],
-                    out=out[lo:lo + len(z)])
+def _draw_seed(draw: McDraw, block: np.ndarray) -> McDraw:
+    """Fill draw's coefficients from its seed's MC stream, drawn into
+    block's rows a block at a time; return draw."""
+    rng = stream(draw.seed, STREAM_MC_NORM)
+    n, j_max = len(draw.coeffs), draw.measure.truncation
+    for lo in range(0, n, len(block)):
+        z = block[:n - lo]
+        draw.measure.draw_z(rng, len(z), out=z)
+        _place(draw.coeffs, draw.measure.sqrt_ev, lo * j_max, z.reshape(-1))
+    return draw
 
 
 def _draw_segment(measure: KLMeasure, seed: int, index: int, stride: int,
-                  out: np.ndarray) -> np.random.Generator:
+                  out: np.ndarray):
     """Fill out's rows with standard coordinates of seed's MC stream from
-    raw word index * stride on; return the generator, which continues it."""
+    raw word index * stride on; return out and the generator, which
+    continues it."""
     rng = stream(seed, STREAM_MC_NORM)
     rng.bit_generator.advance(index * stride // 4)
     measure.draw_z(rng, len(out), out=out)
-    return rng
+    return out, rng
 
 
 def _join(last: np.ndarray, values: np.ndarray):
@@ -623,7 +616,8 @@ def _place(coeffs: np.ndarray, sqrt_ev: np.ndarray, at: int,
            values: np.ndarray) -> int:
     """Write a stream's standard values, the first at flat position at of
     its (n, J) draw, scaled, into coeffs' leading columns, up to the end of
-    the draw; return the position after the last one written."""
+    the draw; return the position after the last one written.  The one
+    writer of draw_ahead's scaled values, in both of its modes."""
     n, columns = coeffs.shape
     j_max = len(sqrt_ev)
     values = values[:n * j_max - at]

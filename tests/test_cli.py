@@ -671,6 +671,85 @@ def test_sweep_refuses_an_oversized_input_before_allocating(tmp_path,
     assert time.monotonic() - start < 10
 
 
+def _limited_cli(*args):
+    """(exit code, stderr, seconds from import to exit) of the CLI in a
+    child whose own address space is limited to 2 GiB."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = ("import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "start = time.monotonic()\n"
+            "try:\n"
+            "    from entrokit.cli import main; main()\n"
+            "finally:\n"
+            "    print(f'seconds {time.monotonic() - start}', file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    seconds = float(re.search(r"seconds (\S+)", out.stderr).group(1))
+    return out.returncode, out.stderr, seconds
+
+
+def _bits_hat_with(tmp_path, d_c):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    cfg = read_json(root / "configs" / "bits-hat.json")
+    cfg["hypers"][0]["d_c"] = d_c
+    path = tmp_path / f"d_c{d_c}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("d_c,q", [
+    # d_c 37 is the first past the budget; at 300 the 8.27 GiB index draw
+    # was _ArrayMemoryError (exit 1), and at 100000 computing 3^q hung
+    (37, 4218), (300, 270_900), (100_000, 30_000_300_000)])
+def test_sweep_refuses_a_theta_matrix_past_its_budget(tmp_path, d_c, q):
+    code, err, seconds = _limited_cli("sweep", "--config",
+                                      _bits_hat_with(tmp_path, d_c))
+    assert code == 2, err
+    assert (f"cell (0, 0) holds 4096 thetas of {q} parameters in "
+            f"{8 * 4096 * q} bytes, above the budget of "
+            f"{ek.quantizer.THETA_BYTE_BUDGET}") in err
+    assert seconds < 1
+
+
+def test_sweep_just_below_the_theta_budget_runs(tmp_path):
+    # 4,096 x 3,996 thetas at d_c 36, 98% of the budget
+    code, err, _ = _limited_cli("sweep", "--config",
+                                _bits_hat_with(tmp_path, 36))
+    assert 8 * 4096 * 3996 <= ek.quantizer.THETA_BYTE_BUDGET
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("n", [3345, 100_000])
+def test_chain_uniform_refuses_a_circle_past_its_budget(tmp_path, n):
+    # 100,000 points were _ArrayMemoryError (exit 1), 74.5 GiB; 3,345 is
+    # the first past the budget
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "experiment": "uniform-chain", "seed": 7,
+        "space": {"kind": "circle", "n": n}, "eps_ladder": [0.2]}))
+    code, err, seconds = _limited_cli("chain-uniform", "--config", path)
+    assert code == 2, err
+    assert (f"{n} points hold {24 * n * n} bytes in their distance matrix "
+            f"and its temporaries, above the budget of "
+            f"{ek.metricspace.SPACE_BYTE_BUDGET}") in err
+    assert seconds < 1
+
+
+@pytest.mark.parametrize("make,n", [("circle", 3344), ("line", 4096)])
+def test_spaces_just_below_their_budget_are_built(make, n):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from entrokit.metricspace import FiniteMetricSpace\n"
+            f"print(FiniteMetricSpace.{make}({n}).n)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str(n)
+
+
 _MC_WORDS = ek.randomfield.MC_WORD_BUDGET
 _MC_BYTES = ek.randomfield.MC_BYTE_BUDGET
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,30 @@ def test_line_and_circle_refuse_sizes_that_are_not_positive_and_finite(make, siz
 def test_line_and_circle_need_a_point(make, n):
     with pytest.raises(ValueError, match="n must be positive"):
         make(n, 1.0)
+
+
+@pytest.mark.parametrize("make,matrices", [
+    (ek.FiniteMetricSpace.line, 2), (ek.FiniteMetricSpace.circle, 3),
+    (lambda n: ek.FiniteMetricSpace.from_coords(np.linspace(0, 1, n)), 3),
+    (lambda n: ek.FiniteMetricSpace.from_coords(
+        np.linspace(0, 1, 3 * n).reshape(n, 3), metric="chebyshev"), 7)],
+    ids=["line", "circle", "coords-1d", "coords-3d-chebyshev"])
+def test_space_budget_counts_every_square_temporary(monkeypatch, make,
+                                                    matrices):
+    # the budget counts the n x n arrays a constructor holds at its peak
+    n = 400
+    tracemalloc.start()
+    try:
+        make(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrices <= peak / (8 * n * n) < matrices + 0.05
+    monkeypatch.setattr(ek.metricspace, "SPACE_BYTE_BUDGET",
+                        8 * n * n * matrices)
+    assert make(n).n == n
+    with pytest.raises(ek.SizeLimitExceeded, match=f"^{n + 1} points hold "):
+        make(n + 1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

@@ -428,6 +428,46 @@ def test_sweep_budget_exceeded():
 
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 127, 2**62 + 1])
+def test_sweep_cells_are_exhaustive_exactly_when_p_to_the_q_fits(p):
+    # the decision never takes a power past the limit, yet equals it
+    grid = ek.QuantGrid(1.0, 2.0 / (p - 1))
+    assert grid.points_per_coord == p
+    for q in range(1, 40):
+        assert ek.quantizer._check_cell("cell", q, grid, 1, 1) == \
+            (p**q <= ek.quantizer.EXHAUSTIVE_DICT_LIMIT), q
+
+
+def test_sweep_cells_past_the_theta_budget_are_refused_before_drawing():
+    targets, inputs = _hat_targets_and_inputs()
+    budget = ek.quantizer.THETA_BYTE_BUDGET
+    # a billion-parameter layout: q is never raised to a power, and
+    # nothing is drawn
+    huge = ek.FnoHyper(1, 1, 1, 100_000, 1, 1, activation="identity")
+    small = ek.FnoHyper(1, 1, 1, 1, 1, 1, activation="identity")
+    q = ek.fno.layout_length(huge)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ek.SizeLimitExceeded,
+                           match=f"cell \\(1, 0\\) holds 4096 thetas of {q} "
+                           f"parameters in {8 * 4096 * q} bytes, above the "
+                           f"budget of {budget}"):
+            ek.accuracy_bits_sweep(targets, [small, huge],
+                                   [ek.QuantGrid(1.0, 1.0)], inputs, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # one random theta fewer or one more than the budget holds at q = 30
+    hyper = ek.FnoHyper(1, 1, 1, 2, 1, 2, activation="identity")
+    q = ek.fno.layout_length(hyper)
+    fits = budget // (8 * q)
+    grid = ek.QuantGrid(1.0, 1.0)
+    assert ek.quantizer._check_cell("cell", q, grid, fits, 1) is False
+    with pytest.raises(ek.SizeLimitExceeded):
+        ek.quantizer._check_cell("cell", q, grid, fits + 1, 1)
+
+
 def _counting(monkeypatch, modules):
     """Replace forward in each module by a wrapper that counts calls."""
     calls = []

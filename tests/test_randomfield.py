@@ -495,7 +495,7 @@ def test_lp_norm_mc_with_draws_equals_the_generic_path(law, dim, columns):
     emb = _dim_functional(m, dim)
     # a multiple of neither the functional's block nor a worker's block
     n = 2 * _block_rows(64) + 131
-    assert n % (rf.MC_DRAW_BLOCK_BYTES // (8 * 64)) != 0
+    assert n % (rf.SEGMENT // 64) != 0
     seeds = [7, 8, 9]
     with ek.draw_ahead(m, n, seeds, columns) as draws:
         for seed, p, draw in zip(seeds, (1, 1.5, 2), draws):
@@ -505,9 +505,9 @@ def test_lp_norm_mc_with_draws_equals_the_generic_path(law, dim, columns):
 
 
 def _columns_drawn_serially(measure, n, seed, columns):
-    out = np.empty((n, columns))
-    rf._draw_columns(measure, seed, out)
-    return out
+    """The leading columns of sample's draw on the MC stream, the oracle
+    every pooled draw must equal bit for bit."""
+    return ek.sample(measure, seed, n, STREAM_MC_NORM)[:, :columns]
 
 
 # segment sizes (raw words) and the coordinates drawn per seed with them;
@@ -784,6 +784,49 @@ def test_split_buffers_are_allocated_on_the_calling_thread(monkeypatch,
     assert here not in {thread for _, _, thread in filled}
     assert all(made_here for made_here, _, _ in filled)
     assert max(alive for _, alive, _ in filled) <= rf.SPLIT_WORKERS + 2
+
+
+@pytest.mark.parametrize("cpus,seeds,law", [
+    (1, [7], "gaussian"), (2, [7, 8, 9, 10], "gaussian"), (64, [7], "uniform")])
+def test_per_seed_buffers_are_allocated_on_the_calling_thread(
+        monkeypatch, cpus, seeds, law):
+    monkeypatch.setattr(rf, "_usable_cpus", lambda: cpus)
+    recording = _RecordingNumpy()
+    monkeypatch.setattr(rf, "np", recording)
+    filled = []
+    draw_seed = rf._draw_seed
+
+    def recorded(draw, block):
+        # (draw and block made here, blocks alive) as the seed is drawn
+        alive = [ref() for ref, _ in recording.made]
+        filled.append((any(a is draw.coeffs for a in alive)
+                       and any(a is block for a in alive),
+                       sum(a is not None and a.shape == block.shape
+                           for a in alive), threading.current_thread()))
+        del alive
+        return draw_seed(draw, block)
+
+    monkeypatch.setattr(rf, "_draw_seed", recorded)
+    m = _mc_measure(law, 16)
+    # 2,048-row blocks at J = 16: 5,000 rows end in a partial block
+    n = 5_000
+    assert n % (rf.SEGMENT // 16) != 0
+    with ek.draw_ahead(m, n, seeds, 2) as draws:
+        got = [(draw.seed, draw.coeffs) for draw in draws]
+    assert [seed for seed, _ in got] == seeds
+    for seed, coeffs in got:
+        expect = _columns_drawn_serially(m, n, seed, 2)
+        assert coeffs.view(np.uint64).tobytes() == \
+            expect.view(np.uint64).tobytes()
+    here = threading.current_thread()
+    assert {thread for _, thread in recording.made} == {here}
+    # every seed was drawn on a worker, into a draw and a block made here,
+    # while at most one block more than the seeds ahead was alive
+    workers = min(len(seeds), cpus)
+    assert len(filled) == len(seeds)
+    assert here not in {thread for _, _, thread in filled}
+    assert all(made_here for made_here, _, _ in filled)
+    assert max(alive for _, alive, _ in filled) <= workers + 2
 
 
 def _new_threads(before):

@@ -40,6 +40,39 @@ def test_worker_threads_run_only_private_module_functions():
     assert found and not bad, bad
 
 
+_ALLOCATORS = {"empty", "zeros", "ones", "full", "empty_like",
+               "zeros_like", "ones_like", "full_like"}
+
+
+def test_pool_tasks_allocate_no_array():
+    # a task fills only buffers the calling thread made: arrays allocated
+    # on worker threads grow glibc's per-thread arenas
+    found, bad = 0, []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = {node.name: node for node in tree.body
+                     if isinstance(node, ast.FunctionDef)}
+        submitted = {node.args[0].id for node in ast.walk(tree)
+                     if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute)
+                     and node.func.attr in ("submit", "map") and node.args
+                     and isinstance(node.args[0], ast.Name)}
+        for name in sorted(submitted & set(functions)):
+            found += 1
+            for node in ast.walk(functions[name]):
+                if not isinstance(node, ast.Call):
+                    continue
+                allocates = (isinstance(node.func, ast.Attribute)
+                             and isinstance(node.func.value, ast.Name)
+                             and node.func.value.id == "np"
+                             and node.func.attr in _ALLOCATORS)
+                unbuffered = (_names(node.func, "draw_z") and "out" not in
+                              {kw.arg for kw in node.keywords})
+                if allocates or unbuffered:
+                    bad.append(f"{path.name}:{node.lineno} {name}")
+    assert found and not bad, bad
+
+
 def test_thread_pools_are_with_statement_contexts():
     # leaving a with block shuts its pool down and joins the workers, so
     # no worker outlives the scope that started it, whatever it raises
