@@ -10,12 +10,11 @@ from .errors import (BoundNotReached, BudgetExceeded, ChannelMismatch,
                      IncompatibleDepth, LayoutMismatch, NoPacking,
                      OutOfRange, ResolutionTooLow, SampleMismatch,
                      SizeLimitExceeded, TargetTooSmall)
-from .metricspace import (CoverResult, FiniteMetricSpace, LpSampleNorm,
-                          PackResult, SampledFunctional, SandwichReport,
-                          code_length_report, dictionary_minimax_error,
-                          exact_covering_number, exact_packing_number,
-                          greedy_covering, greedy_packing,
-                          minimax_code_length, sandwich_check)
+from .metricspace import (CoverResult, FiniteMetricSpace, PackResult,
+                          SandwichReport, code_length_report,
+                          dictionary_minimax_error, exact_covering_number,
+                          exact_packing_number, greedy_covering,
+                          greedy_packing, minimax_code_length, sandwich_check)
 from .packing import (BumpFamily, HatFamily, SignCode, build_bump_family,
                       build_hat_family, entropy_lower_bound_uniform,
                       gilbert_varshamov, greedy_sign_code,

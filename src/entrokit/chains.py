@@ -573,11 +573,11 @@ def build_space(spec: dict, seed: int) -> ms.FiniteMetricSpace:
     raise ConfigError(f"unknown space kind {kind!r}")
 
 
-# grid nodes that the inputs of a bits-accuracy config may hold, over all
-# of them: the shipped bits-hat sweep at 2^22 nodes (two levels at
-# input_resolution 2^21) peaks at 84 MB RSS, against 37 MB at resolution
-# 8, and runs in the same 0.2 s on a 2-vCPU x86-64 VM; at 2^24 nodes it
-# peaks at 434 MB.  About 12 bytes a node.
+# grid nodes of a config's input functions: a bits-accuracy config's over
+# all levels, or embed-check's f.  On a 2-vCPU x86-64 VM the shipped sweep
+# at 2^22 nodes (input_resolution 2^21) peaks at 84 MB RSS (37 MB at 8) in
+# the same 0.2 s, and the shipped embed-check at f.grid_res 2^22 - 1 at
+# 131 MB (58 MB at 16) in 1.0-1.1 s (0.6 s); the sweep at 2^24, 434 MB.
 INPUT_NODE_LIMIT = 1 << 22
 
 
@@ -595,8 +595,7 @@ def constant_input_space(levels: Sequence[float], resolution: int):
             f"{nodes} input grid nodes, above the budget of "
             f"{INPUT_NODE_LIMIT}")
     levels = [float(c) for c in levels]
-    coords = np.array(levels)[:, None]
-    space = ms.FiniteMetricSpace.from_coords(coords, labels=levels,
+    space = ms.FiniteMetricSpace.from_coords(np.array(levels)[:, None],
                                              metric="chebyshev")
     inputs = [fno_mod.GridFunction(1, np.full((resolution, 1), c))
               for c in levels]
@@ -699,18 +698,16 @@ def _run_bits_accuracy(cfg: dict) -> ResultTable:
     hat = tspec["kind"] == "hat-on-constants"
     space, inputs = constant_input_space(
         tspec["levels"] if hat else [0.0, 1.0], cfg["input_resolution"])
-    ids = tuple(range(len(inputs)))
     if hat:
         eps = tspec["eps"]
         fam = pk.build_hat_family(space, eps)
-        targets = [ms.SampledFunctional(ids, fam.member(
-            [(s >> j) & 1 for j in range(fam.n_centers)]))
-            for s in range(fam.size)]
+        # row s has sign j = bit j of s; a value has one nonzero term at most
+        s = np.arange(fam.size)[:, None]
+        targets = fam.member((s >> np.arange(fam.n_centers)) & 1)
         n6 = ms.exact_covering_number(space, 6 * eps).count
         floor = (pk.entropy_lower_bound_uniform(math.log2(n6)),)
     else:  # singleton-constant
-        targets = [ms.SampledFunctional(ids, np.full(len(inputs),
-                                                     tspec["value"]))]
+        targets = np.full((1, len(inputs)), tspec["value"])
         floor = ()
 
     hypers = [_hyper(h) for h in cfg["hypers"]]
@@ -756,6 +753,11 @@ def run_embed_check(cfg: dict) -> rf.IsometryReport:
     if fspec["kind"] == "constant":
         f = rf.GridFunction01.constant(fspec["value"])
     else:
+        nodes = fspec["grid_res"] + 1
+        if nodes > INPUT_NODE_LIMIT:
+            raise SizeLimitExceeded(
+                f"f.grid_res {fspec['grid_res']} needs {nodes} grid nodes, "
+                f"above the budget of {INPUT_NODE_LIMIT}")
         f = rf.GridFunction01.from_callable(
             lambda x: x[:, 0], 1, fspec["grid_res"], lipschitz=1.0)
     rf.check_mc_budget(rf.KLMeasure.config_truncation(cfg["kl"]),

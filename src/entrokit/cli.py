@@ -240,8 +240,9 @@ def fno_eval(hyper_path, params_path, input_path, out_path):
     hyper = _forward_hyper(hyper_path)
     try:
         params = fno_mod.load_params(hyper, params_path)
-    except LayoutMismatch as exc:
-        raise click.BadParameter(str(exc), param_hint="--params") from exc
+    except (LayoutMismatch, SizeLimitExceeded) as exc:
+        raise click.BadParameter(str(exc),
+                                 param_hint=["--hyper", "--params"]) from exc
     try:
         u = fno_mod.GridFunction.from_json(read_json(input_path))
     except ConfigError as exc:
@@ -289,6 +290,9 @@ def quantize_cmd(hyper_path, delta, box, seed, n_inputs, probes, c_override,
             c_value = qz.calibrate_c(hyper, box, inputs, probes, seed)
         except OutOfRange as exc:
             raise click.BadParameter(str(exc), param_hint="--m") from exc
+        except SizeLimitExceeded as exc:
+            raise click.BadParameter(
+                str(exc), param_hint=["--hyper", "--probes"]) from exc
     else:
         c_value = c_override
     log2_bound = qz.theoretical_lip_bound(qz.LipBoundInputs(
@@ -304,8 +308,11 @@ def quantize_cmd(hyper_path, delta, box, seed, n_inputs, probes, c_override,
             f"the certified bound 2^{log2_bound:.6g} * {delta} / 2 overflows "
             "a float", param_hint=["--m", "--delta"]
             + ([] if c_override is None else ["--c"]))
-    rng = stream(seed, STREAM_PARAM_GEN)
-    params = fno_mod.FnoParams.random(hyper, box, rng)
+    try:
+        params = fno_mod.FnoParams.random(hyper, box,
+                                          stream(seed, STREAM_PARAM_GEN))
+    except SizeLimitExceeded as exc:
+        raise click.BadParameter(str(exc), param_hint="--hyper") from exc
     cert = qz.certify_quantization(params, grid, inputs, bound)
     _emit({
         "measured_err": cert.measured_err,

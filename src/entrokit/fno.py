@@ -94,7 +94,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (ChannelMismatch, ConfigError, IncompatibleDepth,
-                     LayoutMismatch, ResolutionTooLow, TargetTooSmall)
+                     LayoutMismatch, ResolutionTooLow, SizeLimitExceeded,
+                     TargetTooSmall)
 from .rng import STREAM_FNO_PROBE, STREAM_INPUT_GEN, stream
 
 
@@ -118,6 +119,19 @@ ACTIVATIONS = {
     "gelu": (_gelu, 1.129),
     "identity": (lambda x: x, 1.0),
 }
+
+
+# bytes of float64 thetas held at once (rows times the layout length): a
+# sweep cell's candidates, empirical_lipschitz's probe pairs or the theta
+# of FnoParams.random.  At the limit on a 2-vCPU x86-64 VM the bits-hat
+# sweep at d_c = 36 took 0.5 s at 287 MB peak RSS (two matrices: the index
+# draw and the thetas); `quantize --n-inputs 1` at d_c = 147 (probe pairs)
+# took 1.1 s at 293 MB, and with `--c 1` at d_c = 2,364, 1.5 s at 654 MB
+THETA_BYTE_BUDGET = 1 << 27
+# layers of a layout built or drawn, for its per-layer Python objects: at
+# the limit `quantize --c 1 --n-inputs 1` at d_c = kappa = 1 took 4.5-4.9 s
+# at 325 MB peak RSS on a 2-vCPU x86-64 VM, about 4.5 KB a layer
+DEPTH_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -217,7 +231,8 @@ def _slot_pairs(block: np.ndarray, dim: int, kappa: int) -> tuple:
 @functools.lru_cache(maxsize=None)
 def _storage(hyper: FnoHyper) -> tuple:
     """(slice of theta, shape, leading axis holds mode slots) of each block,
-    in storage order."""
+    in storage order, once hyper passes DEPTH_LIMIT."""
+    length = checked_layout_length(hyper)
     dc, nm = hyper.d_c, hyper.n_mode_slots
     bias = ((nm, dc), True) if hyper.bias_mode == "spectral" else ((dc,), False)
     layer = [((dc, dc), False), ((nm, dc, dc), True), bias]
@@ -227,14 +242,33 @@ def _storage(hyper: FnoHyper) -> tuple:
         size = math.prod(shape)
         blocks.append((slice(pos, pos + size), shape, slotted))
         pos += size
-    if hyper.bias_mode == "constant" and pos != param_count(hyper).q:
-        raise RuntimeError(f"layout length {pos} differs from the declared "
-                           f"parameter count of {hyper}")
+    if pos != length:
+        raise RuntimeError(f"storage of length {pos} differs from the "
+                           f"layout length of {hyper}")
     return tuple(blocks)
 
 
 def layout_length(hyper: FnoHyper) -> int:
-    return _storage(hyper)[-1][0].stop
+    """Length of theta, from param_count: q plus the spectral-bias slots."""
+    slots = hyper.n_mode_slots if hyper.bias_mode == "spectral" else 1
+    return param_count(hyper).q + hyper.depth * hyper.d_c * (slots - 1)
+
+
+def checked_layout_length(hyper: FnoHyper) -> int:
+    """layout_length(hyper); SizeLimitExceeded past DEPTH_LIMIT layers."""
+    if hyper.depth > DEPTH_LIMIT:
+        raise SizeLimitExceeded(f"depth {hyper.depth} is above the budget "
+                                f"of {DEPTH_LIMIT} layers")
+    return layout_length(hyper)
+
+
+def check_theta_bytes(what: str, rows: int, q: int) -> None:
+    """SizeLimitExceeded when rows thetas of q float64 values pass it."""
+    held = 8 * rows * q
+    if held > THETA_BYTE_BUDGET:
+        raise SizeLimitExceeded(
+            f"{what} holds {rows} thetas of {q} parameters in {held} bytes, "
+            f"above the budget of {THETA_BYTE_BUDGET}")
 
 
 def _layers(stored: list) -> tuple:
@@ -393,12 +427,11 @@ class FnoParams:
         return cls(hyper, np.zeros(layout_length(hyper)))
 
     @classmethod
-    def random(cls, hyper: FnoHyper, box: float, rng: np.random.Generator,
-               canonical: bool = True) -> "FnoParams":
-        theta = rng.uniform(-box, box, layout_length(hyper))
-        if canonical:
-            theta = theta * active_mask(hyper)
-        return cls(hyper, theta)
+    def random(cls, hyper: FnoHyper, box: float,
+               rng: np.random.Generator) -> "FnoParams":
+        q = checked_layout_length(hyper)
+        check_theta_bytes("the random draw", 1, q)
+        return cls(hyper, rng.uniform(-box, box, q) * active_mask(hyper))
 
 
 def active_mask(hyper: FnoHyper) -> np.ndarray:
@@ -499,13 +532,12 @@ def random_grid_function(dim: int, resolution: int, channels: int,
     return GridFunction(dim, vals)
 
 
-def random_inputs(hyper: FnoHyper, count: int, seed: int,
-                  resolution: Optional[int] = None) -> List[GridFunction]:
-    """Deterministic sup-normalized input family for probes and sweeps."""
+def random_inputs(hyper: FnoHyper, count: int,
+                  seed: int) -> List[GridFunction]:
+    """Deterministic sup-normalized input family at default resolution."""
     rng = stream(seed, STREAM_INPUT_GEN)
-    n = resolution or hyper.default_resolution
-    return [random_grid_function(hyper.dim, n, hyper.d_in, rng)
-            for _ in range(count)]
+    return [random_grid_function(hyper.dim, hyper.default_resolution,
+                                 hyper.d_in, rng) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------
@@ -782,16 +814,19 @@ def empirical_lipschitz(hyper: FnoHyper, box: float, probes: int,
 
     Max over random canonical parameter pairs in [-box, box]^q and over the
     input family of |Phi(u; theta) - Phi(u; theta')| / ||theta - theta'||_inf;
-    a NaN on any pair and input makes it NaN.
+    a NaN on any pair and input makes it NaN.  SizeLimitExceeded before
+    drawing past DEPTH_LIMIT or THETA_BYTE_BUDGET.
     """
     if probes < 100:
         raise ValueError("need at least 100 probes")
     if not input_set:
         raise ValueError("empty input set")
+    q = checked_layout_length(hyper)
+    check_theta_bytes("the probe draw", 2 * probes, q)
     rng = stream(seed, STREAM_FNO_PROBE)
     # each probe's a and b draws in turn, as FnoParams.random draws them
-    pairs = rng.uniform(-box, box, (probes, 2, layout_length(hyper)))
-    pairs = pairs * active_mask(hyper)
+    pairs = rng.uniform(-box, box, (probes, 2, q))
+    pairs *= active_mask(hyper)
     denom = np.max(np.abs(pairs[:, 0] - pairs[:, 1]), axis=1)
     keep = denom != 0  # a probe with a zero denominator is not evaluated
     pairs, denom = pairs[keep], denom[keep]

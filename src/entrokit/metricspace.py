@@ -14,11 +14,10 @@ ceil(log2 N(A; eps)), realized constructively by indexing a minimal cover.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -121,8 +120,8 @@ class FiniteMetricSpace:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_coords(cls, coords, labels=None, metric: str = "euclidean") -> "FiniteMetricSpace":
-        """Points in R^m under the Euclidean or Chebyshev metric.
+    def from_coords(cls, coords, metric: str = "euclidean") -> "FiniteMetricSpace":
+        """Points 0..n-1 in R^m under the Euclidean or Chebyshev metric.
 
         coords holds one row per point, or, as a flat sequence, one
         coordinate per point; input of any other rank raises ValueError.
@@ -146,13 +145,13 @@ class FiniteMetricSpace:
             dist = np.max(np.abs(diff), axis=-1)
         else:
             raise ValueError(f"unknown metric {metric!r}")
-        labels = list(range(len(coords))) if labels is None else list(labels)
+        points = list(range(len(coords)))
         if metric == "euclidean":
             # repeated points (the diagonal among them) are exactly 0 apart
             near = np.count_nonzero(dist < _EUCLIDEAN_SAFE)
             if near > len(dist) and near > np.count_nonzero(~diff.any(axis=-1)):
-                return cls(labels, dist)
-        return cls._built(labels, dist)
+                return cls(points, dist)
+        return cls._built(points, dist)
 
     @classmethod
     def line(cls, n: int, spacing: float = 1.0) -> "FiniteMetricSpace":
@@ -541,62 +540,23 @@ def code_length_report(space: FiniteMetricSpace, eps: float,
 # -- functional dictionaries ------------------------------------------
 
 
-@dataclass(frozen=True)
-class SampledFunctional:
-    """A real-valued map known on a declared finite sample of its domain."""
+def dictionary_minimax_error(targets, dictionary) -> float:
+    """Sup-norm minimax error: the max over targets of the least sup
+    distance to a dictionary functional.
 
-    sample_ids: tuple
-    values: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.sample_ids),):
-            raise ValueError("values must be one per sample id")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class LpSampleNorm:
-    """Weighted discrete L^p norm on a sample set; weights sum to the mass."""
-
-    p: float
-    weights: tuple
-
-    def __call__(self, delta: np.ndarray):
-        """Norm of delta along its last axis (a float for one vector)."""
-        w = np.asarray(self.weights, dtype=float)
-        return np.sum(w * np.abs(delta) ** self.p, axis=-1) ** (1.0 / self.p)
-
-
-def _norm_fn(norm) -> Callable[[np.ndarray], np.ndarray]:
-    """The norm as a function applied along the last axis."""
-    if norm == "sup":
-        return lambda delta: np.max(np.abs(delta), axis=-1)
-    if isinstance(norm, LpSampleNorm):
-        return norm
-    raise ValueError(f"unknown norm {norm!r}")
-
-
-def dictionary_minimax_error(targets: Sequence[SampledFunctional],
-                             dictionary, norm="sup") -> float:
-    """sup over targets of the min dictionary distance in the chosen norm.
-
-    dictionary is a sequence of SampledFunctional, or a 2-D float array
-    whose rows are functionals sampled on the targets' sample ids.
+    targets and dictionary are 2-D arrays, a row per functional and a
+    column per sample.  Column counts that differ raise SampleMismatch;
+    an empty side, or an array of another rank, raises ValueError.
     """
-    if not targets or len(dictionary) == 0:
+    targets = np.asarray(targets, dtype=float)
+    dictionary = np.asarray(dictionary, dtype=float)
+    if targets.ndim != 2 or dictionary.ndim != 2:
+        raise ValueError(f"targets and dictionary must be 2-D arrays, not of "
+                         f"shapes {targets.shape} and {dictionary.shape}")
+    if not targets.size or not dictionary.size:
         raise ValueError("targets and dictionary must be nonempty")
-    ids = targets[0].sample_ids
-    is_array = isinstance(dictionary, np.ndarray)
-    for f in targets if is_array else itertools.chain(targets, dictionary):
-        if f.sample_ids != ids:
-            raise SampleMismatch("functionals sampled on different sets")
-    if not is_array:
-        dict_values = np.stack([g.values for g in dictionary])
-    elif dictionary.ndim == 2 and dictionary.shape[1] == len(ids):
-        dict_values = np.asarray(dictionary, dtype=float)
-    else:
-        raise SampleMismatch(f"dictionary array of shape {dictionary.shape} "
-                             f"does not hold rows of {len(ids)} samples")
-    dist = _norm_fn(norm)
-    return max(float(np.min(dist(f.values - dict_values))) for f in targets)
+    if targets.shape[1] != dictionary.shape[1]:
+        raise SampleMismatch(f"targets of {targets.shape[1]} samples against "
+                             f"a dictionary of {dictionary.shape[1]}")
+    return max(float(np.min(np.max(np.abs(f - dictionary), axis=-1)))
+               for f in targets)

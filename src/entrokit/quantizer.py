@@ -24,23 +24,17 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, OutOfRange, SizeLimitExceeded
+from .errors import BudgetExceeded, OutOfRange
 # forward is not called here; bench/tests/test_bench_spans.py traces it here
-from .fno import (FnoHyper, FnoParams, GridFunction, empirical_lipschitz,
-                  forward, forward_batch, layout_length, param_count,
-                  super_arch)
-from .metricspace import SampledFunctional, dictionary_minimax_error
+from .fno import (FnoHyper, FnoParams, GridFunction, check_theta_bytes,
+                  checked_layout_length, empirical_lipschitz, forward,
+                  forward_batch, param_count, super_arch)
+from .metricspace import dictionary_minimax_error
 from .rng import STREAM_SWEEP_DICT, stream
 
 LOG2_E = math.log2(math.e)
 EXHAUSTIVE_DICT_LIMIT = 1 << 14
 EVALUATION_CAP = 1 << 20
-# bytes of one sweep cell's theta matrix, candidates times q float64
-# values: the bits-hat sweep at d_c = 36 (4,096 x 3,996 thetas, 98% of
-# this) took 0.7-0.9 s at 412 MB peak RSS on a 2-vCPU x86-64 VM, about
-# three matrices (the last cell's, the index draw and the thetas) over a
-# 35 MB interpreter
-THETA_BYTE_BUDGET = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -77,8 +71,13 @@ class QuantGrid:
         return (self.points_per_coord - 1) / 2.0
 
     def values(self) -> np.ndarray:
-        idx = np.arange(self.points_per_coord, dtype=float)
-        return (idx - self._half_span) * self.delta
+        return self._values_at(np.arange(self.points_per_coord, dtype=float))
+
+    def _values_at(self, idx: np.ndarray) -> np.ndarray:
+        """(idx - half span) * delta, in the one array it makes."""
+        values = idx - self._half_span
+        values *= self.delta
+        return values
 
     def round_indices(self, theta: np.ndarray) -> np.ndarray:
         # np.round resolves representable ties half-to-even on the index
@@ -91,7 +90,7 @@ def quantize(theta: np.ndarray, grid: QuantGrid) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.size and float(np.max(np.abs(theta))) > grid.m + 1e-12:
         raise OutOfRange(f"theta leaves [-{grid.m}, {grid.m}]")
-    return (grid.round_indices(theta) - grid._half_span) * grid.delta
+    return grid._values_at(grid.round_indices(theta))
 
 
 @dataclass(frozen=True)
@@ -277,7 +276,7 @@ def _dictionary_thetas(q: int, grid: QuantGrid, exhaustive: bool, seed: int,
     """Read-only candidate matrix of the quantized parameter set: all of
     it, or max_random seeded draws.
 
-    Grid indices map to values with `values()`' own formula, so no grid is
+    Grid indices map to values by `QuantGrid._values_at`, so no grid is
     materialized: random search draws indices on grids of up to 2^63
     points.
     """
@@ -287,14 +286,12 @@ def _dictionary_thetas(q: int, grid: QuantGrid, exhaustive: bool, seed: int,
     else:
         rng = stream(seed, STREAM_SWEEP_DICT)
         idx = rng.integers(0, p, size=(max_random, q))
-    # (idx - half_span) * delta, values()' formula, without a temporary
-    thetas = idx - grid._half_span
-    thetas *= grid.delta
+    thetas = grid._values_at(idx)
     thetas.setflags(write=False)
     return thetas
 
 
-def accuracy_bits_sweep(targets: Sequence[SampledFunctional],
+def accuracy_bits_sweep(targets: np.ndarray,
                         hypers: Sequence[FnoHyper],
                         grids: Sequence[QuantGrid],
                         input_set: Sequence[GridFunction],
@@ -302,20 +299,21 @@ def accuracy_bits_sweep(targets: Sequence[SampledFunctional],
                         max_random: int = 1 << 12) -> List[SweepRow]:
     """Pareto front of (total bits, minimax error) over quantized dictionaries.
 
+    targets holds one functional per row and one column per input.
     Exhaustive enumeration below EXHAUSTIVE_DICT_LIMIT candidates, seeded
     random search above it; random rows are upper bounds on the true
     minimax error and carry exhaustive=False.  Raises BudgetExceeded when a
     cell would need more than EVALUATION_CAP forward evaluations, and
-    SizeLimitExceeded when its thetas would take more than
-    THETA_BYTE_BUDGET bytes, before any cell runs.
+    SizeLimitExceeded past fno.DEPTH_LIMIT or fno.THETA_BYTE_BUDGET, before
+    any cell runs.
     """
-    sample_ids = targets[0].sample_ids
-    if len(sample_ids) != len(input_set):
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 2 or targets.shape[1] != len(input_set):
         raise ValueError("targets must be sampled on the input set")
     # every cell is checked before any theta is drawn
     cells = []
     for hi, hyper in enumerate(hypers):
-        q = layout_length(hyper)
+        q = checked_layout_length(hyper)
         for gi, grid in enumerate(grids):
             exhaustive = _check_cell(f"cell ({hi}, {gi})", q, grid,
                                      max_random, len(input_set))
@@ -326,7 +324,9 @@ def accuracy_bits_sweep(targets: Sequence[SampledFunctional],
                                     max_random)
         # row t holds theta t's functional on the input set
         dictionary = forward_batch(hyper, thetas, input_set)
-        err = dictionary_minimax_error(targets, dictionary, norm="sup")
+        err = dictionary_minimax_error(targets, dictionary)
+        # released before the next cell's draw, which holds two matrices
+        del thetas, dictionary
         rows.append(SweepRow(bits=q * grid.bits_per_coord, minimax_err=err,
                              hyper_id=hi, grid_id=gi, seed=seed,
                              exhaustive=exhaustive))
@@ -337,7 +337,7 @@ def _check_cell(name: str, q: int, grid: QuantGrid, max_random: int,
                 n_inputs: int) -> bool:
     """Whether a sweep cell of q parameters on grid is enumerated
     exhaustively; BudgetExceeded past EVALUATION_CAP evaluations, and
-    SizeLimitExceeded past THETA_BYTE_BUDGET bytes of thetas.
+    SizeLimitExceeded past fno.THETA_BYTE_BUDGET bytes of thetas.
 
     A grid has at least 2 points per coordinate, so p^q is at most
     EXHAUSTIVE_DICT_LIMIT only for q below its bit length; the power is
@@ -351,11 +351,7 @@ def _check_cell(name: str, q: int, grid: QuantGrid, max_random: int,
     if n_eval > EVALUATION_CAP:
         raise BudgetExceeded(
             f"{name} needs {n_eval} evaluations > {EVALUATION_CAP}")
-    held = 8 * candidates * q
-    if held > THETA_BYTE_BUDGET:
-        raise SizeLimitExceeded(
-            f"{name} holds {candidates} thetas of {q} parameters in {held} "
-            f"bytes, above the budget of {THETA_BYTE_BUDGET}")
+    check_theta_bytes(name, candidates, q)
     return exhaustive
 
 

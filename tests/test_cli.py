@@ -645,6 +645,26 @@ def test_sweep_command_header(runner, tmp_path):
         "bits,minimax_err,hyper_id,grid_id,seed"
 
 
+def _limited_child(*args, limit=2 << 30,
+                   code="from entrokit.cli import main; main()"):
+    """(the finished child, seconds from import to exit) of one line of
+    code, by default the CLI on args, in a child whose own address space
+    is limited to `limit` bytes."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    child = ("import resource, sys, time\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+             "start = time.monotonic()\n"
+             "try:\n"
+             f"    {code}\n"
+             "finally:\n"
+             "    print(f'seconds {time.monotonic() - start}', file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", child, *map(str, args)],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    seconds = float(re.search(r"seconds (\S+)", out.stderr).group(1))
+    return out, seconds
+
+
 @pytest.mark.parametrize("resolution", [2**21 + 1, 10**9])
 def test_sweep_refuses_an_oversized_input_before_allocating(tmp_path,
                                                             resolution):
@@ -656,37 +676,13 @@ def test_sweep_refuses_an_oversized_input_before_allocating(tmp_path,
     cfg["input_resolution"] = resolution
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(cfg))
-    code = ("import resource; "
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-            "from entrokit.cli import main; main()")
     start = time.monotonic()
-    out = subprocess.run([sys.executable, "-c", code, "sweep", "--config",
-                          str(path)], capture_output=True, text=True,
-                         timeout=60,
-                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    out, _ = _limited_child("sweep", "--config", path, limit=1 << 30)
     assert out.returncode == 2, out.stderr
     assert (f"input_resolution {resolution} on 2 levels needs "
             f"{2 * resolution} input grid nodes, above the budget of "
             f"{ek.chains.INPUT_NODE_LIMIT}") in out.stderr
     assert time.monotonic() - start < 10
-
-
-def _limited_cli(*args):
-    """(exit code, stderr, seconds from import to exit) of the CLI in a
-    child whose own address space is limited to 2 GiB."""
-    root = pathlib.Path(__file__).resolve().parent.parent
-    code = ("import resource, sys, time\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-            "start = time.monotonic()\n"
-            "try:\n"
-            "    from entrokit.cli import main; main()\n"
-            "finally:\n"
-            "    print(f'seconds {time.monotonic() - start}', file=sys.stderr)")
-    out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                         capture_output=True, text=True, timeout=120,
-                         env={**os.environ, "PYTHONPATH": str(root / "src")})
-    seconds = float(re.search(r"seconds (\S+)", out.stderr).group(1))
-    return out.returncode, out.stderr, seconds
 
 
 def _bits_hat_with(tmp_path, d_c):
@@ -703,21 +699,20 @@ def _bits_hat_with(tmp_path, d_c):
     # was _ArrayMemoryError (exit 1), and at 100000 computing 3^q hung
     (37, 4218), (300, 270_900), (100_000, 30_000_300_000)])
 def test_sweep_refuses_a_theta_matrix_past_its_budget(tmp_path, d_c, q):
-    code, err, seconds = _limited_cli("sweep", "--config",
-                                      _bits_hat_with(tmp_path, d_c))
-    assert code == 2, err
+    out, seconds = _limited_child("sweep", "--config",
+                                  _bits_hat_with(tmp_path, d_c))
+    assert out.returncode == 2, out.stderr
     assert (f"cell (0, 0) holds 4096 thetas of {q} parameters in "
             f"{8 * 4096 * q} bytes, above the budget of "
-            f"{ek.quantizer.THETA_BYTE_BUDGET}") in err
+            f"{ek.fno.THETA_BYTE_BUDGET}") in out.stderr
     assert seconds < 1
 
 
 def test_sweep_just_below_the_theta_budget_runs(tmp_path):
     # 4,096 x 3,996 thetas at d_c 36, 98% of the budget
-    code, err, _ = _limited_cli("sweep", "--config",
-                                _bits_hat_with(tmp_path, 36))
-    assert 8 * 4096 * 3996 <= ek.quantizer.THETA_BYTE_BUDGET
-    assert code == 0, err
+    out, _ = _limited_child("sweep", "--config", _bits_hat_with(tmp_path, 36))
+    assert 8 * 4096 * 3996 <= ek.fno.THETA_BYTE_BUDGET
+    assert out.returncode == 0, out.stderr
 
 
 @pytest.mark.parametrize("n", [3345, 100_000])
@@ -728,24 +723,19 @@ def test_chain_uniform_refuses_a_circle_past_its_budget(tmp_path, n):
     path.write_text(json.dumps({
         "schema_version": 1, "experiment": "uniform-chain", "seed": 7,
         "space": {"kind": "circle", "n": n}, "eps_ladder": [0.2]}))
-    code, err, seconds = _limited_cli("chain-uniform", "--config", path)
-    assert code == 2, err
+    out, seconds = _limited_child("chain-uniform", "--config", path)
+    assert out.returncode == 2, out.stderr
     assert (f"{n} points hold {24 * n * n} bytes in their distance matrix "
             f"and its temporaries, above the budget of "
-            f"{ek.metricspace.SPACE_BYTE_BUDGET}") in err
+            f"{ek.metricspace.SPACE_BYTE_BUDGET}") in out.stderr
     assert seconds < 1
 
 
 @pytest.mark.parametrize("make,n", [("circle", 3344), ("line", 4096)])
 def test_spaces_just_below_their_budget_are_built(make, n):
-    root = pathlib.Path(__file__).resolve().parent.parent
-    code = ("import resource\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-            "from entrokit.metricspace import FiniteMetricSpace\n"
-            f"print(FiniteMetricSpace.{make}({n}).n)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=120,
-                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    out, _ = _limited_child(code=(
+        "from entrokit.metricspace import FiniteMetricSpace; "
+        f"print(FiniteMetricSpace.{make}({n}).n)"))
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == str(n)
 
@@ -783,17 +773,10 @@ def _huge_monte_carlo(command, key, value):
 ])
 def test_oversized_monte_carlo_is_refused_before_allocating(
         tmp_path, command, key, value, words, held):
-    root = pathlib.Path(__file__).resolve().parent.parent
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(_huge_monte_carlo(command, key, value)))
-    code = ("import resource; "
-            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-            "from entrokit.cli import main; main()")
     start = time.monotonic()
-    out = subprocess.run([sys.executable, "-c", code, command, "--config",
-                          str(path)], capture_output=True, text=True,
-                         timeout=60,
-                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    out, _ = _limited_child(command, "--config", path)
     assert out.returncode == 2, out.stderr
     if words is not None:
         assert (f"coordinates draw {words} values per seed, above the "
@@ -802,6 +785,93 @@ def test_oversized_monte_carlo_is_refused_before_allocating(
         assert f"hold {held} bytes, above the budget of {_MC_BYTES}" \
             in out.stderr
     assert time.monotonic() - start < 10
+
+
+_DEEP_Q = 4 * 10**8 + 2  # parameters of 1-D, d_c = kappa = 1, depth 10^8
+
+
+@pytest.mark.parametrize("command", ["sweep", "fno", "quantize",
+                                     "quantize --c"])
+def test_a_deep_operator_is_refused_before_its_layout_is_built(tmp_path,
+                                                               command):
+    # at depth 10^8 each of these was MemoryError (exit 1) under the
+    # child's 2 GiB limit, in _storage's 3 * 10^8 blocks
+    hyper = tmp_path / "deep.json"
+    hyper.write_text(json.dumps(ek.FnoHyper(1, 1, 1, 1, 1, 10**8).to_json()))
+    q = _DEEP_Q
+    wanted = (f"depth {10**8} is above the budget of {ek.fno.DEPTH_LIMIT} "
+              "layers")
+    if command == "sweep":
+        cfg = read_json(pathlib.Path(__file__).resolve().parent.parent
+                        / "configs" / "bits-hat.json")
+        cfg["hypers"][0]["depth"] = 10**8
+        (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+        args = ["sweep", "--config", tmp_path / "sweep.json"]
+    elif command == "fno":
+        (tmp_path / "theta.bin").write_bytes(bytes(8))
+        u = ek.random_grid_function(1, 8, 1, stream(3, 7))
+        (tmp_path / "input.json").write_text(json.dumps(u.to_json()))
+        args = ["fno", "--hyper", hyper, "--params", tmp_path / "theta.bin",
+                "--input", tmp_path / "input.json"]
+        wanted = f"needs {q} float64 values ({8 * q} bytes)"
+    else:
+        args = ["quantize", "--hyper", hyper, "--m", "0.5", "--delta", "0.5"]
+        if command == "quantize --c":
+            args += ["--c", "1"]
+    out, seconds = _limited_child(*args)
+    assert out.returncode == 2, out.stderr
+    assert wanted in out.stderr
+    assert seconds < 1
+
+
+@pytest.mark.parametrize("d_c,depth,args,code", [
+    # 128 probe pairs of d_c 147 hold 99.6% of the theta budget, d_c 148
+    # pass it; a random theta at the depth budget, and one layer past it
+    (147, 1, [], 0), (148, 1, [], 2),
+    (1, ek.fno.DEPTH_LIMIT, ["--c", "1"], 0),
+    (1, ek.fno.DEPTH_LIMIT + 1, ["--c", "1"], 2)])
+def test_quantize_runs_up_to_its_budgets(tmp_path, d_c, depth, args, code):
+    hyper = tmp_path / "hyper.json"
+    h = ek.FnoHyper(1, 1, 1, d_c, 1, depth)
+    hyper.write_text(json.dumps(h.to_json()))
+    out, seconds = _limited_child("quantize", "--hyper", hyper, "--m", "0.5",
+                                  "--delta", "0.5", "--n-inputs", "1", *args)
+    assert out.returncode == code, out.stderr
+    if code == 2:
+        assert "above the budget of" in out.stderr
+        assert seconds < 1
+
+
+def test_quantize_calibrates_a_wide_shallow_operator(tmp_path):
+    # 2,208 parameters: 128 probe pairs hold 4.5 MB of thetas
+    h = ek.FnoHyper(2, 1, 1, 8, 2, 2)
+    assert ek.fno.layout_length(h) == 2208
+    hyper = tmp_path / "hyper.json"
+    hyper.write_text(json.dumps(h.to_json()))
+    out, _ = _limited_child("quantize", "--hyper", hyper, "--m", "0.5",
+                            "--delta", "0.5")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["passed"] is True
+
+
+@pytest.mark.parametrize("grid_res,code", [
+    # 10^9 took 7.45 GiB, _ArrayMemoryError (exit 1) under the child's
+    # 2 GiB limit; 2^22 - 1 is the last within the budget
+    (2**22 - 1, 0), (2**22, 2), (10**9, 2)])
+def test_embed_check_refuses_a_grid_past_its_node_budget(tmp_path, grid_res,
+                                                         code):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    cfg = read_json(root / "configs" / "embed-check.json")
+    cfg["f"] = {"kind": "coordinate", "grid_res": grid_res}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg))
+    out, seconds = _limited_child("embed-check", "--config", path)
+    assert out.returncode == code, out.stderr
+    if code == 2:
+        assert (f"f.grid_res {grid_res} needs {grid_res + 1} grid nodes, "
+                f"above the budget of {ek.chains.INPUT_NODE_LIMIT}"
+                in out.stderr)
+        assert seconds < 1
 
 
 def test_table_seed_override(runner, tmp_path):

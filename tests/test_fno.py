@@ -4,6 +4,7 @@ zero-padding, and the empirical parameter-to-operator Lipschitz estimate."""
 import itertools
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -387,7 +388,7 @@ def test_forward_equals_the_fftn_formula_bit_for_bit(dim, kappa):
         d_c = int(rng.integers(1, 5))
         h = ek.FnoHyper(dim, int(rng.integers(1, d_c + 1)), 1, d_c, kappa,
                         int(rng.integers(1, 3)), act, bias_mode)
-        p = ek.FnoParams.random(h, 1.0, rng, canonical=False)
+        p = ek.FnoParams(h, rng.uniform(-1.0, 1.0, layout_length(h)))
         u = ek.random_grid_function(dim, 2 * kappa + extra, h.d_in, rng)
         assert ek.forward(p, u) == _reference_forward(p, u)
 
@@ -532,7 +533,7 @@ def test_constant_inputs_evaluate_as_on_the_grid():
         for n in sizes * 3:
             h = ek.FnoHyper(dim, int(rng.integers(1, d_c + 1)), 1, d_c, kappa,
                             depth, act)
-            p = ek.FnoParams.random(h, 1.0, rng, canonical=False)
+            p = ek.FnoParams(h, rng.uniform(-1.0, 1.0, layout_length(h)))
             level = rng.uniform(-1.0, 1.0, h.d_in)
             u = ek.GridFunction(dim, np.broadcast_to(
                 level, (n,) * dim + (h.d_in,)))
@@ -791,7 +792,7 @@ def test_blocks_are_views_of_theta_built_once():
 
 def test_pack_blocks_round_trip():
     h = ek.FnoHyper(2, 2, 1, 3, 2, 2, activation="gelu")
-    p = ek.FnoParams.random(h, 1.0, stream(15, 8), canonical=False)
+    p = ek.FnoParams(h, stream(15, 8).uniform(-1.0, 1.0, layout_length(h)))
     q_m, layers, p_m = p.blocks()
     rebuilt = ek.FnoParams.pack(h, q_m, layers, p_m)
     assert np.array_equal(rebuilt.theta, p.theta)
@@ -998,6 +999,73 @@ def test_empirical_lipschitz_validation():
     h = small_hyper()
     with pytest.raises(ValueError):
         ek.empirical_lipschitz(h, 1.0, 10, ek.random_inputs(h, 2, 0), seed=0)
+
+
+# -- parameter budgets ------------------------------------------------------
+
+
+def test_a_deep_layout_is_refused_before_it_is_drawn_or_built(tmp_path):
+    # depth 10^8 would take 3 * 10^8 blocks in _storage and 3.2 GB a theta
+    h = ek.FnoHyper(1, 1, 1, 1, 1, 10**8)
+    q = 4 * 10**8 + 2
+    assert layout_length(h) == q
+    refusal = (f"depth {10**8} is above the budget of "
+               f"{ek.fno.DEPTH_LIMIT} layers")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ek.SizeLimitExceeded, match=refusal):
+            ek.FnoParams.random(h, 1.0, stream(0, 8))
+        with pytest.raises(ek.SizeLimitExceeded, match=refusal):
+            ek.empirical_lipschitz(h, 1.0, 100, ek.random_inputs(h, 1, 0),
+                                   seed=0)
+        with pytest.raises(ek.SizeLimitExceeded, match=refusal):
+            ek.forward_batch(h, np.empty((0, q)), [])
+        path = tmp_path / "theta.bin"
+        path.write_bytes(bytes(8))
+        with pytest.raises(ek.LayoutMismatch):
+            ek.fno.load_params(h, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_wide_draws_are_refused_before_drawing():
+    # 1-D, depth 1: d_c 2,365 is the first whose theta passes the budget,
+    # and d_c 148 the first whose 128 probe pairs do
+    budget = ek.fno.THETA_BYTE_BUDGET
+    wide = ek.FnoHyper(1, 1, 1, 2365, 1, 1)
+    pairs = ek.FnoHyper(1, 1, 1, 148, 1, 1)
+    q, q_pairs = layout_length(wide), layout_length(pairs)
+    assert 8 * layout_length(replace(wide, d_c=2364)) <= budget < 8 * q
+    assert (8 * 256 * layout_length(replace(pairs, d_c=147)) <= budget
+            < 8 * 256 * q_pairs)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ek.SizeLimitExceeded, match=(
+                f"the random draw holds 1 thetas of {q} parameters in "
+                f"{8 * q} bytes, above the budget of {budget}")):
+            ek.FnoParams.random(wide, 1.0, stream(0, 8))
+        with pytest.raises(ek.SizeLimitExceeded, match=(
+                f"the probe draw holds 256 thetas of {q_pairs} parameters")):
+            ek.empirical_lipschitz(pairs, 1.0, 128,
+                                   ek.random_inputs(pairs, 1, 0), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_the_budgets_admit_operators_up_to_their_limits():
+    limit, budget = ek.fno.DEPTH_LIMIT, ek.fno.THETA_BYTE_BUDGET
+    deepest = ek.FnoHyper(1, 1, 1, 1, 1, limit)
+    assert ek.fno.checked_layout_length(deepest) == layout_length(deepest)
+    with pytest.raises(ek.SizeLimitExceeded):
+        ek.fno.checked_layout_length(replace(deepest, depth=limit + 1))
+    for rows in (1, 2, 256):
+        ek.fno.check_theta_bytes("cell", rows, budget // (8 * rows))
+        with pytest.raises(ek.SizeLimitExceeded):
+            ek.fno.check_theta_bytes("cell", rows, budget // (8 * rows) + 1)
 
 
 # -- serialization ----------------------------------------------------------------

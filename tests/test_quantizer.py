@@ -365,15 +365,50 @@ def test_a_nan_deviation_fails_the_certificate_in_any_input_order():
 # -- bits versus accuracy -----------------------------------------------------------
 
 
+def _swept_targets(levels):
+    """(targets, inputs) that the bits-accuracy chain passes to the sweep
+    for hat targets on levels at eps 1/6; the sweep itself is not run."""
+    seen = []
+    cfg = {"schema_version": 1, "experiment": "bits-accuracy", "seed": 5,
+           "targets": {"kind": "hat-on-constants", "levels": levels},
+           "hypers": [REF_HYPER.to_json()], "grids": [{"m": 1.0, "delta": 1.0}]}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ek.quantizer, "accuracy_bits_sweep",
+                   lambda targets, hypers, grids, inputs, *rest, **kw:
+                   seen.append((targets, inputs)) or [])
+        ek.run_experiment(cfg)
+    return seen[0]
+
+
 def _hat_targets_and_inputs():
-    from entrokit.chains import constant_input_space
-    space, inputs = constant_input_space([0.0, 1.0], resolution=8)
+    return _swept_targets([0.0, 1.0])
+
+
+@pytest.mark.parametrize("centers", range(2, 17))
+def test_hat_targets_are_the_members_of_each_sign_vector(centers):
+    # levels 1 apart carry the hats, of radius 1/2, among seeded levels of
+    # which some lie in a hat and some in none; 20 levels at most, the
+    # exact cover's limit
+    rng = stream(centers, 9)
+    levels = [float(c) for c in range(centers)] + rng.uniform(
+        0.0, centers - 1, min(centers, 20 - centers)).tolist()
+    targets, inputs = _swept_targets(levels)
+    space, _ = ek.chains.constant_input_space(levels, 8)
     fam = ek.build_hat_family(space, 1 / 6)
-    ids = tuple(range(len(inputs)))
-    targets = [ek.SampledFunctional(
-        ids, fam.member([(s >> j) & 1 for j in range(fam.n_centers)]))
-        for s in range(fam.size)]
-    return targets, inputs
+    assert fam.centers == tuple(range(centers))
+    rows = [fam.member([(s >> j) & 1 for j in range(centers)])
+            for s in range(fam.size)]
+    assert targets.shape == (2**centers, len(inputs))
+    assert targets.tobytes() == np.stack(rows).tobytes()
+
+
+def test_sweep_targets_must_be_sampled_on_the_inputs():
+    targets, inputs = _hat_targets_and_inputs()
+    hyper = ek.FnoHyper(1, 1, 1, 1, 1, 1, activation="identity")
+    for bad in (targets[:, :1], targets[0]):
+        with pytest.raises(ValueError, match="sampled on the input set"):
+            ek.accuracy_bits_sweep(bad, [hyper], [ek.QuantGrid(1.0, 1.0)],
+                                   inputs, seed=5)
 
 
 def test_sweep_self_targets_reach_zero():
@@ -440,7 +475,7 @@ def test_sweep_cells_are_exhaustive_exactly_when_p_to_the_q_fits(p):
 
 def test_sweep_cells_past_the_theta_budget_are_refused_before_drawing():
     targets, inputs = _hat_targets_and_inputs()
-    budget = ek.quantizer.THETA_BYTE_BUDGET
+    budget = ek.fno.THETA_BYTE_BUDGET
     # a billion-parameter layout: q is never raised to a power, and
     # nothing is drawn
     huge = ek.FnoHyper(1, 1, 1, 100_000, 1, 1, activation="identity")
